@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import curve_core as cc
 from . import periodic_fn as pf
 from .curve_core import (
     CentroAffineCurve,
@@ -28,6 +29,7 @@ from .errors import (
     MatchFailure,
     NegativeProjective,
     NonMonotone,
+    OffUnity,
     ZeroParam,
 )
 from .riccati_monodromy import (
@@ -41,6 +43,9 @@ from .riccati_monodromy import (
 )
 
 _BRANCHES = ("plus", "minus")
+
+# largest angle-advance defect apply_tc_projective spreads over the period
+CLOSURE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,21 @@ class BacklundResult:
     param: BacklundParam
 
 
+def plane_map(Gamma: CentroAffineCurve, potential: pf.PeriodicFn, w: pf.PeriodicFn, c_aff: float):
+    """Ungated build step: components w Gamma_i + c Gamma_i' and image potential p + 2 w'/c."""
+    g1 = w * Gamma.gamma1 + c_aff * pf.differentiate(Gamma.gamma1)
+    g2 = w * Gamma.gamma2 + c_aff * pf.differentiate(Gamma.gamma2)
+    return g1, g2, potential + (2.0 / c_aff) * pf.differentiate(w)
+
+
+def gate_image(g1: pf.PeriodicFn, g2: pf.PeriodicFn) -> CentroAffineCurve:
+    """Gate step of the plane map: the image curve, or OffUnity on a Wronskian miss."""
+    defect = cc.wronskian_defect(g1, g2)
+    if defect > cc.WRONSKIAN_TOL:
+        raise OffUnity(f"image misses unit Wronskian by {defect!r} > {cc.WRONSKIAN_TOL!r}")
+    return CentroAffineCurve(g1, g2)
+
+
 def apply_tc(
     Gamma: CentroAffineCurve,
     c_aff: float,
@@ -104,12 +124,8 @@ def apply_tc(
     param = param_convert(c_aff, "affine")
     pot = curvature(Gamma)
     sol = _pick_branch(riccati_periodic_solutions(pot, c_aff, substeps=substeps), branch)
-    w = sol.solution
-    d1 = pf.differentiate(Gamma.gamma1)
-    d2 = pf.differentiate(Gamma.gamma2)
-    image = CentroAffineCurve(w * Gamma.gamma1 + c_aff * d1, w * Gamma.gamma2 + c_aff * d2)
-    image_curvature = pot + (2.0 / c_aff) * pf.differentiate(w)
-    return BacklundResult(image=image, riccati=sol, image_curvature=image_curvature, param=param)
+    g1, g2, image_curvature = plane_map(Gamma, pot, sol.solution, c_aff)
+    return BacklundResult(gate_image(g1, g2), sol, image_curvature, param)
 
 
 def apply_tc_projective(
@@ -117,7 +133,6 @@ def apply_tc_projective(
     c_pr: float,
     branch: str = "minus",
     substeps: int = DEFAULT_SUBSTEPS,
-    closure_tol: float = 1e-6,
 ) -> ProjectiveCurve:
     """Projective picture of the plane map, entirely in the angle chart.
 
@@ -143,7 +158,7 @@ def apply_tc_projective(
     chi = np.unwrap(np.arctan2(w[:, 0], w[:, 1]))
     chi += wrap_half_pi(float(chi[0])) - chi[0]
     closure = chi[-1] - chi[0] - np.pi
-    if abs(closure) > closure_tol:
+    if abs(closure) > CLOSURE_TOL:
         raise BranchSingular(f"angle advance off by {closure!r}: branch not periodic")
     # distribute the residual closure defect so psi is exactly periodic
     steps = substeps * gamma.n

@@ -37,12 +37,12 @@ def _load_projective(path) -> cc.ProjectiveCurve:
 
 
 def _print_json(doc, path=None):
+    """Print doc as JSON; also write it to path when one is given."""
     text = json.dumps(doc, indent=2)
-    if path is None:
-        print(text)
-    else:
+    if path is not None:
         with open(path, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _cmd_gen(args) -> int:
@@ -87,8 +87,6 @@ def _cmd_backlund(args) -> int:
         "after": iv.invariant_report(res.image),
     }
     _print_json(report, args.report)
-    if args.report is not None:
-        _print_json(report)
     return 0
 
 
@@ -118,11 +116,7 @@ def _cmd_kdv(args) -> int:
 
 def _cmd_permutability(args) -> int:
     gamma = _load_projective(args.input)
-    if args.c_kind == "affine":
-        c1 = bk.param_convert(args.c, "affine").c_pr
-        c2 = bk.param_convert(args.c2, "affine").c_pr
-    else:
-        c1, c2 = args.c, args.c2
+    c1, c2 = (bk.param_convert(c, args.c_kind).c_pr for c in (args.c, args.c2))
     sq = bk.permutability_square(
         gamma,
         c1,
@@ -140,8 +134,6 @@ def _cmd_permutability(args) -> int:
         "prediction_residual": sq.prediction_residual,
     }
     _print_json(report, args.output)
-    if args.output is not None:
-        _print_json(report)
     return 0
 
 

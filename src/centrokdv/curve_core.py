@@ -24,6 +24,8 @@ __all__ = [
     "lift",
     "project",
     "curvature",
+    "hill_potential",
+    "wronskian_defect",
     "tangent_field",
     "make_circle",
     "random_projective",
@@ -38,6 +40,15 @@ __all__ = [
 ]
 
 WRONSKIAN_TOL = 1e-9
+
+
+def _wronskian(g1: pf.PeriodicFn, g2: pf.PeriodicFn) -> pf.PeriodicFn:
+    return g1 * pf.differentiate(g2) - g2 * pf.differentiate(g1)
+
+
+def wronskian_defect(g1: pf.PeriodicFn, g2: pf.PeriodicFn) -> float:
+    """max |[Gamma, Gamma'] - 1| of components g1, g2; every gate compares it to WRONSKIAN_TOL."""
+    return float(np.max(np.abs(_wronskian(g1, g2).samples - 1.0)))
 
 
 def wrap_half_pi(x):
@@ -98,8 +109,7 @@ class CentroAffineCurve:
             raise ValueError("components must be antiperiodic")
         if self.gamma1.n != self.gamma2.n:
             raise ValueError("component sample counts differ")
-        w = self.wronskian()
-        err = np.max(np.abs(w.samples - 1.0))
+        err = wronskian_defect(self.gamma1, self.gamma2)
         if err > WRONSKIAN_TOL:
             raise ValueError(f"Wronskian off unity by {err!r}")
 
@@ -108,9 +118,7 @@ class CentroAffineCurve:
         return self.gamma1.n
 
     def wronskian(self) -> pf.PeriodicFn:
-        d1 = pf.differentiate(self.gamma1)
-        d2 = pf.differentiate(self.gamma2)
-        return self.gamma1 * d2 - self.gamma2 * d1
+        return _wronskian(self.gamma1, self.gamma2)
 
 
 def lift(gamma: ProjectiveCurve) -> CentroAffineCurve:
@@ -133,8 +141,8 @@ def project(Gamma: CentroAffineCurve) -> ProjectiveCurve:
     n = Gamma.n
     # sample at 2n+1 points including t = pi to measure the total winding
     ts = np.arange(2 * n + 1) * (np.pi / (2 * n))
-    v1 = np.concatenate([pf.upsample(Gamma.gamma1, 2 * n).samples, [-Gamma.gamma1.samples[0]]])
-    v2 = np.concatenate([pf.upsample(Gamma.gamma2, 2 * n).samples, [-Gamma.gamma2.samples[0]]])
+    v1 = pf.values_with_wrap(Gamma.gamma1, 2 * n)
+    v2 = pf.values_with_wrap(Gamma.gamma2, 2 * n)
     theta = np.unwrap(np.arctan2(v2, v1))
     winding = (theta[-1] - theta[0]) / np.pi
     if abs(winding - 1.0) > 1e-6:
@@ -144,13 +152,14 @@ def project(Gamma: CentroAffineCurve) -> ProjectiveCurve:
     return ProjectiveCurve(pf.PeriodicFn(psi, "periodic"))
 
 
+def hill_potential(g1: pf.PeriodicFn, g2: pf.PeriodicFn) -> pf.PeriodicFn:
+    """[Gamma'', Gamma'] of components g1, g2, which need not have unit Wronskian."""
+    return pf.differentiate(g1, 2) * pf.differentiate(g2) - pf.differentiate(g2, 2) * pf.differentiate(g1)
+
+
 def curvature(Gamma: CentroAffineCurve) -> pf.PeriodicFn:
     """Hill potential p = [Gamma'', Gamma'] (so that Gamma'' = p Gamma)."""
-    d11 = pf.differentiate(Gamma.gamma1)
-    d21 = pf.differentiate(Gamma.gamma2)
-    d12 = pf.differentiate(Gamma.gamma1, 2)
-    d22 = pf.differentiate(Gamma.gamma2, 2)
-    return d12 * d21 - d22 * d11
+    return hill_potential(Gamma.gamma1, Gamma.gamma2)
 
 
 def tangent_field(Gamma: CentroAffineCurve, f: pf.PeriodicFn):

@@ -50,6 +50,10 @@ class StepUnstable(NumericalFailure):
     """Time step rejected: solution norm doubled within one step."""
 
 
+class OffUnity(NumericalFailure):
+    """Constructed curve misses the unit-Wronskian gate [Gamma, Gamma'] = 1."""
+
+
 class BranchJump(NumericalFailure):
     """Branch tracking along a flow lost continuity."""
 

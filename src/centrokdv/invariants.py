@@ -24,6 +24,7 @@ __all__ = [
     "ijk",
     "killing_fields",
     "moment_derivative",
+    "richardson_derivative",
     "sl2_hamiltonian_check",
     "cross_ratio_check",
     "invariant_report",
@@ -86,10 +87,7 @@ class IJKTriple:
 
 def ijk(Gamma: CentroAffineCurve) -> IJKTriple:
     """Moments I = int g1^2, J = int g1 g2, K = int g2^2, with I K - J^2."""
-    g1, g2 = Gamma.gamma1, Gamma.gamma2
-    i = float(pf.integrate_period(g1 * g1))
-    j = float(pf.integrate_period(g1 * g2))
-    k = float(pf.integrate_period(g2 * g2))
+    i, j, k = (float(m) for m in _moments_of(Gamma.gamma1, Gamma.gamma2))
     return IJKTriple(I=i, J=j, K=k, discriminant=i * k - j * j)
 
 
@@ -114,6 +112,15 @@ def _moments_of(a: pf.PeriodicFn, b: pf.PeriodicFn) -> np.ndarray:
     )
 
 
+def richardson_derivative(value, eps: float):
+    """d/de value at 0 as (4 D(eps/2) - D(eps))/3, D(e) = (value(e) - value(-e))/2e."""
+
+    def centered(e):
+        return (value(e) - value(-e)) / (2.0 * e)
+
+    return (4.0 * centered(0.5 * eps) - centered(eps)) / 3.0
+
+
 def moment_derivative(Gamma: CentroAffineCurve, f: pf.PeriodicFn, eps: float = 1e-5):
     """Directional derivative of (I, J, K) along the tangent field of f.
 
@@ -122,15 +129,7 @@ def moment_derivative(Gamma: CentroAffineCurve, f: pf.PeriodicFn, eps: float = 1
     by one Richardson step.
     """
     u1, u2 = tangent_field(Gamma, f)
-
-    def central(e):
-        plus = _moments_of(Gamma.gamma1 + e * u1, Gamma.gamma2 + e * u2)
-        minus = _moments_of(Gamma.gamma1 - e * u1, Gamma.gamma2 - e * u2)
-        return (plus - minus) / (2.0 * e)
-
-    coarse = central(eps)
-    fine = central(0.5 * eps)
-    return (4.0 * fine - coarse) / 3.0
+    return richardson_derivative(lambda e: _moments_of(Gamma.gamma1 + e * u1, Gamma.gamma2 + e * u2), eps)
 
 
 def sl2_hamiltonian_check(Gamma: CentroAffineCurve, f: pf.PeriodicFn, eps: float = 1e-5):

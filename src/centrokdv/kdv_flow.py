@@ -13,13 +13,15 @@ non-stiff and needs only p and p'.
 
 import csv
 from dataclasses import dataclass
+from functools import cache
 from math import ceil
 
 import numpy as np
 
+from . import curve_core as cc
 from . import invariants as iv
 from . import periodic_fn as pf
-from .backlund import apply_tc
+from .backlund import apply_tc, plane_map
 from .curve_core import CentroAffineCurve, curvature, tangent_field
 from .errors import BranchJump, StepUnstable
 from .riccati_monodromy import DEFAULT_SUBSTEPS, riccati_periodic_solutions
@@ -67,8 +69,17 @@ def _etdrk4_coeffs(linear: np.ndarray, h: float):
     return np.exp(z), np.exp(z / 2.0), q, f1, f2, f3
 
 
-def _advance_spectrum(v: np.ndarray, nu: np.ndarray, n: int, h: float, nsteps: int, on_node=None):
+def _checked_sup(sup: float, vals: np.ndarray, h: float, what: str) -> float:
+    """Sup norm of vals after one step; StepUnstable if it is not finite or more than doubled."""
+    new_sup = float(np.max(np.abs(vals)))
+    if not np.isfinite(new_sup) or new_sup > 2.0 * max(sup, 1e-12):
+        raise StepUnstable(f"{what} jumped {sup!r} -> {new_sup!r} within one step of size {h!r}")
+    return new_sup
+
+
+def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int, on_node=None):
     """March the rfft spectrum of the potential by nsteps steps of size h."""
+    nu = 2.0 * np.arange(n // 2 + 1)
     linear = 0.5j * nu**3
     linear[-1] = 0.0  # odd derivatives of the unpaired Nyquist mode vanish
     e_full, e_half, q, f1, f2, f3 = _etdrk4_coeffs(linear, h)
@@ -91,12 +102,7 @@ def _advance_spectrum(v: np.ndarray, nu: np.ndarray, n: int, h: float, nsteps: i
         c = e_half * a + q * (2.0 * nb - nv)
         nc = nonlin(c)
         v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
-        new_sup = float(np.max(np.abs(np.fft.irfft(v, n))))
-        if not np.isfinite(new_sup) or new_sup > 2.0 * max(sup, 1e-12):
-            raise StepUnstable(
-                f"sup norm jumped {sup!r} -> {new_sup!r} within one step of size {h!r}"
-            )
-        sup = new_sup
+        sup = _checked_sup(sup, np.fft.irfft(v, n), h, "sup norm")
         if on_node is not None:
             on_node(v)
     return v
@@ -122,8 +128,7 @@ def evolve_potential(potential: pf.PeriodicFn, s_end: float, ds: float = 1e-4) -
         return potential
     n = potential.n
     nsteps = _step_count(s_end, ds)
-    nu = 2.0 * np.arange(n // 2 + 1)
-    v = _advance_spectrum(np.fft.rfft(potential.samples), nu, n, s_end / nsteps, nsteps)
+    v = _advance_spectrum(np.fft.rfft(potential.samples), n, s_end / nsteps, nsteps)
     return pf.PeriodicFn(np.fft.irfft(v, n), "periodic")
 
 
@@ -143,9 +148,6 @@ def evolve_curve(Gamma: CentroAffineCurve, s_end: float, ds: float = 1e-4) -> Ce
     n = p0.n
     nsteps = _step_count(s_end, ds)
     h = s_end / nsteps
-    nu = 2.0 * np.arange(n // 2 + 1)
-    d_nu = 1j * nu.astype(complex)
-    d_nu[-1] = 0.0
 
     # curvature holds two spectral derivatives of the input samples, which
     # lift their roundoff floor by n^2 in the unresolved band; that junk
@@ -163,25 +165,16 @@ def evolve_curve(Gamma: CentroAffineCurve, s_end: float, ds: float = 1e-4) -> Ce
         w = w.copy()
         w[cut:] = 0.0
         p_rows.append(np.fft.irfft(w, n))
-        dp_rows.append(np.fft.irfft(d_nu * w, n))
+        dp_rows.append(pf.differentiate_samples(p_rows[-1], "periodic"))
 
-    _advance_spectrum(v0, nu, n, 0.5 * h, 2 * nsteps, on_node=record)
-
-    # spectral t-derivative for antiperiodic samples: demodulate to integer
-    # harmonics, multiply, remodulate
-    ph = np.exp(-1j * pf.grid(n))
-    freq = 2.0 * np.fft.fftfreq(n, 1.0 / n) + 1.0
-    dfactor = (1j * freq)[:, None]
-
-    def deriv(y):
-        coeffs = np.fft.fft(y * ph[:, None], axis=0)
-        return np.real(np.fft.ifft(coeffs * dfactor, axis=0) * np.conj(ph)[:, None])
+    _advance_spectrum(v0, n, 0.5 * h, 2 * nsteps, on_node=record)
 
     def field(y, j):
         # skew-symmetric split of p y' - 1/2 p' y: the advection part
         # 1/2 (p D + D p) cannot pump grid modes, so aliasing stays inert
         p = p_rows[j][:, None]
-        return 0.5 * (p * deriv(y) + deriv(p * y)) - dp_rows[j][:, None] * y
+        d = pf.differentiate_samples(np.concatenate([y, p * y], axis=1), "antiperiodic")
+        return 0.5 * (p * d[:, :2] + d[:, 2:]) - dp_rows[j][:, None] * y
 
     x = np.stack([Gamma.gamma1.samples, Gamma.gamma2.samples], axis=1)
     sup = float(np.max(np.abs(x)))
@@ -191,23 +184,16 @@ def evolve_curve(Gamma: CentroAffineCurve, s_end: float, ds: float = 1e-4) -> Ce
         k3 = field(x + (0.5 * h) * k2, 2 * i + 1)
         k4 = field(x + h * k3, 2 * i + 2)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        new_sup = float(np.max(np.abs(x)))
-        if not np.isfinite(new_sup) or new_sup > 2.0 * max(sup, 1e-12):
-            raise StepUnstable(
-                f"curve sup norm jumped {sup!r} -> {new_sup!r} within one step of size {h!r}"
-            )
-        sup = new_sup
-    dx = deriv(x)
-    defect = float(np.max(np.abs(x[:, 0] * dx[:, 1] - x[:, 1] * dx[:, 0] - 1.0)))
-    if defect > 1e-9:
+        sup = _checked_sup(sup, x, h, "curve sup norm")
+    g1 = pf.PeriodicFn(x[:, 0], "antiperiodic")
+    g2 = pf.PeriodicFn(x[:, 1], "antiperiodic")
+    defect = cc.wronskian_defect(g1, g2)
+    if defect > cc.WRONSKIAN_TOL:
         raise StepUnstable(
             f"transported curve misses unit Wronskian by {defect!r}; "
             f"reduce ds or refine the grid"
         )
-    return CentroAffineCurve(
-        pf.PeriodicFn(x[:, 0], "antiperiodic"),
-        pf.PeriodicFn(x[:, 1], "antiperiodic"),
-    )
+    return CentroAffineCurve(g1, g2)
 
 
 @dataclass(frozen=True)
@@ -254,22 +240,15 @@ def flow_trace_to_csv(states, path) -> None:
             )
 
 
-def _raw_curvature(g1: pf.PeriodicFn, g2: pf.PeriodicFn) -> pf.PeriodicFn:
-    return pf.differentiate(g1, 2) * pf.differentiate(g2) - pf.differentiate(g2, 2) * pf.differentiate(g1)
-
-
 def _hamiltonian_derivative(Gamma: CentroAffineCurve, g: pf.PeriodicFn, j: int, eps: float) -> float:
     """d/ds H_j along the deformation by the tangent field of profile g."""
     u1, u2 = tangent_field(Gamma, g)
 
     def value(e):
-        q = _raw_curvature(Gamma.gamma1 + e * u1, Gamma.gamma2 + e * u2)
+        q = cc.hill_potential(Gamma.gamma1 + e * u1, Gamma.gamma2 + e * u2)
         return pf.integrate_period(q if j == 1 else 0.5 * (q * q))
 
-    def centered(e):
-        return (value(e) - value(-e)) / (2.0 * e)
-
-    return (4.0 * centered(0.5 * eps) - centered(eps)) / 3.0
+    return iv.richardson_derivative(value, eps)
 
 
 def recursion_check(Gamma: CentroAffineCurve, j: int, test_fields, eps: float = 1e-5):
@@ -313,8 +292,8 @@ def _track_branch(sample, s_end: float, w_start: float, min_step: float) -> str:
     step = s_end
     while abs(s_end - pos) > 1e-15 * max(1.0, abs(s_end)):
         nxt = pos + step
-        if abs(nxt) > abs(s_end):
-            nxt = s_end
+        if abs(nxt) > abs(s_end) or abs(s_end - nxt) <= 1e-15 * max(1.0, abs(s_end)):
+            nxt = s_end  # the last checkpoint is s_end exactly
         vals = sample(nxt)
         near = min(vals, key=lambda lab: abs(vals[lab] - w_prev))
         moved = abs(vals[near] - w_prev)
@@ -347,11 +326,15 @@ def commutation_check(
     """
     first = apply_tc(Gamma, c_aff, branch, substeps=substeps)
     transformed_then_flowed = evolve_curve(first.image, s, ds=ds)
-    flowed = evolve_curve(Gamma, s, ds=ds)
+
+    @cache
+    def checkpoint(sig):
+        current = evolve_curve(Gamma, sig, ds=ds)
+        pot = curvature(current)
+        return current, pot, riccati_periodic_solutions(pot, c_aff, substeps=substeps)
 
     def sample(sig):
-        current = Gamma if sig == 0.0 else evolve_curve(Gamma, sig, ds=ds)
-        plus, minus = riccati_periodic_solutions(curvature(current), c_aff, substeps=substeps)
+        plus, minus = checkpoint(sig)[2]
         return {"plus": float(plus.solution(0.0)), "minus": float(minus.solution(0.0))}
 
     label = _track_branch(sample, s, float(first.riccati.solution(0.0)), min_step=abs(s) / 8.0)
@@ -359,10 +342,8 @@ def commutation_check(
     # flowed curve satisfies the unit-Wronskian constraint only to the flow's
     # own truncation error, and the distance measured here does not need the
     # strict construction gate that apply_tc enforces on its output
-    plus, minus = riccati_periodic_solutions(curvature(flowed), c_aff, substeps=substeps)
-    a = (plus if label == "plus" else minus).solution
-    second1 = a * flowed.gamma1 + c_aff * pf.differentiate(flowed.gamma1)
-    second2 = a * flowed.gamma2 + c_aff * pf.differentiate(flowed.gamma2)
+    flowed, pot, (plus, minus) = checkpoint(s)
+    second1, second2, _ = plane_map(flowed, pot, (plus if label == "plus" else minus).solution, c_aff)
     return max(
         float(np.max(np.abs(transformed_then_flowed.gamma1.samples - second1.samples))),
         float(np.max(np.abs(transformed_then_flowed.gamma2.samples - second2.samples))),

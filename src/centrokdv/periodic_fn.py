@@ -11,6 +11,7 @@ are exact for band-limited data up to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "from_callable",
     "constant",
     "differentiate",
+    "differentiate_samples",
     "integrate_period",
     "evaluate",
     "upsample",
@@ -31,6 +33,9 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 16
+
+# solve_linear_periodic refuses multipliers this close to 1 (relative) as resonant
+RESONANCE_TOL = 1e-8
 
 _PARITIES = ("periodic", "antiperiodic")
 
@@ -167,18 +172,36 @@ def _synthesize(coeffs: np.ndarray, parity: str) -> np.ndarray:
     return vals.real
 
 
+@lru_cache(maxsize=32)
+def _derivative_factors(n: int, parity: str, order: int):
+    """Read-only multipliers (i nu)^order and, for antiperiodic samples, the phases e^{-it}, e^{it}."""
+    mult = (1j * _freq(n, parity)) ** order
+    if parity == "periodic" and order % 2:
+        mult[n // 2] = 0.0  # odd derivatives of the unpaired Nyquist mode cos(n t) vanish on the grid
+    mult.flags.writeable = False
+    if parity == "periodic":
+        return mult, None, None
+    remod = np.exp(1j * grid(n))
+    demod = remod.conj()
+    remod.flags.writeable = demod.flags.writeable = False
+    return mult, demod, remod
+
+
+def differentiate_samples(samples: np.ndarray, parity: str, order: int = 1) -> np.ndarray:
+    """Spectral derivative of raw samples along axis 0 (trailing axes are columns); order 1, 2 or 3."""
+    if order not in (1, 2, 3) or parity not in _PARITIES:
+        raise ValueError(f"need derivative order 1, 2 or 3 and a known parity, got {order!r}, {parity!r}")
+    mult, demod, remod = _derivative_factors(samples.shape[0], parity, order)
+    col = (slice(None),) + (None,) * (samples.ndim - 1)
+    if demod is None:
+        return np.fft.ifft(mult[col] * np.fft.fft(samples, axis=0), axis=0).real
+    coeffs = np.fft.fft(samples * demod[col], axis=0)
+    return (np.fft.ifft(mult[col] * coeffs, axis=0) * remod[col]).real
+
+
 def differentiate(f: PeriodicFn, order: int = 1) -> PeriodicFn:
     """Spectral derivative of the interpolant; order 1, 2 or 3."""
-    if order not in (1, 2, 3):
-        raise ValueError("derivative order must be 1, 2 or 3")
-    c = spectrum(f)
-    nu = _freq(f.n, f.parity)
-    mult = (1j * nu) ** order
-    if f.parity == "periodic" and order % 2:
-        # the unpaired Nyquist mode represents cos(n t); its odd derivatives
-        # vanish on the grid
-        mult[f.n // 2] = 0.0
-    return PeriodicFn(_synthesize(c * mult, f.parity), f.parity)
+    return PeriodicFn(differentiate_samples(f.samples, f.parity, order), f.parity)
 
 
 def integrate_period(f: PeriodicFn) -> float:
@@ -238,20 +261,14 @@ def shift(f: PeriodicFn, s: float) -> PeriodicFn:
     return PeriodicFn(_synthesize(c, f.parity), f.parity)
 
 
-_DIFF_MATRIX_CACHE: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=None)
 def _diff_matrix(n: int) -> np.ndarray:
-    d = _DIFF_MATRIX_CACHE.get(n)
-    if d is None:
-        mult = 1j * _freq(n, "periodic").astype(float)
-        mult[n // 2] = 0.0
-        d = np.fft.ifft(mult[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0).real
-        _DIFF_MATRIX_CACHE[n] = d
+    d = differentiate_samples(np.eye(n), "periodic")
+    d.flags.writeable = False
     return d
 
 
-def solve_linear_periodic(kappa: PeriodicFn, rhs: PeriodicFn, res_tol: float = 1e-8) -> PeriodicFn:
+def solve_linear_periodic(kappa: PeriodicFn, rhs: PeriodicFn) -> PeriodicFn:
     """Solve g' - kappa*g = rhs for the unique periodic g.
 
     Uses spectral collocation: (D - diag(kappa)) g = rhs on the grid.
@@ -263,9 +280,9 @@ def solve_linear_periodic(kappa: PeriodicFn, rhs: PeriodicFn, res_tol: float = 1
     if kappa.n != rhs.n:
         raise ValueError("sample counts differ")
     multiplier = np.exp(integrate_period(kappa))
-    if abs(multiplier - 1.0) <= res_tol * max(1.0, abs(multiplier)):
+    if abs(multiplier - 1.0) <= RESONANCE_TOL * max(1.0, abs(multiplier)):
         raise Resonant(
-            f"homogeneous multiplier {multiplier!r} within tolerance {res_tol!r} of 1"
+            f"homogeneous multiplier {multiplier!r} within tolerance {RESONANCE_TOL!r} of 1"
         )
     n = kappa.n
     a = _diff_matrix(n) - np.diag(kappa.samples)

@@ -25,7 +25,6 @@ __all__ = [
     "RiccatiBranch",
     "SpectralScan",
     "hill_fundamental",
-    "hill_fundamental_family",
     "riccati_periodic_solutions",
     "moebius_monodromy",
     "moebius_apply_angle",
@@ -149,21 +148,6 @@ def moebius_apply_angle(m: np.ndarray, chi):
     return np.arctan2(v1, v2)
 
 
-def _hill_b_half(potential: pf.PeriodicFn, substeps: int, lambdas=None) -> np.ndarray:
-    """Coefficient matrices [[0,1],[potential+lambda,0]] at half-step resolution."""
-    fine = pf.values_with_wrap(potential, 2 * substeps * potential.n)
-    if lambdas is None:
-        b = np.zeros((fine.shape[0], 2, 2))
-        b[:, 0, 1] = 1.0
-        b[:, 1, 0] = fine
-    else:
-        lam = np.asarray(lambdas, dtype=float)
-        b = np.zeros((fine.shape[0], lam.shape[0], 2, 2))
-        b[:, :, 0, 1] = 1.0
-        b[:, :, 1, 0] = fine[:, None] + lam[None, :]
-    return b
-
-
 def hill_fundamental(
     potential: pf.PeriodicFn, substeps: int = DEFAULT_SUBSTEPS, keep_trajectory: bool = False
 ):
@@ -174,17 +158,15 @@ def hill_fundamental(
     individual solutions across the period.
     """
     h = np.pi / (substeps * potential.n)
-    b = _hill_b_half(potential, substeps)
+    # coefficient matrices [[0, 1], [potential, 0]] at half-step resolution
+    fine = pf.values_with_wrap(potential, 2 * substeps * potential.n)
+    b = np.zeros((fine.shape[0], 2, 2))
+    b[:, 0, 1] = 1.0
+    b[:, 1, 0] = fine
     if keep_trajectory:
         traj = _rk4_transfer(b, h, keep_trajectory=True)
         return MonodromyMatrix(traj[-1], meta={"kind": "hill"}), traj
     return MonodromyMatrix(_rk4_transfer(b, h), meta={"kind": "hill"})
-
-
-def hill_fundamental_family(potential: pf.PeriodicFn, lambdas, substeps: int = DEFAULT_SUBSTEPS):
-    """Monodromy of u'' = (potential + lambda)u for a whole batch of lambda at once."""
-    h = np.pi / (substeps * potential.n)
-    return _rk4_transfer(_hill_b_half(potential, substeps, lambdas), h)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ from centrokdv.errors import (
     Degenerate,
     NegativeProjective,
     NoRealFixedPoints,
+    NumericalFailure,
+    OffUnity,
     ZeroParam,
 )
 
@@ -67,6 +69,27 @@ def test_circle_elliptic_parameter_rejected():
     Gamma = cc.lift(cc.make_circle(64))
     with pytest.raises(NoRealFixedPoints):
         bk.apply_tc(Gamma, 2.0, "minus")
+
+
+def test_gate_rejects_image_off_unit_wronskian():
+    t = pf.grid(128)
+    circle = [pf.PeriodicFn(np.cos(t), "antiperiodic"), pf.PeriodicFn(np.sin(t), "antiperiodic")]
+    assert isinstance(bk.gate_image(*circle), cc.CentroAffineCurve)
+    # (cos t, sin t) has Wronskian 1; scaling both by sqrt(1 + 2e-9) gives 1 + 2e-9
+    g1, g2 = (np.sqrt(1.0 + 2e-9) * g for g in circle)
+    assert cc.wronskian_defect(g1, g2) == pytest.approx(2e-9, rel=1e-3)
+    with pytest.raises(OffUnity):
+        bk.gate_image(g1, g2)
+    assert issubclass(OffUnity, NumericalFailure)
+
+
+def test_plane_map_builds_apply_tc_image():
+    Gamma = cc.lift(cc.random_projective(np.random.default_rng(4), 128, strength=0.35))
+    res = bk.apply_tc(Gamma, 0.5, "minus")
+    g1, g2, pot = bk.plane_map(Gamma, cc.curvature(Gamma), res.riccati.solution, 0.5)
+    assert np.array_equal(g1.samples, res.image.gamma1.samples)
+    assert np.array_equal(g2.samples, res.image.gamma2.samples)
+    assert np.array_equal(pot.samples, res.image_curvature.samples)
 
 
 def test_pair_wronskian_and_potential_relations():

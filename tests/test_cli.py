@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import centrokdv.backlund as bk
 import centrokdv.cli as cli
 import centrokdv.curve_core as cc
 
@@ -84,6 +85,20 @@ def test_backlund_elliptic_parameter_exits_3(tmp_path, capsys):
              "--output", tmp_path / "junk.json")
     assert rc == 3
     assert capsys.readouterr().err.startswith("ERROR NoRealFixedPoints:")
+
+
+def test_backlund_image_off_unit_wronskian_exits_3(tmp_path, capsys, monkeypatch):
+    # scaling the built image by 1 + 1e-9 moves its Wronskian about 2e-9 off unity
+    build = bk.plane_map
+
+    def off_unity(*args):
+        g1, g2, pot = build(*args)
+        return (1.0 + 1e-9) * g1, (1.0 + 1e-9) * g2, pot
+
+    monkeypatch.setattr(bk, "plane_map", off_unity)
+    src = gen_circle(tmp_path)
+    assert run("backlund", "--input", src, "--c", 0.5, "--output", tmp_path / "img.json") == 3
+    assert capsys.readouterr().err.startswith("ERROR OffUnity:")
 
 
 def test_backlund_zero_parameter_exits_2(tmp_path, capsys):

@@ -222,6 +222,40 @@ def test_commutation_seeded_curves():
         assert kf.commutation_check(seeded_curve(seed), 0.5, s=0.02) < 1e-5
 
 
+def test_commutation_evolves_and_solves_the_flowed_curve_once(monkeypatch):
+    targets = []
+    solves = []
+    evolve, solve = kf.evolve_curve, kf.riccati_periodic_solutions
+
+    def counted_evolve(Gamma, s_end, **kw):
+        targets.append(s_end)
+        return evolve(Gamma, s_end, **kw)
+
+    def counted_solve(*args, **kw):
+        solves.append(args[1])
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(kf, "evolve_curve", counted_evolve)
+    monkeypatch.setattr(kf, "riccati_periodic_solutions", counted_solve)
+    assert kf.commutation_check(gentle_curve(amp=0.05), 0.5, s=0.02) < 1e-5
+    # no step halving: the transformed curve and the curve itself, once each
+    assert targets == [0.02, 0.02]
+    assert solves == [0.5]
+
+
+def test_branch_tracking_lands_on_the_end_time():
+    seen = []
+
+    def sample(s):
+        seen.append(s)
+        # a jump until the step is down to an eighth, then smooth; eight
+        # steps of 0.05/8 add up to 0.049999999999999996 in floating point
+        return {"plus": 10.0 if len(seen) < 4 else 1.0 + s, "minus": -10.0}
+
+    assert kf._track_branch(sample, 0.05, 1.0, min_step=0.05 / 8.0) == "plus"
+    assert len(seen) == 11 and seen[-1] == 0.05
+
+
 def test_branch_tracking_follows_value_across_label_swap():
     # the labels trade places immediately; continuity must follow the value
     def sample(s):

@@ -46,6 +46,26 @@ def test_derivatives_exact_on_modes():
     assert np.allclose(pf.differentiate(g, 3).samples, -27 * np.cos(3 * t), atol=1e-10)
 
 
+@pytest.mark.parametrize("parity", ["periodic", "antiperiodic"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_differentiate_samples_matches_columnwise(parity, order):
+    rng = np.random.default_rng(11)
+    cols = [pf.random_band_limited(rng, 64, max_mode=5, parity=parity) for _ in range(2)]
+    both = pf.differentiate_samples(np.stack([c.samples for c in cols], axis=1), parity, order)
+    assert both.shape == (64, 2)
+    for k, col in enumerate(cols):
+        ref = pf.differentiate(col, order).samples
+        # same arithmetic per column; only the FFT batching may differ
+        assert np.max(np.abs(both[:, k] - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_differentiate_samples_validation():
+    with pytest.raises(ValueError):
+        pf.differentiate_samples(np.ones((16, 2)), "periodic", order=4)
+    with pytest.raises(ValueError):
+        pf.differentiate_samples(np.ones((16, 2)), "odd")
+
+
 def test_derivative_matches_finite_differences():
     rng = np.random.default_rng(7)
     f = pf.random_band_limited(rng, 64, max_mode=5)
