@@ -278,17 +278,17 @@ def recursion_check(Gamma: CentroAffineCurve, j: int, test_fields, eps: float = 
     }
 
 
-def _track_branch(sample, s_end: float, w_start: float, min_step: float) -> str:
+def _track_branch(sample, s_end: float, w_start: float, label: str, min_step: float) -> str:
     """Follow one Riccati value continuously in flow time; return its label.
 
     sample(s) returns {label: solution value at t = 0} for both branches at
-    flow time s.  A checkpoint is accepted when the nearer branch moved by
-    less than half the branch separation; otherwise the step is halved,
-    down to min_step, and then the jump is reported.
+    flow time s; w_start is the value of the branch labelled label at s = 0,
+    which is the answer when s_end = 0.  A checkpoint is accepted when the
+    nearer branch moved by less than half the branch separation; otherwise
+    the step is halved, down to min_step, and then the jump is reported.
     """
     pos = 0.0
     w_prev = w_start
-    label = None
     step = s_end
     while abs(s_end - pos) > 1e-15 * max(1.0, abs(s_end)):
         nxt = pos + step
@@ -337,7 +337,7 @@ def commutation_check(
         plus, minus = checkpoint(sig)[2]
         return {"plus": float(plus.solution(0.0)), "minus": float(minus.solution(0.0))}
 
-    label = _track_branch(sample, s, float(first.riccati.solution(0.0)), min_step=abs(s) / 8.0)
+    label = _track_branch(sample, s, float(first.riccati.solution(0.0)), branch, min_step=abs(s) / 8.0)
     # build the second image from the tracked Riccati solution directly: the
     # flowed curve satisfies the unit-Wronskian constraint only to the flow's
     # own truncation error, and the distance measured here does not need the

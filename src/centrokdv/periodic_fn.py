@@ -263,7 +263,9 @@ def shift(f: PeriodicFn, s: float) -> PeriodicFn:
 
 @lru_cache(maxsize=None)
 def _diff_matrix(n: int) -> np.ndarray:
-    d = differentiate_samples(np.eye(n), "periodic")
+    # an owned copy: the derivative is the real view of a complex n x n array,
+    # which the cache would otherwise keep alive at twice the matrix's size
+    d = differentiate_samples(np.eye(n), "periodic").copy()
     d.flags.writeable = False
     return d
 

@@ -1,190 +1,56 @@
-"""Acceptance suite: one test and one printed pass/fail line per criterion.
+"""Acceptance suite: the package's headline guarantees, one printed line per check.
 
-Run with `pytest -v -s tests/test_acceptance.py` to see every line; each test
-also fails loudly with the same numbers if a bound is missed.
+C01-C10 are selfcheck suites: `centrokdv.selfcheck._SUITES` holds their
+inputs and tolerances, and this file runs `run_all(128, 7)` once and asserts
+each criterion's suites pass.  C11, convergence hygiene, is checked here.
+Run with `pytest -v -s tests/test_acceptance.py` to see every line.
 """
 
 import numpy as np
+import pytest
 
 import centrokdv.periodic_fn as pf
 import centrokdv.curve_core as cc
-import centrokdv.backlund as bk
 import centrokdv.invariants as iv
 import centrokdv.kdv_flow as kf
-from centrokdv.riccati_monodromy import spectral_scan
+from centrokdv import selfcheck
 
 
-def report(num, label, *pairs):
-    ok = all(r <= tol for r, tol in pairs)
-    detail = ", ".join(f"{r:.3e} <= {tol:.1e}" for r, tol in pairs)
-    print(f"C{num:02d} {label}: {'PASS' if ok else 'FAIL'} ({detail})")
-    assert ok, f"C{num:02d} {label}: {detail}"
+# criterion -> the selfcheck suites that check it; each keeps its test id
+CRITERIA = (
+    ("c01_circle_anchors", "circle_anchors"),
+    ("c02_circle_spectral_closed_form", "circle_spectrum"),
+    ("c03_forms_invariant_under_transformation", "symplectic_invariance"),
+    ("c04_transformation_commutes_with_flow", "flow_commutation", "kdv_conservation"),
+    ("c05_integrals_of_transformation", "transform_integrals"),
+    ("c06_period_maps_conjugate", "conjugacy"),
+    ("c07_fourth_curve_closes_square", "permutability"),
+    ("c08_pairing_relations_and_kernels", "form_relations"),
+    ("c09_hamiltonian_ladder_recursion", "recursion_ladder"),
+    ("c10_cross_ratio_limit", "cross_ratio_limit"),
+)
 
 
-def seeded_plane(seed, n=128):
-    return cc.lift(cc.random_projective(np.random.default_rng(seed), n))
+@pytest.fixture(scope="module")
+def results():
+    return {r.name: r for r in selfcheck.run_all(128, 7)}
 
 
-def bump(n=128, amp=0.1):
-    t = pf.grid(n)
-    return cc.ProjectiveCurve(pf.PeriodicFn(amp * np.sin(2 * t), "periodic"))
+def criterion_test(label, suites):
+    """A test printing each suite's selfcheck report line; all must pass."""
+
+    def test(results):
+        checked = [results[name] for name in suites]
+        for line in selfcheck.format_report(checked, 128, 7).splitlines()[1:-1]:
+            print(label[:3].upper(), line)
+        failed = [f"{r.name} {r.residual!r} > {r.tol!r}" for r in checked if not r.passed]
+        assert not failed, f"{label}: {', '.join(failed)}"
+
+    return test
 
 
-def unit_sup(f):
-    return (1.0 / float(np.max(np.abs(f.samples)))) * f
-
-
-def test_c01_circle_anchors():
-    circ = cc.lift(cc.make_circle(128))
-    worst = float(np.max(np.abs(cc.curvature(circ).samples + 1.0)))
-    res = bk.apply_tc(circ, 0.5, "minus")
-    worst = max(worst, float(np.max(np.abs(res.riccati.solution.samples - np.sqrt(3.0) / 2.0))))
-    worst = max(worst, float(np.max(np.abs(res.image_curvature.samples + 1.0))))
-    for g, img in ((circ.gamma1, res.image.gamma1), (circ.gamma2, res.image.gamma2)):
-        expected = pf.shift(g, np.pi / 6.0)
-        worst = max(worst, float(np.max(np.abs(img.samples - expected.samples))))
-    report(1, "circle anchors", (worst, 1e-8))
-
-
-def test_c02_circle_spectral_closed_form():
-    lams = np.linspace(-1.0, 1.5, 21)
-    scan = spectral_scan(cc.make_circle(256), lams, substeps=16)
-    root = np.sqrt(np.abs(1.0 - lams))
-    closed = np.where(
-        lams < 1.0, 4.0 * np.cos(np.pi * root) ** 2, 4.0 * np.cosh(np.pi * root) ** 2
-    )
-    report(2, "circle spectrum closed form", (float(np.max(np.abs(scan.tr2 - closed))), 1e-7))
-
-
-def test_c03_forms_invariant_under_transformation():
-    worst = 0.0
-    for seed in range(1, 6):
-        G = seeded_plane(seed)
-        pot = cc.curvature(G)
-        res = bk.apply_tc(G, 0.5, "minus")
-        rng = np.random.default_rng(100 + seed)
-        for _ in range(10):
-            f = unit_sup(pf.random_band_limited(rng, 128, parity="periodic", max_mode=4))
-            h = unit_sup(pf.random_band_limited(rng, 128, parity="periodic", max_mode=4))
-            gf = bk.pushforward_tangent(G, 0.5, "minus", f, riccati=res.riccati)
-            gh = bk.pushforward_tangent(G, 0.5, "minus", h, riccati=res.riccati)
-            worst = max(worst, abs(iv.omega_pair(gf, gh) - iv.omega_pair(f, h)))
-            after = iv.big_omega_pair(res.image_curvature, gf, gh)
-            worst = max(worst, abs(after - iv.big_omega_pair(pot, f, h)))
-    report(3, "forms invariant under transformation", (worst, 1e-6))
-
-
-def test_c04_transformation_commutes_with_flow():
-    dist = 0.0
-    drift = 0.0
-    for seed in (1, 2, 3):
-        G = seeded_plane(seed)
-        dist = max(dist, kf.commutation_check(G, 0.5, s=0.02))
-        h1a, h2a = iv.hamiltonians(cc.curvature(G))
-        h1b, h2b = iv.hamiltonians(cc.curvature(kf.evolve_curve(G, 0.02)))
-        drift = max(drift, abs(h1b - h1a) / abs(h1a), abs(h2b - h2a) / abs(h2a))
-    report(4, "transformation commutes with flow", (dist, 1e-5), (drift, 1e-7))
-
-
-def test_c05_integrals_of_transformation():
-    worst = 0.0
-    for seed in range(1, 6):
-        G = seeded_plane(seed)
-        a, b = iv.ijk(G), iv.ijk(bk.apply_tc(G, 0.5, "minus").image)
-        for x, y in ((a.I, b.I), (a.J, b.J), (a.K, b.K)):
-            worst = max(worst, abs(y - x) / max(1.0, abs(x)))
-    G = seeded_plane(5)
-    base = iv.ijk(G)
-    disc = base.I * base.K - base.J**2
-    rng = np.random.default_rng(55)
-    sl2_worst = 0.0
-    for _ in range(10):
-        m = iv.ijk(cc.sl2_apply(cc.random_sl2(rng), G))
-        sl2_worst = max(sl2_worst, abs(m.I * m.K - m.J**2 - disc) / max(1.0, abs(disc)))
-    report(5, "integrals of transformation", (worst, 1e-8), (sl2_worst, 1e-9))
-
-
-def test_c06_period_maps_conjugate():
-    gamma = bump()
-    delta = bk.apply_tc_projective(gamma, 4.0, "minus")
-    lams = np.linspace(-1.0, 1.5, 21)
-    sa = spectral_scan(gamma, lams, substeps=16)
-    sb = spectral_scan(delta, lams, substeps=16)
-    scan_gap = float(np.max(np.abs(sa.tr2 - sb.tr2)))
-    resid = max(
-        bk.moebius_conjugacy_residual(gamma, delta, 4.0, lam)
-        for lam in (-1.0, 0.5, 2.0, 6.0, 9.0)
-    )
-    report(6, "period maps conjugate", (scan_gap, 1e-6), (resid, 1e-6))
-
-
-def test_c07_fourth_curve_closes_square():
-    closure = 0.0
-    for seed in (1, 2, 3):
-        gamma = cc.random_projective(np.random.default_rng(seed), 128)
-        for pair in ((5.0, 3.0), (4.0, 2.0)):
-            closure = max(closure, bk.permutability_square(gamma, *pair).both_orders_distance)
-    rng = np.random.default_rng(11)
-    identity = 0.0
-    done = 0
-    while done < 100:
-        base, first, second = rng.normal(scale=2.0, size=3)
-        mu = float(rng.normal())
-        if abs(mu) < 1e-2 or abs(mu - 1.0) < 1e-2:
-            continue
-        identity = max(identity, bk.matching_identity_residual(base, first, second, mu))
-        done += 1
-    report(7, "fourth curve closes square", (closure, 1e-6), (identity, 1e-10))
-
-
-def test_c08_pairing_relations_and_kernels():
-    rng = np.random.default_rng(5)
-    gamma = cc.random_projective(rng, 128)
-    G = cc.lift(gamma)
-    pot = cc.curvature(G)
-    rel = 0.0
-    kernel = 0.0
-    for _ in range(5):
-        f = unit_sup(pf.random_band_limited(rng, 128, parity="periodic", max_mode=4))
-        g = unit_sup(pf.random_band_limited(rng, 128, parity="periodic", max_mode=4))
-        om, bo = iv.omega_pair(f, g), iv.big_omega_pair(pot, f, g)
-        first, second = iv.projective_forms(gamma, f, g)
-        rel = max(rel, abs(om - 0.5 * first) / max(1.0, abs(om)))
-        rel = max(rel, abs(bo + 0.25 * second) / max(1.0, abs(bo)))
-        kernel = max(kernel, abs(iv.omega_pair(f, pf.constant(1.0, 128))))
-        for k in iv.killing_fields(G):
-            kernel = max(kernel, abs(iv.big_omega_pair(pot, k, g)))
-    report(8, "pairing relations and kernels", (rel, 1e-8), (kernel, 1e-8))
-
-
-def test_c09_hamiltonian_ladder_recursion():
-    worst = 0.0
-    for seed in (3, 4, 5):
-        G = seeded_plane(seed)
-        rng = np.random.default_rng(100 + seed)
-        fields = [
-            pf.random_band_limited(rng, 128, parity="periodic", max_mode=6)
-            for _ in range(12)
-        ]
-        res1 = kf.recursion_check(G, 1, fields)
-        res2 = kf.recursion_check(G, 2, fields)
-        worst = max(
-            worst,
-            float(np.max(res1["second_form"])),
-            float(np.max(res1["first_form"])),
-            float(np.max(res2["second_form"])),
-        )
-    report(9, "hamiltonian ladder recursion", (worst, 1e-6))
-
-
-def test_c10_cross_ratio_limit():
-    circ = cc.make_circle(128)
-    worst = abs(iv.cross_ratio_check(circ, bk.apply_tc_projective(circ, 4.0, "minus"), 0.0) - 4.0)
-    gamma = bump()
-    delta = bk.apply_tc_projective(gamma, 4.0, "minus")
-    for t0 in (0.0, 1.3):
-        worst = max(worst, abs(iv.cross_ratio_check(gamma, delta, t0) - 4.0))
-    report(10, "cross-ratio limit", (worst, 1e-4))
+for _label, *_suites in CRITERIA:
+    globals()[f"test_{_label}"] = criterion_test(_label, _suites)
 
 
 def test_c11_convergence_hygiene():
@@ -208,4 +74,7 @@ def test_c11_convergence_hygiene():
     ]
     ratio = errs[0] / errs[1]
     factor = max(ratio, 16.0) / min(ratio, 16.0)
-    report(11, "convergence hygiene", (gap, 1e-9), (factor, 2.0))
+    ok = gap <= 1e-9 and factor <= 2.0
+    detail = f"{gap:.3e} <= 1.0e-09, {factor:.3e} <= 2.0e+00"
+    print(f"C11 convergence hygiene: {'PASS' if ok else 'FAIL'} ({detail})")
+    assert ok, f"C11 convergence hygiene: {detail}"

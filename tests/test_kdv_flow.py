@@ -222,6 +222,12 @@ def test_commutation_seeded_curves():
         assert kf.commutation_check(seeded_curve(seed), 0.5, s=0.02) < 1e-5
 
 
+def test_commutation_at_zero_time_keeps_the_branch():
+    G = cc.lift(cc.random_projective(np.random.default_rng(1), 128, strength=0.35))
+    for branch in ("plus", "minus"):
+        assert kf.commutation_check(G, 0.5, branch, s=0.0) <= 1e-12
+
+
 def test_commutation_evolves_and_solves_the_flowed_curve_once(monkeypatch):
     targets = []
     solves = []
@@ -252,7 +258,7 @@ def test_branch_tracking_lands_on_the_end_time():
         # steps of 0.05/8 add up to 0.049999999999999996 in floating point
         return {"plus": 10.0 if len(seen) < 4 else 1.0 + s, "minus": -10.0}
 
-    assert kf._track_branch(sample, 0.05, 1.0, min_step=0.05 / 8.0) == "plus"
+    assert kf._track_branch(sample, 0.05, 1.0, "plus", min_step=0.05 / 8.0) == "plus"
     assert len(seen) == 11 and seen[-1] == 0.05
 
 
@@ -263,7 +269,7 @@ def test_branch_tracking_follows_value_across_label_swap():
             return {"plus": 1.0, "minus": -1.0}
         return {"plus": -1.0 - s, "minus": 1.0 + s}
 
-    label = kf._track_branch(sample, 0.02, 1.0, min_step=0.0025)
+    label = kf._track_branch(sample, 0.02, 1.0, "plus", min_step=0.0025)
     assert label == "minus"
 
 
@@ -272,7 +278,7 @@ def test_branch_tracking_reports_jump():
         return {"plus": 10.0, "minus": -10.0}
 
     with pytest.raises(BranchJump):
-        kf._track_branch(sample, 0.02, 1.0, min_step=0.0025)
+        kf._track_branch(sample, 0.02, 1.0, "plus", min_step=0.0025)
 
 
 def test_flow_trace_states():

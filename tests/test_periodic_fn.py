@@ -197,6 +197,13 @@ def test_solve_linear_periodic_residual():
     assert np.max(np.abs(resid.samples)) < 1e-10
 
 
+def test_diff_matrix_cache_owns_its_real_array():
+    n = 48
+    d = pf._diff_matrix(n)
+    assert d.base is None and d.dtype == np.float64 and not d.flags.writeable
+    assert np.array_equal(d, pf.differentiate_samples(np.eye(n), "periodic"))
+
+
 def test_solve_linear_periodic_resonant():
     n = 32
     with pytest.raises(Resonant):
