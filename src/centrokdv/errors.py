@@ -5,6 +5,11 @@ numerical failures (well-posed input, but the requested object does not
 exist or the computation cannot proceed; CLI exit code 3).
 """
 
+import linecache
+from pathlib import Path
+
+_PACKAGE_DIR = Path(__file__).resolve().parent
+
 
 class PreconditionError(Exception):
     """Input violates a documented precondition."""
@@ -60,3 +65,24 @@ class BranchJump(NumericalFailure):
 
 class MatchFailure(NumericalFailure):
     """No branch matches the predicted meeting point within tolerance."""
+
+
+def documented(exc: BaseException) -> bool:
+    """Whether exc is a failure mode the package documents.
+
+    Those are precondition and numerical failures, and a bare ValueError
+    raised by a ``raise`` statement of the package itself: its construction
+    gates (such as the unit-Wronskian gate of a plane curve) and input
+    checks.  numpy's ValueErrors have no such frame, even when package
+    arithmetic triggers them.
+    """
+    if isinstance(exc, (PreconditionError, NumericalFailure)):
+        return True
+    if type(exc) is not ValueError or exc.__traceback__ is None:
+        return False
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    filename = tb.tb_frame.f_code.co_filename
+    in_package = Path(filename).resolve().parent == _PACKAGE_DIR
+    return in_package and linecache.getline(filename, tb.tb_lineno).lstrip().startswith("raise ")

@@ -2,11 +2,15 @@
 the one-parameter family of projective period maps, and the fixed-point
 conjugator.
 
-All period maps are computed by a classical fourth-order one-step method on
-[0, pi] with step h = pi/(substeps*N); coefficient values at half steps come
-from exact trigonometric resampling, so step-halving exhibits clean order-4
-decay.  Eigen-structure of the resulting 2x2 matrices drives everything
-else: branch labels, fixed points in RP^1, and spectral invariants.
+All period maps are classical RK4 on [0, pi] with step h = pi/(substeps*N);
+coefficient values at half steps come from exact trigonometric resampling,
+so step-halving exhibits clean order-4 decay.  The systems are linear, so
+each RK4 step is a fixed 2x2 propagator: ``_rk4_transfer`` builds them a
+chunk at a time in one vectorised pass and multiplies them by a pairwise
+tree (period map) or an inclusive prefix product (fundamental-matrix
+trajectory), with no loop over steps.  Eigen-structure of the resulting 2x2
+matrices drives everything else: branch labels, fixed points in RP^1, and
+spectral invariants.
 """
 
 from __future__ import annotations
@@ -36,34 +40,109 @@ __all__ = [
 
 DEFAULT_SUBSTEPS = 8
 PARABOLIC_TOL = 1e-9
+TRANSFER_CHUNK = 256  # RK4 steps whose propagators are built and multiplied at once
+
+
+def _mul(a, b):
+    """a @ b for stacks of 2x2 matrices held as component tuples (m00, m01, m10, m11).
+
+    Written out by component: np.matmul on a (256, 21) stack of 2x2 blocks
+    is several times slower.
+    """
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (
+        a00 * b00 + a01 * b10,
+        a00 * b01 + a01 * b11,
+        a10 * b00 + a11 * b10,
+        a10 * b01 + a11 * b11,
+    )
+
+
+def _components(x: np.ndarray):
+    return x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1]
+
+
+def _step_propagators(b0, bm, b1, h: float):
+    """RK4 step maps P = I + h/6 (A1 + 2 A2 + 2 A3 + A4) of X' = B(t) X.
+
+    A1 = B0, A2 = Bm (I + h/2 A1), A3 = Bm (I + h/2 A2), A4 = B1 (I + h A3),
+    so that one RK4 step sends X to P X exactly.
+    """
+
+    def times_shifted(b, a, s):  # b @ (I + s a)
+        return _mul(b, (1.0 + s * a[0], s * a[1], s * a[2], 1.0 + s * a[3]))
+
+    a2 = times_shifted(bm, b0, 0.5 * h)
+    a3 = times_shifted(bm, a2, 0.5 * h)
+    a4 = times_shifted(b1, a3, h)
+    p = [(h / 6.0) * (x1 + 2.0 * (x2 + x3) + x4) for x1, x2, x3, x4 in zip(b0, a2, a3, a4)]
+    p[0] += 1.0
+    p[3] += 1.0
+    return p
+
+
+def _tree_product(p):
+    """P_{C-1} ... P_1 P_0 of a component stack, by a pairwise tree of products."""
+    while len(p[0]) > 1:
+        pairs = len(p[0]) // 2
+        q = _mul([x[1 : 2 * pairs : 2] for x in p], [x[0 : 2 * pairs : 2] for x in p])
+        if len(p[0]) % 2:  # the odd last step joins the last pair
+            for x, y in zip(q, _mul([x[-1:] for x in p], [x[-1:] for x in q])):
+                x[-1:] = y
+        p = q
+    return tuple(x[0] for x in p)
+
+
+def _prefix_products(p):
+    """Inclusive prefix products S_k = P_k ... P_0 (Hillis-Steele: log2 C doubling passes)."""
+    p = tuple(np.array(x) for x in p)
+    d = 1
+    while d < len(p[0]):
+        for x, y in zip(p, _mul([x[d:] for x in p], [x[:-d] for x in p])):
+            x[d:] = y
+        d *= 2
+    return p
 
 
 def _rk4_transfer(b_half: np.ndarray, h: float, keep_trajectory: bool = False):
-    """Integrate X' = B(t)X across K steps of size h.
+    """Integrate X' = B(t)X from X(0) = I across K classical RK4 steps of size h.
 
     ``b_half`` holds B at half-step resolution: shape (2K+1, ..., 2, 2),
     where index 2k is the start of step k, 2k+1 its midpoint, 2k+2 its end.
     Batch axes between the time axis and the matrix block are carried along.
     Returns the final matrix, or the whole (K+1)-point trajectory.
+
+    The system is linear, so step k is the fixed 2x2 propagator P_k of
+    _step_propagators and X(t_k) = P_{k-1} ... P_0.  Propagators are built
+    TRANSFER_CHUNK steps at a time in one vectorised pass; a chunk is
+    reduced by a pairwise tree product, or, for the trajectory, by an
+    inclusive prefix product, and the running matrix is carried from chunk
+    to chunk, so memory stays flat in K.
     """
     steps = (b_half.shape[0] - 1) // 2
     batch = b_half.shape[1:-2]
-    m = np.broadcast_to(np.eye(2), batch + (2, 2)).copy()
+    running = (np.ones(batch), np.zeros(batch), np.zeros(batch), np.ones(batch))
     traj = np.empty((steps + 1,) + batch + (2, 2)) if keep_trajectory else None
     if keep_trajectory:
-        traj[0] = m
-    for k in range(steps):
-        b0 = b_half[2 * k]
-        bm = b_half[2 * k + 1]
-        b1 = b_half[2 * k + 2]
-        k1 = b0 @ m
-        k2 = bm @ (m + (0.5 * h) * k1)
-        k3 = bm @ (m + (0.5 * h) * k2)
-        k4 = b1 @ (m + h * k3)
-        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        traj[0] = np.eye(2)
+    for lo in range(0, steps, TRANSFER_CHUNK):
+        hi = min(lo + TRANSFER_CHUNK, steps)
+        b = b_half[2 * lo : 2 * hi + 1]
+        p = _step_propagators(_components(b[:-1:2]), _components(b[1::2]), _components(b[2::2]), h)
         if keep_trajectory:
-            traj[k + 1] = m
-    return traj if keep_trajectory else m
+            chunk = _mul(_prefix_products(p), running)
+            for x, y in zip(_components(traj[lo + 1 : hi + 1]), chunk):
+                x[...] = y
+            running = tuple(x[-1] for x in chunk)
+        else:
+            running = _mul(_tree_product(p), running)
+    if keep_trajectory:
+        return traj
+    m = np.empty(batch + (2, 2))
+    for x, y in zip(_components(m), running):
+        x[...] = y
+    return m
 
 
 @dataclass(frozen=True)

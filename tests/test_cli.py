@@ -192,3 +192,18 @@ def test_selfcheck_passes(capsys):
     assert "all passed" in out
     assert out.count("PASS") == 12
     assert "FAIL" not in out.replace("PASS", "")
+
+
+def test_selfcheck_reports_every_suite_when_one_misses_a_gate(capsys):
+    # at n = 64 the strength-0.6 stream curve of symplectic_invariance misses
+    # lift's unit-Wronskian gate; the run still reports all twelve suites
+    assert run("selfcheck", "--n", 64, "--seed", 7) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == "selfcheck n=64 seed=7" and lines[-1] == "FAILURES PRESENT"
+    suites = lines[1:-1]
+    assert len(suites) == 12
+    gate_miss = next(line for line in suites if line.startswith("symplectic_invariance "))
+    assert gate_miss.split()[1:] == ["inf", "tol", "1.0e-06", "margin", "-inf", "FAIL", "ValueError"]
+    assert suites[0].startswith("spectral_calculus ") and suites[0].endswith("PASS")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from centrokdv import backlund as bk
 from centrokdv import curve_core as cc
 from centrokdv import periodic_fn as pf
 from centrokdv import riccati_monodromy as rm
@@ -16,6 +17,60 @@ def circle_tr2(lam):
     out[below] = 4.0 * np.cos(np.pi * np.sqrt(1.0 - lam[below])) ** 2
     out[~below] = 4.0 * np.cosh(np.pi * np.sqrt(lam[~below] - 1.0)) ** 2
     return out
+
+
+def sequential_rk4(b_half, h, keep_trajectory=False):
+    """Reference transfer: one classical RK4 step of X' = B(t) X per iteration."""
+    steps = (b_half.shape[0] - 1) // 2
+    m = np.broadcast_to(np.eye(2), b_half.shape[1:]).copy()
+    traj = [m]
+    for k in range(steps):
+        b0, bm, b1 = b_half[2 * k], b_half[2 * k + 1], b_half[2 * k + 2]
+        k1 = b0 @ m
+        k2 = bm @ (m + (0.5 * h) * k1)
+        k3 = bm @ (m + (0.5 * h) * k2)
+        k4 = b1 @ (m + h * k3)
+        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        traj.append(m)
+    return np.stack(traj) if keep_trajectory else m
+
+
+def smooth_coefficients(steps, batch, seed):
+    """A pi-periodic 2x2 field of three Fourier modes per entry, at the half steps of [0, pi]."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(2 * steps + 1) * (np.pi / (2 * steps))
+    t = t.reshape((-1,) + (1,) * (len(batch) + 2))
+    b = np.zeros((2 * steps + 1,) + batch + (2, 2))
+    for k in range(3):
+        a, c = rng.normal(size=(2,) + batch + (2, 2))
+        b += a * np.cos(2 * k * t) + c * np.sin(2 * k * t)
+    return b
+
+
+@pytest.mark.parametrize("batch", [(), (21,)])
+@pytest.mark.parametrize("steps", [1, 3, 2 * rm.TRANSFER_CHUNK, 2 * rm.TRANSFER_CHUNK + 3])
+def test_transfer_matches_sequential_rk4(steps, batch):
+    b = smooth_coefficients(steps, batch, seed=steps)
+    h = np.pi / steps
+    m = rm._rk4_transfer(b, h)
+    ref = sequential_rk4(b, h)
+    assert m.shape == batch + (2, 2)
+    assert np.max(np.abs(m - ref)) <= 1e-13 * np.max(np.abs(ref))
+    traj = rm._rk4_transfer(b, h, keep_trajectory=True)
+    ref = sequential_rk4(b, h, keep_trajectory=True)
+    assert traj.shape == (steps + 1,) + batch + (2, 2)
+    assert np.array_equal(traj[0], np.broadcast_to(np.eye(2), batch + (2, 2)))
+    assert np.max(np.abs(traj - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(traj[-1] - m)) <= 1e-13 * np.max(np.abs(m))
+
+
+def test_callers_keep_their_transfer_shapes():
+    gamma = cc.random_projective(np.random.default_rng(3), 64)
+    mono, traj = rm.hill_fundamental(cc.curvature(cc.lift(gamma)), substeps=4, keep_trajectory=True)
+    assert traj.shape == (4 * 64 + 1, 2, 2) and np.array_equal(mono.m, traj[-1])
+    mono, traj = rm.moebius_monodromy(gamma, 1.5, substeps=4, keep_trajectory=True)
+    assert traj.shape == (4 * 64 + 1, 2, 2) and np.array_equal(mono.m, traj[-1])
+    assert rm.spectral_scan(gamma, np.linspace(-1.0, 1.5, 21), substeps=4).tr2.shape == (21,)
 
 
 def test_hill_free_particle_exact():
@@ -91,6 +146,29 @@ def test_riccati_random_curve_residuals():
     assert riccati_residual(plus, p) < 1e-8
     assert riccati_residual(minus, p) < 1e-8
     assert abs(plus.multiplier * minus.multiplier - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_strongly_hyperbolic_branches_stay_accurate(n, monkeypatch):
+    gamma = cc.random_projective(np.random.default_rng(1), n, strength=0.9)
+    p = cc.curvature(cc.lift(gamma))
+    for branch in rm.riccati_periodic_solutions(p, 0.5):
+        assert riccati_residual(branch, p) <= 1e-12
+
+    gamma = cc.random_projective(np.random.default_rng(2), n, strength=0.9)
+    (mu_plus, _), _ = rm.moebius_monodromy(gamma, 4.0).eigen_system()
+    assert mu_plus < -2e2
+    image = bk.apply_tc_projective(gamma, 4.0, "minus")
+    try:  # mu near -5.4e6: the subdominant branch is at the edge of resolution
+        far = bk.apply_tc_projective(gamma, 25.0, "minus")
+    except BranchSingular:
+        far = None
+    monkeypatch.setattr(rm, "_rk4_transfer", sequential_rk4)
+    ref = bk.apply_tc_projective(gamma, 4.0, "minus")
+    assert np.max(np.abs(image.psi.samples - ref.psi.samples)) <= 1e-9
+    if far is not None:
+        ref = bk.apply_tc_projective(gamma, 25.0, "minus")
+        assert np.max(np.abs(far.psi.samples - ref.psi.samples)) <= 1e-9
 
 
 def test_moebius_zero_lambda_identity():

@@ -7,7 +7,9 @@ import pytest
 
 import centrokdv.backlund as bk
 import centrokdv.curve_core as cc
+import centrokdv.riccati_monodromy as rm
 from centrokdv import selfcheck
+from centrokdv.errors import BranchSingular
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
@@ -64,3 +66,50 @@ def test_report_prints_margin_in_decades():
     assert lines[2] == "exact   0.00000e+00  tol  1.0e-10  margin    inf  PASS"
     assert lines[3] == "over    2.00000e-08  tol  1.0e-08  margin  -0.30  FAIL"
     assert lines[4] == "FAILURES PRESENT"
+
+
+def _raising(exc):
+    def suite(n, rng):
+        raise exc
+
+    return suite
+
+
+def test_documented_failure_is_a_fail_and_the_run_goes_on(monkeypatch):
+    ok = ("fine", 1e-8, lambda n, rng: 1e-12)
+    monkeypatch.setattr(
+        selfcheck,
+        "_SUITES",
+        (("singular", 1e-6, _raising(BranchSingular("u vanishes"))), ok),
+    )
+    first, second = selfcheck.run_all(64, 7)
+    assert (first.name, first.residual, first.error, first.passed) == ("singular", math.inf, "BranchSingular", False)
+    assert first.margin == -math.inf
+    assert second == selfcheck.SuiteResult("fine", 1e-12, 1e-8)
+    lines = selfcheck.format_report([first, second], 64, 7).splitlines()
+    assert lines[1] == "singular           inf  tol  1.0e-06  margin   -inf  FAIL  BranchSingular"
+
+
+def test_package_value_error_gate_is_documented(monkeypatch):
+    def off_unity(n, rng):
+        g = cc.lift(cc.make_circle(n))
+        cc.CentroAffineCurve(g.gamma1, 1.1 * g.gamma2)  # Wronskian 1.1
+
+    monkeypatch.setattr(selfcheck, "_SUITES", (("gate", 1e-6, off_unity),))
+    (result,) = selfcheck.run_all(64, 7)
+    assert result.error == "ValueError" and not result.passed
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [
+        _raising(RuntimeError("defect")),
+        _raising(ValueError("raised outside the package")),
+        # numpy's broadcast ValueError, raised inside package arithmetic
+        lambda n, rng: rm.conjugator_affine(np.ones(3), np.ones(4), 0.5),
+    ],
+)
+def test_undocumented_exception_propagates(monkeypatch, suite):
+    monkeypatch.setattr(selfcheck, "_SUITES", (("broken", 1e-6, suite),))
+    with pytest.raises((RuntimeError, ValueError)):
+        selfcheck.run_all(64, 7)
