@@ -8,7 +8,8 @@ curve equation third order and explicitly unstable (mode factors nu^3),
 so the integration is split: the potential moves spectrally with an
 exponential integrator, and the curve samples are then carried by the
 first-order transport field of the externally evolved potential, which is
-non-stiff and needs only p and p'.
+non-stiff and needs only p and p'.  The curve stepper takes the potential
+march's nodes as they are made, so one pass serves a whole trace.
 """
 
 import csv
@@ -77,8 +78,8 @@ def _checked_sup(sup: float, vals: np.ndarray, h: float, what: str) -> float:
     return new_sup
 
 
-def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int, on_node=None):
-    """March the rfft spectrum of the potential by nsteps steps of size h."""
+def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int):
+    """Yield the rfft spectrum of the potential at s = 0, h, ..., nsteps * h."""
     nu = 2.0 * np.arange(n // 2 + 1)
     linear = 0.5j * nu**3
     linear[-1] = 0.0  # odd derivatives of the unpaired Nyquist mode vanish
@@ -91,8 +92,7 @@ def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int, on_node=None
         return out
 
     sup = float(np.max(np.abs(np.fft.irfft(v, n))))
-    if on_node is not None:
-        on_node(v)
+    yield v
     for _ in range(nsteps):
         nv = nonlin(v)
         a = e_half * v + q * nv
@@ -103,9 +103,7 @@ def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int, on_node=None
         nc = nonlin(c)
         v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
         sup = _checked_sup(sup, np.fft.irfft(v, n), h, "sup norm")
-        if on_node is not None:
-            on_node(v)
-    return v
+        yield v
 
 
 def _step_count(s_end: float, ds: float) -> int:
@@ -128,26 +126,21 @@ def evolve_potential(potential: pf.PeriodicFn, s_end: float, ds: float = 1e-4) -
         return potential
     n = potential.n
     nsteps = _step_count(s_end, ds)
-    v = _advance_spectrum(np.fft.rfft(potential.samples), n, s_end / nsteps, nsteps)
+    for v in _advance_spectrum(np.fft.rfft(potential.samples), n, s_end / nsteps, nsteps):
+        pass
     return pf.PeriodicFn(np.fft.irfft(v, n), "periodic")
 
 
-def evolve_curve(Gamma: CentroAffineCurve, s_end: float, ds: float = 1e-4) -> CentroAffineCurve:
-    """Carry a unit-Wronskian curve along the flow to time s_end.
+def _transport(Gamma: CentroAffineCurve, s_end: float, ds: float, legs: int):
+    """Yield Gamma carried to s_end * k / legs for k = 1..legs, all from one pass.
 
-    Runs the potential at half the requested step to supply stage values,
-    then moves the curve samples with classical Runge-Kutta through the
-    transport field p Gamma' - 1/2 p' Gamma of the externally evolved
-    potential.  With p supplied from outside, that field is first order in
-    t, so the step restriction is ds * n * sup|p| and the default step has
-    two orders of margin at the working grid sizes.
+    Each leg takes _step_count(s_end / legs, ds) steps of evolve_curve's
+    scheme, and every yielded curve has passed its Wronskian gate.
     """
-    if s_end == 0.0:
-        return Gamma
     p0 = curvature(Gamma)
     n = p0.n
-    nsteps = _step_count(s_end, ds)
-    h = s_end / nsteps
+    per_leg = _step_count(s_end / legs, ds)
+    h = s_end / legs / per_leg
 
     # curvature holds two spectral derivatives of the input samples, which
     # lift their roundoff floor by n^2 in the unresolved band; that junk
@@ -158,42 +151,54 @@ def evolve_curve(Gamma: CentroAffineCurve, s_end: float, ds: float = 1e-4) -> Ce
     v0 = np.fft.rfft(p0.samples)
     v0[cut:] = 0.0
 
-    p_rows = []
-    dp_rows = []
+    def driver(w):
+        p = np.fft.irfft(w[:cut], n)  # irfft zero-fills the dropped band
+        return p[:, None], pf.differentiate_samples(p, "periodic")[:, None]
 
-    def record(w):
-        w = w.copy()
-        w[cut:] = 0.0
-        p_rows.append(np.fft.irfft(w, n))
-        dp_rows.append(pf.differentiate_samples(p_rows[-1], "periodic"))
-
-    _advance_spectrum(v0, n, 0.5 * h, 2 * nsteps, on_node=record)
-
-    def field(y, j):
+    def field(y, p, dp):
         # skew-symmetric split of p y' - 1/2 p' y: the advection part
         # 1/2 (p D + D p) cannot pump grid modes, so aliasing stays inert
-        p = p_rows[j][:, None]
         d = pf.differentiate_samples(np.concatenate([y, p * y], axis=1), "antiperiodic")
-        return 0.5 * (p * d[:, :2] + d[:, 2:]) - dp_rows[j][:, None] * y
+        return 0.5 * (p * d[:, :2] + d[:, 2:]) - dp * y
 
+    nodes = map(driver, _advance_spectrum(v0, n, 0.5 * h, 2 * legs * per_leg))
+    end = next(nodes)
     x = np.stack([Gamma.gamma1.samples, Gamma.gamma2.samples], axis=1)
     sup = float(np.max(np.abs(x)))
-    for i in range(nsteps):
-        k1 = field(x, 2 * i)
-        k2 = field(x + (0.5 * h) * k1, 2 * i + 1)
-        k3 = field(x + (0.5 * h) * k2, 2 * i + 1)
-        k4 = field(x + h * k3, 2 * i + 2)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        sup = _checked_sup(sup, x, h, "curve sup norm")
-    g1 = pf.PeriodicFn(x[:, 0], "antiperiodic")
-    g2 = pf.PeriodicFn(x[:, 1], "antiperiodic")
-    defect = cc.wronskian_defect(g1, g2)
-    if defect > cc.WRONSKIAN_TOL:
-        raise StepUnstable(
-            f"transported curve misses unit Wronskian by {defect!r}; "
-            f"reduce ds or refine the grid"
-        )
-    return CentroAffineCurve(g1, g2)
+    for _ in range(legs):
+        for _ in range(per_leg):
+            start, mid, end = end, next(nodes), next(nodes)
+            k1 = field(x, *start)
+            k2 = field(x + (0.5 * h) * k1, *mid)
+            k3 = field(x + (0.5 * h) * k2, *mid)
+            k4 = field(x + h * k3, *end)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            sup = _checked_sup(sup, x, h, "curve sup norm")
+        g1 = pf.PeriodicFn(x[:, 0], "antiperiodic")
+        g2 = pf.PeriodicFn(x[:, 1], "antiperiodic")
+        defect = cc.wronskian_defect(g1, g2)
+        if defect > cc.WRONSKIAN_TOL:
+            raise StepUnstable(
+                f"transported curve misses unit Wronskian by {defect!r}; "
+                f"reduce ds or refine the grid"
+            )
+        yield CentroAffineCurve(g1, g2)
+
+
+def evolve_curve(Gamma: CentroAffineCurve, s_end: float, ds: float = 1e-4) -> CentroAffineCurve:
+    """Carry a unit-Wronskian curve along the flow to time s_end.
+
+    Marches the potential at half the curve step, alongside the curve, to
+    supply stage values, and moves the curve samples with classical
+    Runge-Kutta through the transport field p Gamma' - 1/2 p' Gamma of that
+    externally evolved potential.  With p supplied from outside, the field
+    is first order in t, so the step restriction is ds * n * sup|p| and the
+    default step has two orders of margin at the working grid sizes.
+    """
+    if s_end == 0.0:
+        return Gamma
+    (moved,) = _transport(Gamma, s_end, ds, legs=1)
+    return moved
 
 
 @dataclass(frozen=True)
@@ -213,18 +218,13 @@ def flow_trace(
 ) -> list[FlowState]:
     """Snapshots at evenly spaced flow times from 0 to s_end inclusive.
 
-    Each snapshot is integrated afresh from the initial curve: restarting
-    from the previous snapshot would re-derive the driving potential from
-    transported samples, and the second-derivative noise of that re-derivation
-    compounds from leg to leg.
+    One transport pass yields them all, each gated like evolve_curve.
     """
     if samples < 1:
         raise ValueError("need at least one sample interval")
     states = [FlowState(Gamma, curvature(Gamma), 0.0)]
-    for k in range(1, samples + 1):
-        target = s_end * k / samples
-        current = evolve_curve(Gamma, target, ds=ds)
-        states.append(FlowState(current, curvature(current), target))
+    for k, current in enumerate(_transport(Gamma, s_end, ds, samples), start=1):
+        states.append(FlowState(current, curvature(current), s_end * k / samples))
     return states
 
 

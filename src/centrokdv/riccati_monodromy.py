@@ -105,12 +105,13 @@ def _prefix_products(p):
     return p
 
 
-def _rk4_transfer(b_half: np.ndarray, h: float, keep_trajectory: bool = False):
+def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, keep_trajectory: bool = False):
     """Integrate X' = B(t)X from X(0) = I across K classical RK4 steps of size h.
 
     ``b_half`` holds B at half-step resolution: shape (2K+1, ..., 2, 2),
     where index 2k is the start of step k, 2k+1 its midpoint, 2k+2 its end.
-    Batch axes between the time axis and the matrix block are carried along.
+    Batch axes between the time axis and the matrix block are carried along;
+    h may be an array broadcast over them, one step size per batch entry.
     Returns the final matrix, or the whole (K+1)-point trajectory.
 
     The system is linear, so step k is the fixed 2x2 propagator P_k of
@@ -121,7 +122,7 @@ def _rk4_transfer(b_half: np.ndarray, h: float, keep_trajectory: bool = False):
     to chunk, so memory stays flat in K.
     """
     steps = (b_half.shape[0] - 1) // 2
-    batch = b_half.shape[1:-2]
+    batch = np.broadcast_shapes(b_half.shape[1:-2], np.shape(h))
     running = (np.ones(batch), np.zeros(batch), np.zeros(batch), np.ones(batch))
     traj = np.empty((steps + 1,) + batch + (2, 2)) if keep_trajectory else None
     if keep_trajectory:
@@ -139,10 +140,7 @@ def _rk4_transfer(b_half: np.ndarray, h: float, keep_trajectory: bool = False):
             running = _mul(_tree_product(p), running)
     if keep_trajectory:
         return traj
-    m = np.empty(batch + (2, 2))
-    for x, y in zip(_components(m), running):
-        x[...] = y
-    return m
+    return np.stack(running, axis=-1).reshape(batch + (2, 2))
 
 
 @dataclass(frozen=True)
@@ -346,8 +344,8 @@ def moebius_monodromy(
     class in PSL(2, R) is a spectral invariant of the curve.  With
     keep_trajectory, also return the fundamental matrix at every step.
     """
-    h = np.pi / (substeps * gamma.n)
-    b = float(lam) * _angle_b_half(gamma, substeps)
+    h = float(lam) * (np.pi / (substeps * gamma.n))  # lambda scales the step, not the field
+    b = _angle_b_half(gamma, substeps)
     meta = {"kind": "moebius", "lambda": float(lam)}
     if keep_trajectory:
         traj = _rk4_transfer(b, h, keep_trajectory=True)
@@ -380,13 +378,14 @@ def spectral_scan(
 ) -> SpectralScan:
     """Scan the spectral invariant over a grid of lambda values.
 
-    All grid points ride one batched integration: the generator is linear
-    in lambda, so the coefficient field is built once.
+    All grid points ride one batched integration.  An RK4 step of lambda B
+    with step h is one of B with step lambda h, so the batch shares one
+    lambda-free field, broadcast without copying, and lambda scales the step.
     """
     lam = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
-    h = np.pi / (substeps * gamma.n)
-    b = lam[None, :, None, None] * _angle_b_half(gamma, substeps)[:, None, :, :]
-    m = _rk4_transfer(b, h)
+    b = _angle_b_half(gamma, substeps)[:, None]
+    b = np.broadcast_to(b, (b.shape[0], lam.size, 2, 2))
+    m = _rk4_transfer(b, lam * (np.pi / (substeps * gamma.n)))
     tr = m[:, 0, 0] + m[:, 1, 1]
     det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
     return SpectralScan(lambdas=lam, tr2=tr * tr / det)

@@ -283,16 +283,36 @@ def test_branch_tracking_reports_jump():
 
 def test_flow_trace_states():
     G = gentle_curve()
-    states = kf.flow_trace(G, 0.02, samples=4)
-    assert [st.s for st in states] == [0.0, 0.005, 0.01, 0.015, 0.02]
+    # five legs of 40 steps: each s_k / 1e-4 is a whole step count, so every
+    # snapshot of the one pass is the curve evolved afresh to its own time
+    # (with four legs, evolve_curve(G, 0.015) steps by 0.015 / 150, an ulp
+    # below the pass's 1e-4)
+    states = kf.flow_trace(G, 0.02, samples=5)
+    assert [st.s for st in states] == [0.0, 0.004, 0.008, 0.012, 0.016, 0.02]
     assert states[0].Gamma is G
     assert np.array_equal(states[0].p.samples, cc.curvature(G).samples)
-    direct = kf.evolve_curve(G, 0.02)
-    assert np.array_equal(states[-1].Gamma.gamma1.samples, direct.gamma1.samples)
+    for st in states[1:]:
+        direct = kf.evolve_curve(G, st.s)
+        assert np.array_equal(st.Gamma.gamma1.samples, direct.gamma1.samples)
+        assert np.array_equal(st.Gamma.gamma2.samples, direct.gamma2.samples)
     h1s = [iv.hamiltonians(st.p)[0] for st in states]
     assert max(h1s) - min(h1s) < 1e-9
     drift = np.abs(states[-1].p.samples - kf.evolve_potential(states[0].p, 0.02).samples)
     assert np.max(drift) < 1e-6
+
+
+def test_flow_trace_marches_the_potential_once(monkeypatch):
+    calls = []
+    coeffs = kf._etdrk4_coeffs
+
+    def counted(*args):
+        calls.append(args[1])
+        return coeffs(*args)
+
+    monkeypatch.setattr(kf, "_etdrk4_coeffs", counted)
+    states = kf.flow_trace(gentle_curve(), 0.02, samples=4)
+    assert len(states) == 5
+    assert calls == [0.5e-4]  # one march at half the curve step, not one per snapshot
 
 
 def test_flow_trace_rejects_bad_sample_count():

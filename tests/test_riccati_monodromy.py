@@ -219,9 +219,11 @@ def test_scan_reparametrization_invariance():
 
 def test_scan_single_point_matches_monodromy():
     rng = np.random.default_rng(26)
-    gamma = cc.random_projective(rng, 64)
-    scan = rm.spectral_scan(gamma, [1.3])
-    assert abs(scan.tr2[0] - rm.moebius_monodromy(gamma, 1.3).tr2) < 1e-12
+    gamma = cc.random_projective(rng, 64, strength=0.9)
+    lams = np.linspace(-2.0, 2.0, 21)  # negative values and 0 included
+    scan = rm.spectral_scan(gamma, lams)
+    single = np.array([rm.moebius_monodromy(gamma, lam).tr2 for lam in lams])
+    assert np.all(np.abs(scan.tr2 - single) <= 1e-13 * np.abs(single))
 
 
 def test_scan_csv_round_trip(tmp_path):
