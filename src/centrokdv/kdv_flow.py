@@ -9,7 +9,9 @@ so the integration is split: the potential moves spectrally with an
 exponential integrator, and the curve samples are then carried by the
 first-order transport field of the externally evolved potential, which is
 non-stiff and needs only p and p'.  The curve stepper takes the potential
-march's nodes as they are made, so one pass serves a whole trace.
+march's nodes as they are made, so one pass serves a whole trace, and it
+carries a batch of curves, each driven by its own potential, so one pass
+also serves several curves.
 """
 
 import csv
@@ -70,39 +72,56 @@ def _etdrk4_coeffs(linear: np.ndarray, h: float):
     return np.exp(z), np.exp(z / 2.0), q, f1, f2, f3
 
 
-def _checked_sup(sup: float, vals: np.ndarray, h: float, what: str) -> float:
-    """Sup norm of vals after one step; StepUnstable if it is not finite or more than doubled."""
-    new_sup = float(np.max(np.abs(vals)))
-    if not np.isfinite(new_sup) or new_sup > 2.0 * max(sup, 1e-12):
-        raise StepUnstable(f"{what} jumped {sup!r} -> {new_sup!r} within one step of size {h!r}")
+def _checked_sup(sup: np.ndarray, vals: np.ndarray, h: float, what: str) -> np.ndarray:
+    """Per-member sup norms of vals after one step, the batch on the last axis.
+
+    Raises StepUnstable if any member's norm is not finite or more than
+    doubled its own previous one.
+    """
+    new_sup = np.max(np.abs(vals), axis=tuple(range(vals.ndim - 1)))
+    jumped = ~np.isfinite(new_sup) | (new_sup > 2.0 * np.maximum(sup, 1e-12))
+    if jumped.any():
+        k = int(np.argmax(jumped))
+        raise StepUnstable(
+            f"{what} jumped {float(sup[k])!r} -> {float(new_sup[k])!r} within one step of size {h!r}"
+        )
     return new_sup
 
 
 def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int):
-    """Yield the rfft spectrum of the potential at s = 0, h, ..., nsteps * h."""
+    """Yield the rfft spectra of the potentials at s = 0, h, ..., nsteps * h.
+
+    v is (n//2+1, B), one potential's spectrum per column.
+    """
     nu = 2.0 * np.arange(n // 2 + 1)
     linear = 0.5j * nu**3
     linear[-1] = 0.0  # odd derivatives of the unpaired Nyquist mode vanish
-    e_full, e_half, q, f1, f2, f3 = _etdrk4_coeffs(linear, h)
+    e_full, e_half, q, f1, f2, f3 = (c[:, None] for c in _etdrk4_coeffs(linear, h))
+    nu = nu[:, None]
 
-    def nonlin(w):
-        vals = np.fft.irfft(w, n)
-        out = 1.5j * nu * np.fft.rfft(vals * vals)
+    def nonlin(vals):
+        out = 1.5j * nu * np.fft.rfft(vals * vals, axis=0)
         out[-1] = 0.0
         return out
 
-    sup = float(np.max(np.abs(np.fft.irfft(v, n))))
+    def samples(w):
+        return np.fft.irfft(w, n, axis=0)
+
+    # the samples that gate a step are the first stage's input to the next
+    vals = samples(v)
+    sup = np.max(np.abs(vals), axis=0)
     yield v
     for _ in range(nsteps):
-        nv = nonlin(v)
+        nv = nonlin(vals)
         a = e_half * v + q * nv
-        na = nonlin(a)
+        na = nonlin(samples(a))
         b = e_half * v + q * na
-        nb = nonlin(b)
+        nb = nonlin(samples(b))
         c = e_half * a + q * (2.0 * nb - nv)
-        nc = nonlin(c)
+        nc = nonlin(samples(c))
         v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
-        sup = _checked_sup(sup, np.fft.irfft(v, n), h, "sup norm")
+        vals = samples(v)
+        sup = _checked_sup(sup, vals, h, "sup norm")
         yield v
 
 
@@ -126,19 +145,23 @@ def evolve_potential(potential: pf.PeriodicFn, s_end: float, ds: float = 1e-4) -
         return potential
     n = potential.n
     nsteps = _step_count(s_end, ds)
-    for v in _advance_spectrum(np.fft.rfft(potential.samples), n, s_end / nsteps, nsteps):
+    for v in _advance_spectrum(np.fft.rfft(potential.samples)[:, None], n, s_end / nsteps, nsteps):
         pass
-    return pf.PeriodicFn(np.fft.irfft(v, n), "periodic")
+    return pf.PeriodicFn(np.fft.irfft(v[:, 0], n), "periodic")
 
 
-def _transport(Gamma: CentroAffineCurve, s_end: float, ds: float, legs: int):
-    """Yield Gamma carried to s_end * k / legs for k = 1..legs, all from one pass.
+def _transport(curves: tuple, s_end: float, ds: float, legs: int):
+    """Yield the curves carried to s_end * k / legs for k = 1..legs, all from one pass.
 
-    Each leg takes _step_count(s_end / legs, ds) steps of evolve_curve's
-    scheme, and every yielded curve has passed its Wronskian gate.
+    The curves share a grid and each is driven by its own potential; the
+    batch rides on the last axis of every array.  Each leg takes
+    _step_count(s_end / legs, ds) steps of evolve_curve's scheme, and every
+    yielded curve has passed its own Wronskian gate.
     """
-    p0 = curvature(Gamma)
-    n = p0.n
+    if len({G.gamma1.n for G in curves}) != 1:
+        raise ValueError("need one or more curves on one grid")
+    p0 = np.stack([curvature(G).samples for G in curves], axis=1)
+    n = p0.shape[0]
     per_leg = _step_count(s_end / legs, ds)
     h = s_end / legs / per_leg
 
@@ -148,11 +171,11 @@ def _transport(Gamma: CentroAffineCurve, s_end: float, ds: float, legs: int):
     # grid-scale modes on the curve.  Inputs are band-limited at the working
     # grid, so the top quarter of the driver band carries no signal: drop it.
     cut = 3 * (n // 2 + 1) // 4
-    v0 = np.fft.rfft(p0.samples)
+    v0 = np.fft.rfft(p0, axis=0)
     v0[cut:] = 0.0
 
     def driver(w):
-        p = np.fft.irfft(w[:cut], n)  # irfft zero-fills the dropped band
+        p = np.fft.irfft(w[:cut], n, axis=0)  # irfft zero-fills the dropped band
         return p[:, None], pf.differentiate_samples(p, "periodic")[:, None]
 
     def field(y, p, dp):
@@ -163,8 +186,8 @@ def _transport(Gamma: CentroAffineCurve, s_end: float, ds: float, legs: int):
 
     nodes = map(driver, _advance_spectrum(v0, n, 0.5 * h, 2 * legs * per_leg))
     end = next(nodes)
-    x = np.stack([Gamma.gamma1.samples, Gamma.gamma2.samples], axis=1)
-    sup = float(np.max(np.abs(x)))
+    x = np.stack([np.stack([G.gamma1.samples, G.gamma2.samples], axis=1) for G in curves], axis=2)
+    sup = np.max(np.abs(x), axis=(0, 1))
     for _ in range(legs):
         for _ in range(per_leg):
             start, mid, end = end, next(nodes), next(nodes)
@@ -174,30 +197,45 @@ def _transport(Gamma: CentroAffineCurve, s_end: float, ds: float, legs: int):
             k4 = field(x + h * k3, *end)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             sup = _checked_sup(sup, x, h, "curve sup norm")
-        g1 = pf.PeriodicFn(x[:, 0], "antiperiodic")
-        g2 = pf.PeriodicFn(x[:, 1], "antiperiodic")
-        defect = cc.wronskian_defect(g1, g2)
-        if defect > cc.WRONSKIAN_TOL:
-            raise StepUnstable(
-                f"transported curve misses unit Wronskian by {defect!r}; "
-                f"reduce ds or refine the grid"
-            )
-        yield CentroAffineCurve(g1, g2)
+        moved = []
+        for b in range(len(curves)):
+            g1 = pf.PeriodicFn(x[:, 0, b], "antiperiodic")
+            g2 = pf.PeriodicFn(x[:, 1, b], "antiperiodic")
+            defect = cc.wronskian_defect(g1, g2)
+            if defect > cc.WRONSKIAN_TOL:
+                raise StepUnstable(
+                    f"transported curve misses unit Wronskian by {defect!r}; "
+                    f"reduce ds or refine the grid"
+                )
+            moved.append(CentroAffineCurve(g1, g2))
+        yield tuple(moved)
 
 
-def evolve_curve(Gamma: CentroAffineCurve, s_end: float, ds: float = 1e-4) -> CentroAffineCurve:
-    """Carry a unit-Wronskian curve along the flow to time s_end.
+def evolve_curve(
+    Gamma: CentroAffineCurve | tuple[CentroAffineCurve, ...], s_end: float, ds: float = 1e-4
+) -> CentroAffineCurve | tuple[CentroAffineCurve, ...]:
+    """Carry a unit-Wronskian curve, or a tuple of curves, along the flow to time s_end.
 
     Marches the potential at half the curve step, alongside the curve, to
     supply stage values, and moves the curve samples with classical
     Runge-Kutta through the transport field p Gamma' - 1/2 p' Gamma of that
     externally evolved potential.  With p supplied from outside, the field
-    is first order in t, so the step restriction is ds * n * sup|p| and the
-    default step has two orders of margin at the working grid sizes.
+    is first order in t, so the step restriction is ds * n * sup|p|, and at
+    the working grid sizes the default step keeps two orders of margin to
+    that stability limit.  That is no accuracy margin: the dispersive phase
+    of the potential's high modes is what limits the curve's time error.
+
+    A tuple of curves on one grid, each driven by its own potential, moves
+    through one batched pass and comes back as a tuple of the moved curves,
+    each equal bit for bit to the curve moved alone; a gate miss by any of
+    them raises.  At s_end == 0 the input is returned as it is.
     """
     if s_end == 0.0:
         return Gamma
-    (moved,) = _transport(Gamma, s_end, ds, legs=1)
+    if isinstance(Gamma, tuple):
+        (moved,) = _transport(Gamma, s_end, ds, legs=1)
+        return moved
+    ((moved,),) = _transport((Gamma,), s_end, ds, legs=1)
     return moved
 
 
@@ -223,7 +261,7 @@ def flow_trace(
     if samples < 1:
         raise ValueError("need at least one sample interval")
     states = [FlowState(Gamma, curvature(Gamma), 0.0)]
-    for k, current in enumerate(_transport(Gamma, s_end, ds, samples), start=1):
+    for k, (current,) in enumerate(_transport((Gamma,), s_end, ds, samples), start=1):
         states.append(FlowState(current, curvature(current), s_end * k / samples))
     return states
 
@@ -325,11 +363,13 @@ def commutation_check(
     tracking step on ambiguity.
     """
     first = apply_tc(Gamma, c_aff, branch, substeps=substeps)
-    transformed_then_flowed = evolve_curve(first.image, s, ds=ds)
+    # one pass moves the image and the curve; the curve at s is the tracker's
+    # first checkpoint, and only a halved tracking step evolves Gamma again
+    transformed_then_flowed, flowed_at_s = evolve_curve((first.image, Gamma), s, ds=ds)
 
     @cache
     def checkpoint(sig):
-        current = evolve_curve(Gamma, sig, ds=ds)
+        current = flowed_at_s if sig == s else evolve_curve(Gamma, sig, ds=ds)
         pot = curvature(current)
         return current, pot, riccati_periodic_solutions(pot, c_aff, substeps=substeps)
 

@@ -102,6 +102,31 @@ def test_potential_flow_detects_blowup():
         kf.evolve_potential(steep, 0.1, ds=0.01)
 
 
+def test_potential_march_makes_eight_ffts_per_step(monkeypatch):
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        fft = getattr(np.fft, name)
+
+        def counted(*args, _fft=fft, _name=name, **kw):
+            counts[_name] += 1
+            return _fft(*args, **kw)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    kf.evolve_potential(wave_potential(), 0.001, ds=1e-4)
+    # ten steps of four stage pairs, plus the transforms in and out and the first gate
+    assert counts == {"rfft": 1 + 40, "irfft": 40 + 2}
+
+
+def test_potential_march_gates_each_column_on_its_own():
+    t = pf.grid(128)
+    steep = -1.0 + 20.0 * np.cos(2 * t)  # sup 21, jumps to about 45 in one step of 0.01
+    flat = np.full(128, -100.0)  # a static column whose sup stays above that jump
+    v = np.fft.rfft(np.stack([flat, steep], axis=1), axis=0)
+    with pytest.raises(StepUnstable, match=r"jumped 21\.0 -> 44\.9"):
+        for _ in kf._advance_spectrum(v, 128, 0.01, 10):
+            pass
+
+
 def test_curve_flow_translates_circle():
     # constant curvature -1 reduces the transport field to -Gamma'
     circ = cc.lift(cc.make_circle(128))
@@ -114,6 +139,50 @@ def test_curve_flow_translates_circle():
 def test_curve_flow_zero_time_returns_input():
     G = gentle_curve()
     assert kf.evolve_curve(G, 0.0) is G
+    pair = (G, seeded_curve(5))
+    assert kf.evolve_curve(pair, 0.0) is pair
+
+
+@pytest.mark.parametrize("strength", [0.35, 0.6])
+def test_curve_batch_equals_curves_moved_alone(strength):
+    curves = tuple(
+        cc.lift(cc.random_projective(np.random.default_rng([1, i]), 128, strength=strength))
+        for i in (0, 2)
+    )
+    moved = kf.evolve_curve(curves, 0.02)
+    assert isinstance(moved, tuple) and len(moved) == 2
+    for G, together in zip(curves, moved):
+        alone = kf.evolve_curve(G, 0.02)
+        assert np.array_equal(together.gamma1.samples, alone.gamma1.samples)
+        assert np.array_equal(together.gamma2.samples, alone.gamma2.samples)
+
+
+def test_curve_batch_gates_each_member_on_its_own():
+    rng = np.random.default_rng(7)
+    rough = cc.lift(cc.ProjectiveCurve(0.05 * pf.random_band_limited(rng, 128, max_mode=5)))
+    circ = cc.lift(cc.make_circle(128))
+    # same potential as the circle, so it moves calmly, but with sup 10
+    stretched = cc.CentroAffineCurve(10.0 * circ.gamma1, 0.1 * circ.gamma2)
+    # one step of 0.05 takes the rough curve's sup from 1.09 to 10.9: under
+    # twice the batch's sup, over twice its own
+    for pair in ((rough, stretched), (stretched, rough)):
+        with pytest.raises(StepUnstable, match=r"curve sup norm jumped 1\.09\d* -> 10\.9"):
+            kf.evolve_curve(pair, 0.05, ds=0.05)
+
+
+def test_curve_batch_with_an_unstable_member_raises():
+    good = cc.lift(cc.random_projective(np.random.default_rng([1, 0]), 128, strength=0.35))
+    bad = cc.lift(cc.random_projective(np.random.default_rng([1, 3]), 128, strength=0.6))
+    with pytest.raises(StepUnstable):
+        kf.evolve_curve(bad, 0.02)
+    for pair in ((good, bad), (bad, good)):
+        with pytest.raises(StepUnstable, match="misses unit Wronskian"):
+            kf.evolve_curve(pair, 0.02)
+
+
+def test_curve_batch_rejects_mixed_grids():
+    with pytest.raises(ValueError):
+        kf.evolve_curve((gentle_curve(128), gentle_curve(256)), 0.01)
 
 
 def test_curve_flow_keeps_unit_wronskian():
@@ -229,12 +298,12 @@ def test_commutation_at_zero_time_keeps_the_branch():
 
 
 def test_commutation_evolves_and_solves_the_flowed_curve_once(monkeypatch):
-    targets = []
+    calls = []
     solves = []
     evolve, solve = kf.evolve_curve, kf.riccati_periodic_solutions
 
     def counted_evolve(Gamma, s_end, **kw):
-        targets.append(s_end)
+        calls.append((Gamma, s_end))
         return evolve(Gamma, s_end, **kw)
 
     def counted_solve(*args, **kw):
@@ -243,9 +312,12 @@ def test_commutation_evolves_and_solves_the_flowed_curve_once(monkeypatch):
 
     monkeypatch.setattr(kf, "evolve_curve", counted_evolve)
     monkeypatch.setattr(kf, "riccati_periodic_solutions", counted_solve)
-    assert kf.commutation_check(gentle_curve(amp=0.05), 0.5, s=0.02) < 1e-5
-    # no step halving: the transformed curve and the curve itself, once each
-    assert targets == [0.02, 0.02]
+    G = gentle_curve(amp=0.05)
+    assert kf.commutation_check(G, 0.5, s=0.02) < 1e-5
+    # no step halving: one pass carries the transformed curve and the curve itself
+    assert [s_end for _, s_end in calls] == [0.02]
+    pair = calls[0][0]
+    assert isinstance(pair, tuple) and len(pair) == 2 and pair[1] is G
     assert solves == [0.5]
 
 
