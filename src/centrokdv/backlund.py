@@ -148,11 +148,9 @@ def apply_tc_projective(
     branch collides with gamma).
     """
     param_convert(c_pr, "projective")
-    if branch not in _BRANCHES:
-        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    _pick_branch(_BRANCHES, branch)  # a bad label fails before the integration
     mono, traj = moebius_monodromy(gamma, c_pr, substeps=substeps, keep_trajectory=True)
-    (_, v_plus), (_, v_minus) = mono.eigen_system()
-    v = v_plus if branch == "plus" else v_minus
+    _, v = _pick_branch(mono.eigen_system(), branch)
 
     w = traj @ v
     chi = np.unwrap(np.arctan2(w[:, 0], w[:, 1]))
@@ -248,23 +246,13 @@ class PermutabilitySquare:
     prediction_residual: float
 
 
-def _matched_step(curve, c_pr, predicted, substeps, match_tol):
-    """Second Bianchi leg: the branch whose start matches the predicted angle."""
-    best = None
-    gaps = {}
-    for label in _BRANCHES:
-        try:
-            cand = apply_tc_projective(curve, c_pr, label, substeps=substeps)
-        except BranchSingular:
-            gaps[label] = None
-            continue
-        gap = abs(wrap_half_pi(float(cand.psi.samples[0]) - predicted))
-        gaps[label] = gap
-        if best is None or gap < best[1]:
-            best = (cand, gap)
-    if best is None or best[1] > match_tol:
-        raise MatchFailure(f"no branch within {match_tol!r} of predicted start: gaps {gaps!r}")
-    return best
+def _matched_step(curve, c_pr, branch, predicted, substeps, match_tol):
+    """Second Bianchi leg on the given branch, and its start's gap to the predicted angle."""
+    leg = apply_tc_projective(curve, c_pr, branch, substeps=substeps)
+    gap = abs(wrap_half_pi(float(leg.psi.samples[0]) - predicted))
+    if gap > match_tol:
+        raise MatchFailure(f"branch {branch!r} starts {gap!r} from the predicted angle > {match_tol!r}")
+    return leg, gap
 
 
 def permutability_square(
@@ -279,8 +267,11 @@ def permutability_square(
 
     gamma1 and gamma2 are single transforms with the given branch labels.
     The double transform's starting angle is predicted by conjugating
-    matrices with weights mu = 1 - c1/c2 and nu = 1 - c2/c1; the second
-    step takes whichever branch lands on the prediction within match_tol.
+    matrices with weights mu = 1 - c1/c2 and nu = 1 - c2/c1.  The period
+    maps intertwine (moebius_conjugacy_residual), so each second step's
+    meeting point has the eigenvalue, and so the label, of the first step
+    with the same constant: gamma12 takes branches[1], gamma21 branches[0].
+    A start more than match_tol from its prediction raises MatchFailure.
     Both composition orders are returned so the caller can verify they
     agree.
     """
@@ -294,8 +285,8 @@ def permutability_square(
     nu = 1.0 - c2_pr / c1_pr
     pred12 = moebius_apply_angle(conjugator(gamma, g2, mu, 0.0), g1.phi(0.0))
     pred21 = moebius_apply_angle(conjugator(gamma, g1, nu, 0.0), g2.phi(0.0))
-    g12, r12 = _matched_step(g1, c2_pr, float(pred12), substeps, match_tol)
-    g21, r21 = _matched_step(g2, c1_pr, float(pred21), substeps, match_tol)
+    g12, r12 = _matched_step(g1, c2_pr, branches[1], float(pred12), substeps, match_tol)
+    g21, r21 = _matched_step(g2, c1_pr, branches[0], float(pred21), substeps, match_tol)
     return PermutabilitySquare(
         gamma1=g1,
         gamma2=g2,

@@ -59,12 +59,8 @@ class OffUnity(NumericalFailure):
     """Constructed curve misses the unit-Wronskian gate [Gamma, Gamma'] = 1."""
 
 
-class BranchJump(NumericalFailure):
-    """Branch tracking along a flow lost continuity."""
-
-
 class MatchFailure(NumericalFailure):
-    """No branch matches the predicted meeting point within tolerance."""
+    """The labelled branch misses the predicted meeting point beyond tolerance."""
 
 
 def documented(exc: BaseException) -> bool:

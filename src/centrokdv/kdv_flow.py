@@ -16,7 +16,6 @@ also serves several curves.
 
 import csv
 from dataclasses import dataclass
-from functools import cache
 from math import ceil
 
 import numpy as np
@@ -24,9 +23,9 @@ import numpy as np
 from . import curve_core as cc
 from . import invariants as iv
 from . import periodic_fn as pf
-from .backlund import apply_tc, plane_map
+from .backlund import _pick_branch, apply_tc, plane_map
 from .curve_core import CentroAffineCurve, curvature, tangent_field
-from .errors import BranchJump, StepUnstable
+from .errors import StepUnstable
 from .riccati_monodromy import DEFAULT_SUBSTEPS, riccati_periodic_solutions
 
 __all__ = [
@@ -316,38 +315,6 @@ def recursion_check(Gamma: CentroAffineCurve, j: int, test_fields, eps: float = 
     }
 
 
-def _track_branch(sample, s_end: float, w_start: float, label: str, min_step: float) -> str:
-    """Follow one Riccati value continuously in flow time; return its label.
-
-    sample(s) returns {label: solution value at t = 0} for both branches at
-    flow time s; w_start is the value of the branch labelled label at s = 0,
-    which is the answer when s_end = 0.  A checkpoint is accepted when the
-    nearer branch moved by less than half the branch separation; otherwise
-    the step is halved, down to min_step, and then the jump is reported.
-    """
-    pos = 0.0
-    w_prev = w_start
-    step = s_end
-    while abs(s_end - pos) > 1e-15 * max(1.0, abs(s_end)):
-        nxt = pos + step
-        if abs(nxt) > abs(s_end) or abs(s_end - nxt) <= 1e-15 * max(1.0, abs(s_end)):
-            nxt = s_end  # the last checkpoint is s_end exactly
-        vals = sample(nxt)
-        near = min(vals, key=lambda lab: abs(vals[lab] - w_prev))
-        moved = abs(vals[near] - w_prev)
-        sep = abs(vals["plus"] - vals["minus"])
-        if moved > 0.4 * sep:
-            if abs(step) <= min_step:
-                raise BranchJump(
-                    f"solution value moved {moved!r} against branch separation {sep!r} "
-                    f"near s={nxt!r}"
-                )
-            step *= 0.5
-            continue
-        pos, w_prev, label = nxt, vals[near], near
-    return label
-
-
 def commutation_check(
     Gamma: CentroAffineCurve,
     c_aff: float,
@@ -358,32 +325,19 @@ def commutation_check(
 ) -> float:
     """Sup distance between transform-then-flow and flow-then-transform.
 
-    The branch on the evolved curve is chosen by tracking the t = 0 value
-    of the periodic Riccati solution continuously in flow time, halving the
-    tracking step on ambiguity.
+    The KdV flow is isospectral for the Hill operator, so the Floquet
+    multipliers that label the two Riccati branches do not move along it:
+    the flowed curve takes the branch with the same label.
     """
     first = apply_tc(Gamma, c_aff, branch, substeps=substeps)
-    # one pass moves the image and the curve; the curve at s is the tracker's
-    # first checkpoint, and only a halved tracking step evolves Gamma again
-    transformed_then_flowed, flowed_at_s = evolve_curve((first.image, Gamma), s, ds=ds)
-
-    @cache
-    def checkpoint(sig):
-        current = flowed_at_s if sig == s else evolve_curve(Gamma, sig, ds=ds)
-        pot = curvature(current)
-        return current, pot, riccati_periodic_solutions(pot, c_aff, substeps=substeps)
-
-    def sample(sig):
-        plus, minus = checkpoint(sig)[2]
-        return {"plus": float(plus.solution(0.0)), "minus": float(minus.solution(0.0))}
-
-    label = _track_branch(sample, s, float(first.riccati.solution(0.0)), branch, min_step=abs(s) / 8.0)
-    # build the second image from the tracked Riccati solution directly: the
-    # flowed curve satisfies the unit-Wronskian constraint only to the flow's
-    # own truncation error, and the distance measured here does not need the
+    transformed_then_flowed, flowed = evolve_curve((first.image, Gamma), s, ds=ds)
+    pot = curvature(flowed)
+    w = _pick_branch(riccati_periodic_solutions(pot, c_aff, substeps=substeps), branch).solution
+    # build the second image with the ungated plane map: the flowed curve
+    # satisfies the unit-Wronskian constraint only to the flow's own
+    # truncation error, and the distance measured here does not need the
     # strict construction gate that apply_tc enforces on its output
-    flowed, pot, (plus, minus) = checkpoint(s)
-    second1, second2, _ = plane_map(flowed, pot, (plus if label == "plus" else minus).solution, c_aff)
+    second1, second2, _ = plane_map(flowed, pot, w, c_aff)
     return max(
         float(np.max(np.abs(transformed_then_flowed.gamma1.samples - second1.samples))),
         float(np.max(np.abs(transformed_then_flowed.gamma2.samples - second2.samples))),

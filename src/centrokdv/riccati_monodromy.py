@@ -105,6 +105,13 @@ def _prefix_products(p):
     return p
 
 
+def _step_size(substeps: int, n: int) -> float:
+    """The RK4 step pi/(substeps*n) of every period map on an n-point grid."""
+    if substeps < 1:
+        raise ValueError(f"substeps must be at least 1, got {substeps!r}")
+    return np.pi / (substeps * n)
+
+
 def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, keep_trajectory: bool = False):
     """Integrate X' = B(t)X from X(0) = I across K classical RK4 steps of size h.
 
@@ -234,7 +241,7 @@ def hill_fundamental(
     (substeps*N + 1 of them), which downstream code uses to follow
     individual solutions across the period.
     """
-    h = np.pi / (substeps * potential.n)
+    h = _step_size(substeps, potential.n)
     # coefficient matrices [[0, 1], [potential, 0]] at half-step resolution
     fine = pf.values_with_wrap(potential, 2 * substeps * potential.n)
     b = np.zeros((fine.shape[0], 2, 2))
@@ -344,7 +351,7 @@ def moebius_monodromy(
     class in PSL(2, R) is a spectral invariant of the curve.  With
     keep_trajectory, also return the fundamental matrix at every step.
     """
-    h = float(lam) * (np.pi / (substeps * gamma.n))  # lambda scales the step, not the field
+    h = float(lam) * _step_size(substeps, gamma.n)  # lambda scales the step, not the field
     b = _angle_b_half(gamma, substeps)
     meta = {"kind": "moebius", "lambda": float(lam)}
     if keep_trajectory:
@@ -383,9 +390,10 @@ def spectral_scan(
     lambda-free field, broadcast without copying, and lambda scales the step.
     """
     lam = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
+    h = _step_size(substeps, gamma.n)
     b = _angle_b_half(gamma, substeps)[:, None]
     b = np.broadcast_to(b, (b.shape[0], lam.size, 2, 2))
-    m = _rk4_transfer(b, lam * (np.pi / (substeps * gamma.n)))
+    m = _rk4_transfer(b, lam * h)
     tr = m[:, 0, 0] + m[:, 1, 1]
     det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
     return SpectralScan(lambdas=lam, tr2=tr * tr / det)

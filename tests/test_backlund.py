@@ -213,6 +213,38 @@ def test_permutability_random_curve():
     assert sq.prediction_residual < 1e-5
 
 
+@pytest.mark.parametrize("branches", [(a, b) for a in ("plus", "minus") for b in ("plus", "minus")])
+def test_permutability_second_legs_keep_the_first_legs_labels(branches):
+    sq = bk.permutability_square(bump_curve(128), 5.0, 3.0, branches=branches)
+    gamma12 = bk.apply_tc_projective(sq.gamma1, 3.0, branches[1])
+    gamma21 = bk.apply_tc_projective(sq.gamma2, 5.0, branches[0])
+    assert np.array_equal(sq.gamma12.psi.samples, gamma12.psi.samples)
+    assert np.array_equal(sq.gamma21.psi.samples, gamma21.psi.samples)
+
+
+def test_permutability_square_integrates_four_legs(monkeypatch):
+    legs = []
+    monodromy = bk.moebius_monodromy
+
+    def counted(*args, **kw):
+        if kw.get("keep_trajectory"):
+            legs.append(args[1])
+        return monodromy(*args, **kw)
+
+    monkeypatch.setattr(bk, "moebius_monodromy", counted)
+    bk.permutability_square(bump_curve(128), 5.0, 3.0)
+    assert legs == [5.0, 3.0, 3.0, 5.0]
+
+
+def test_projective_bad_label_fails_before_integrating(monkeypatch):
+    def forbidden(*args, **kw):
+        raise AssertionError("integrated before checking the label")
+
+    monkeypatch.setattr(bk, "moebius_monodromy", forbidden)
+    with pytest.raises(ValueError, match="branch must be"):
+        bk.apply_tc_projective(bump_curve(64), 4.0, "both")
+
+
 def test_permutability_equal_constants_rejected():
     gamma = cc.make_circle(64)
     with pytest.raises(Degenerate):

@@ -186,6 +186,16 @@ def test_permutability_equal_constants_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR Degenerate:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("backlund", "--c", 0.5), ("scan",), ("permutability", "--c", 5.0, "--c2", 3.0)],
+)
+def test_zero_substeps_exits_2(tmp_path, capsys, argv):
+    trig = gen_trig(tmp_path)
+    assert run(*argv, "--input", trig, "--output", tmp_path / "out", "--substeps", 0) == 2
+    assert capsys.readouterr().err.startswith("ERROR ValueError: substeps must be at least 1")
+
+
 def test_selfcheck_passes(capsys):
     assert run("selfcheck", "--n", 128, "--seed", 7) == 0
     out = capsys.readouterr().out

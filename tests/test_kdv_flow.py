@@ -5,8 +5,8 @@ import centrokdv.periodic_fn as pf
 import centrokdv.curve_core as cc
 import centrokdv.invariants as iv
 import centrokdv.kdv_flow as kf
-from centrokdv.errors import BranchJump, StepUnstable
-from centrokdv.riccati_monodromy import spectral_scan
+from centrokdv.errors import StepUnstable
+from centrokdv.riccati_monodromy import riccati_periodic_solutions, spectral_scan
 
 
 def wave_potential(n=128):
@@ -297,6 +297,18 @@ def test_commutation_at_zero_time_keeps_the_branch():
         assert kf.commutation_check(G, 0.5, branch, s=0.0) <= 1e-12
 
 
+@pytest.mark.parametrize("anchor", [1, 2, 3, None])
+def test_flow_keeps_the_branch_multipliers(anchor):
+    # commutation_check picks the flowed curve's branch by label: the flow is
+    # isospectral, so the Floquet multipliers behind the labels stay put
+    gamma = cc.make_circle(128) if anchor is None else cc.random_projective(np.random.default_rng(anchor), 128)
+    G = cc.lift(gamma)
+    before = riccati_periodic_solutions(cc.curvature(G), 0.5)
+    after = riccati_periodic_solutions(cc.curvature(kf.evolve_curve(G, 0.02)), 0.5)
+    for a, b in zip(before, after):
+        assert abs(b.multiplier - a.multiplier) <= 1e-8 * abs(a.multiplier)
+
+
 def test_commutation_evolves_and_solves_the_flowed_curve_once(monkeypatch):
     calls = []
     solves = []
@@ -314,43 +326,12 @@ def test_commutation_evolves_and_solves_the_flowed_curve_once(monkeypatch):
     monkeypatch.setattr(kf, "riccati_periodic_solutions", counted_solve)
     G = gentle_curve(amp=0.05)
     assert kf.commutation_check(G, 0.5, s=0.02) < 1e-5
-    # no step halving: one pass carries the transformed curve and the curve itself
+    # one pass carries the transformed curve and the curve itself, and the
+    # flowed curve's branch is picked by its label from one Riccati solve
     assert [s_end for _, s_end in calls] == [0.02]
     pair = calls[0][0]
     assert isinstance(pair, tuple) and len(pair) == 2 and pair[1] is G
     assert solves == [0.5]
-
-
-def test_branch_tracking_lands_on_the_end_time():
-    seen = []
-
-    def sample(s):
-        seen.append(s)
-        # a jump until the step is down to an eighth, then smooth; eight
-        # steps of 0.05/8 add up to 0.049999999999999996 in floating point
-        return {"plus": 10.0 if len(seen) < 4 else 1.0 + s, "minus": -10.0}
-
-    assert kf._track_branch(sample, 0.05, 1.0, "plus", min_step=0.05 / 8.0) == "plus"
-    assert len(seen) == 11 and seen[-1] == 0.05
-
-
-def test_branch_tracking_follows_value_across_label_swap():
-    # the labels trade places immediately; continuity must follow the value
-    def sample(s):
-        if s == 0.0:
-            return {"plus": 1.0, "minus": -1.0}
-        return {"plus": -1.0 - s, "minus": 1.0 + s}
-
-    label = kf._track_branch(sample, 0.02, 1.0, "plus", min_step=0.0025)
-    assert label == "minus"
-
-
-def test_branch_tracking_reports_jump():
-    def sample(s):
-        return {"plus": 10.0, "minus": -10.0}
-
-    with pytest.raises(BranchJump):
-        kf._track_branch(sample, 0.02, 1.0, "plus", min_step=0.0025)
 
 
 def test_flow_trace_states():

@@ -226,6 +226,18 @@ def test_scan_single_point_matches_monodromy():
     assert np.all(np.abs(scan.tr2 - single) <= 1e-13 * np.abs(single))
 
 
+@pytest.mark.parametrize("substeps", [0, -1])
+def test_period_maps_reject_a_substep_count_below_one(substeps):
+    gamma = cc.make_circle(64)
+    for run in (
+        lambda: rm.spectral_scan(gamma, [0.5], substeps=substeps),
+        lambda: rm.moebius_monodromy(gamma, 0.5, substeps=substeps),
+        lambda: rm.hill_fundamental(gamma.curvature(), substeps=substeps),
+    ):
+        with pytest.raises(ValueError, match="substeps must be at least 1"):
+            run()
+
+
 def test_scan_csv_round_trip(tmp_path):
     scan = rm.SpectralScan(np.array([0.0, 0.5]), np.array([4.0, 1.2345678901234567]))
     path = tmp_path / "scan.csv"
