@@ -33,16 +33,16 @@ from .errors import (
     ZeroParam,
 )
 from .riccati_monodromy import (
+    _BRANCHES,
     DEFAULT_SUBSTEPS,
     RiccatiBranch,
+    _pick_branch,
     conjugator,
     conjugator_affine,
     moebius_apply_angle,
     moebius_monodromy,
-    riccati_periodic_solutions,
+    riccati_branch,
 )
-
-_BRANCHES = ("plus", "minus")
 
 # largest angle-advance defect apply_tc_projective spreads over the period
 CLOSURE_TOL = 1e-6
@@ -75,12 +75,6 @@ def param_convert(value: float, kind: str) -> BacklundParam:
             raise NegativeProjective(f"projective parameter {value!r} < 0")
         return BacklundParam(c_aff=1.0 / np.sqrt(value), c_pr=value)
     raise ValueError(f"unknown parameter kind {kind!r}")
-
-
-def _pick_branch(pair, branch: str):
-    if branch not in _BRANCHES:
-        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    return pair[0] if branch == "plus" else pair[1]
 
 
 @dataclass(frozen=True)
@@ -123,7 +117,7 @@ def apply_tc(
     """
     param = param_convert(c_aff, "affine")
     pot = curvature(Gamma)
-    sol = _pick_branch(riccati_periodic_solutions(pot, c_aff, substeps=substeps), branch)
+    sol = riccati_branch(pot, c_aff, branch, substeps=substeps)
     g1, g2, image_curvature = plane_map(Gamma, pot, sol.solution, c_aff)
     return BacklundResult(gate_image(g1, g2), sol, image_curvature, param)
 
@@ -182,11 +176,12 @@ def pushforward_tangent(
     The profile f at Gamma maps to the unique periodic solution g of
     g' - (2w/c) g = -f' - (2w/c) f.  On a hyperbolic branch the
     homogeneous multiplier is 1/mu^2 != 1, so the solve never resonates.
-    Pass riccati to reuse an already computed branch.
+    Pass riccati to reuse an already computed branch; otherwise the branch
+    named by the label is computed alone (riccati_branch), and a bad label
+    fails before any integration.
     """
     if riccati is None:
-        pair = riccati_periodic_solutions(curvature(Gamma), c_aff, substeps=substeps)
-        riccati = _pick_branch(pair, branch)
+        riccati = riccati_branch(curvature(Gamma), c_aff, branch, substeps=substeps)
     kappa = (2.0 / c_aff) * riccati.solution
     rhs = -pf.differentiate(f) - kappa * f
     return pf.solve_linear_periodic(kappa, rhs)

@@ -23,10 +23,10 @@ import numpy as np
 from . import curve_core as cc
 from . import invariants as iv
 from . import periodic_fn as pf
-from .backlund import _pick_branch, apply_tc, plane_map
+from .backlund import apply_tc, plane_map
 from .curve_core import CentroAffineCurve, curvature, tangent_field
 from .errors import StepUnstable
-from .riccati_monodromy import DEFAULT_SUBSTEPS, riccati_periodic_solutions
+from .riccati_monodromy import DEFAULT_SUBSTEPS, riccati_branch
 
 __all__ = [
     "FLOW_TRACE_HEADER",
@@ -332,7 +332,7 @@ def commutation_check(
     first = apply_tc(Gamma, c_aff, branch, substeps=substeps)
     transformed_then_flowed, flowed = evolve_curve((first.image, Gamma), s, ds=ds)
     pot = curvature(flowed)
-    w = _pick_branch(riccati_periodic_solutions(pot, c_aff, substeps=substeps), branch).solution
+    w = riccati_branch(pot, c_aff, branch, substeps=substeps).solution
     # build the second image with the ungated plane map: the flowed curve
     # satisfies the unit-Wronskian constraint only to the flow's own
     # truncation error, and the distance measured here does not need the

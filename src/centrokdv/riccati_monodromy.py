@@ -29,6 +29,7 @@ __all__ = [
     "RiccatiBranch",
     "SpectralScan",
     "hill_fundamental",
+    "riccati_branch",
     "riccati_periodic_solutions",
     "moebius_monodromy",
     "moebius_apply_angle",
@@ -40,6 +41,7 @@ __all__ = [
 
 DEFAULT_SUBSTEPS = 8
 PARABOLIC_TOL = 1e-9
+_BRANCHES = ("plus", "minus")
 TRANSFER_CHUNK = 256  # RK4 steps whose propagators are built and multiplied at once
 
 
@@ -264,52 +266,99 @@ class RiccatiBranch:
     c_aff: float
 
 
-def riccati_periodic_solutions(
-    potential: pf.PeriodicFn, c_aff: float, substeps: int = DEFAULT_SUBSTEPS
-):
-    """Both periodic Riccati solutions for the given Hill potential and c.
+def _pick_branch(pair, branch: str):
+    """The member of a (plus, minus) pair named by a branch label; ValueError on any other label."""
+    if branch not in _BRANCHES:
+        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    return pair[0] if branch == "plus" else pair[1]
+
+
+def _shoot_riccati(potential: pf.PeriodicFn, c_aff: float, substeps: int):
+    """One shooting for both branches: the Floquet data and the trajectory.
 
     The quadratic relation is linearized by w = -c u'/u with
     u'' = (potential + 1/c^2) u; periodic w correspond to Floquet
     solutions, i.e. eigenvectors of the period matrix.  Returns
-    (plus, minus) ordered by eigenvalue modulus.  Raises NoRealFixedPoints
-    when the period matrix is elliptic (or within tolerance of parabolic),
-    and BranchSingular for a branch whose u vanishes somewhere (the
-    periodic solution has a pole there).
+    ((mu_plus, v_plus), (mu_minus, v_minus)) ordered by eigenvalue modulus
+    and the fundamental-matrix trajectory.
     """
     if c_aff == 0.0:
         raise ZeroParam("c must be nonzero")
     shifted = potential + 1.0 / c_aff**2
     mono, traj = hill_fundamental(shifted, substeps=substeps, keep_trajectory=True)
-    (mu_p, v_p), (mu_m, v_m) = mono.eigen_system()
-    out = []
-    for mu, v, name in ((mu_p, v_p, "plus"), (mu_m, v_m, "minus")):
-        sol = traj @ v  # (u, u') along the period
-        u, du = sol[:, 0], sol[:, 1]
-        peak = np.max(np.abs(u))
-        if np.any(u[:-1] * u[1:] <= 0.0) or np.min(np.abs(u)) < 1e-6 * peak:
-            raise BranchSingular(
-                f"branch {name}: u vanishes on [0, pi], the solution a has a pole"
-            )
-        nodes = np.arange(potential.n) * substeps
-        w = pf.PeriodicFn(-c_aff * du[nodes] / u[nodes], "periodic")
-        w = _polish_riccati(w, potential, c_aff)
-        out.append(RiccatiBranch(solution=w, branch=name, multiplier=float(mu), c_aff=c_aff))
-    return out[0], out[1]
+    return mono.eigen_system(), traj
+
+
+def _riccati_from_floquet(potential, c_aff, substeps, name, mu, v, traj) -> RiccatiBranch:
+    """The polished periodic Riccati solution of one Floquet eigenvector v."""
+    sol = traj @ v  # (u, u') along the period
+    u, du = sol[:, 0], sol[:, 1]
+    peak = np.max(np.abs(u))
+    if np.any(u[:-1] * u[1:] <= 0.0) or np.min(np.abs(u)) < 1e-6 * peak:
+        raise BranchSingular(f"branch {name}: u vanishes on [0, pi], the solution a has a pole")
+    nodes = np.arange(potential.n) * substeps
+    w = pf.PeriodicFn(-c_aff * du[nodes] / u[nodes], "periodic")
+    w = _polish_riccati(w, potential, c_aff)
+    return RiccatiBranch(solution=w, branch=name, multiplier=float(mu), c_aff=c_aff)
+
+
+def riccati_branch(
+    potential: pf.PeriodicFn, c_aff: float, branch: str, substeps: int = DEFAULT_SUBSTEPS
+) -> RiccatiBranch:
+    """The periodic Riccati solution of one branch, "plus" or "minus".
+
+    Equal, bit for bit, to the matching member of
+    riccati_periodic_solutions, but it shoots once and polishes only the
+    requested branch.  A bad label raises ValueError before any
+    integration.  Raises NoRealFixedPoints for an elliptic (or
+    near-parabolic) period matrix, and BranchSingular only when this
+    branch has a pole.
+    """
+    _pick_branch(_BRANCHES, branch)
+    floquet, traj = _shoot_riccati(potential, c_aff, substeps)
+    mu, v = _pick_branch(floquet, branch)
+    return _riccati_from_floquet(potential, c_aff, substeps, branch, mu, v, traj)
+
+
+def riccati_periodic_solutions(
+    potential: pf.PeriodicFn, c_aff: float, substeps: int = DEFAULT_SUBSTEPS
+):
+    """Both periodic Riccati solutions for the given Hill potential and c.
+
+    Returns (plus, minus) ordered by Floquet multiplier modulus, from one
+    shooting (see _shoot_riccati); each member equals riccati_branch with
+    its label.  Raises NoRealFixedPoints when the period matrix is
+    elliptic (or within tolerance of parabolic), and BranchSingular when
+    either branch's u vanishes somewhere (that periodic solution has a
+    pole there).  Callers that need one branch should use riccati_branch,
+    which polishes only that one.
+    """
+    floquet, traj = _shoot_riccati(potential, c_aff, substeps)
+    return tuple(
+        _riccati_from_floquet(potential, c_aff, substeps, name, mu, v, traj)
+        for name, (mu, v) in zip(_BRANCHES, floquet)
+    )
 
 
 def _polish_riccati(w: pf.PeriodicFn, potential: pf.PeriodicFn, c: float) -> pf.PeriodicFn:
-    """Newton-correct a near-solution of c w' = w^2 - 1 - c^2 p in place.
+    """Newton-correct a near-solution of c w' = w^2 - 1 - c^2 p.
 
     The time stepper leaves an O(h^4) defect that compounds when
     transformations are stacked; one or two spectral Newton steps push it
     to roundoff.  Each step solves delta' - (2w/c) delta = -defect, whose
     homogeneous multiplier is the inverse square of the Floquet multiplier,
     safely away from 1 on a hyperbolic branch.
+
+    The polish stops once the defect is at its roundoff floor,
+    4 n eps max(1, max|w|): the spectral derivative of w carries an error
+    that grows like n eps |w| (Trefethen, Spectral Methods in MATLAB,
+    ch. 3), so no Newton step can push the defect below it, and a further
+    O(n^3) dense solve would change nothing.  At most two steps are taken.
     """
+    floor = 4.0 * w.n * np.finfo(float).eps * max(1.0, float(np.max(np.abs(w.samples))))
     for _ in range(2):
         defect = pf.differentiate(w) - (w * w - 1.0) / c + c * potential
-        if np.max(np.abs(defect.samples)) < 1e-13:
+        if np.max(np.abs(defect.samples)) < floor:
             break
         try:
             w = w + pf.solve_linear_periodic((2.0 / c) * w, -defect)

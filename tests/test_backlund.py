@@ -4,6 +4,8 @@ import pytest
 import centrokdv.periodic_fn as pf
 import centrokdv.curve_core as cc
 import centrokdv.backlund as bk
+import centrokdv.kdv_flow as kf
+import centrokdv.riccati_monodromy as rm
 from centrokdv.errors import (
     BranchSingular,
     Degenerate,
@@ -243,6 +245,37 @@ def test_projective_bad_label_fails_before_integrating(monkeypatch):
     monkeypatch.setattr(bk, "moebius_monodromy", forbidden)
     with pytest.raises(ValueError, match="branch must be"):
         bk.apply_tc_projective(bump_curve(64), 4.0, "both")
+
+
+def test_apply_tc_shoots_and_solves_once_at_512(monkeypatch):
+    G = cc.lift(cc.random_projective(np.random.default_rng(2), 512))
+    shootings, solves = [], []
+    shoot, solve = rm.hill_fundamental, pf.solve_linear_periodic
+    monkeypatch.setattr(rm, "hill_fundamental", lambda *a, **kw: shootings.append(1) or shoot(*a, **kw))
+    monkeypatch.setattr(pf, "solve_linear_periodic", lambda *a: solves.append(a[0].n) or solve(*a))
+    bk.apply_tc(G, 0.5, "minus")
+    # only the requested branch is polished, and one Newton step reaches
+    # the defect's n eps floor
+    assert shootings == [1]
+    assert solves == [512]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda G: bk.apply_tc(G, 0.5, "both"),
+        lambda G: bk.pushforward_tangent(G, 0.5, "both", pf.constant(1.0, G.n)),
+        lambda G: kf.commutation_check(G, 0.5, "both"),
+    ],
+    ids=["apply_tc", "pushforward_tangent", "commutation_check"],
+)
+def test_plane_bad_label_fails_before_integrating(call, monkeypatch):
+    shootings = []
+    shoot = rm.hill_fundamental
+    monkeypatch.setattr(rm, "hill_fundamental", lambda *a, **kw: shootings.append(1) or shoot(*a, **kw))
+    with pytest.raises(ValueError, match="branch must be"):
+        call(cc.lift(bump_curve(64)))
+    assert shootings == []
 
 
 def test_permutability_equal_constants_rejected():

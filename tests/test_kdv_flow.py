@@ -312,7 +312,7 @@ def test_flow_keeps_the_branch_multipliers(anchor):
 def test_commutation_evolves_and_solves_the_flowed_curve_once(monkeypatch):
     calls = []
     solves = []
-    evolve, solve = kf.evolve_curve, kf.riccati_periodic_solutions
+    evolve, solve = kf.evolve_curve, kf.riccati_branch
 
     def counted_evolve(Gamma, s_end, **kw):
         calls.append((Gamma, s_end))
@@ -323,7 +323,7 @@ def test_commutation_evolves_and_solves_the_flowed_curve_once(monkeypatch):
         return solve(*args, **kw)
 
     monkeypatch.setattr(kf, "evolve_curve", counted_evolve)
-    monkeypatch.setattr(kf, "riccati_periodic_solutions", counted_solve)
+    monkeypatch.setattr(kf, "riccati_branch", counted_solve)
     G = gentle_curve(amp=0.05)
     assert kf.commutation_check(G, 0.5, s=0.02) < 1e-5
     # one pass carries the transformed curve and the curve itself, and the

@@ -137,6 +137,30 @@ def test_riccati_zero_param():
         rm.riccati_periodic_solutions(pf.constant(-1.0, 64), 0.0)
 
 
+@pytest.mark.parametrize("n", [128, 512])
+def test_riccati_branch_equals_its_member_of_the_pair(n):
+    p = cc.curvature(cc.lift(cc.random_projective(np.random.default_rng(1), n)))
+    pair = rm.riccati_periodic_solutions(p, 0.5)
+    for label, member in zip(("plus", "minus"), pair):
+        one = rm.riccati_branch(p, 0.5, label)
+        assert np.array_equal(one.solution.samples, member.solution.samples)
+        assert (one.branch, one.multiplier, one.c_aff) == (member.branch, member.multiplier, member.c_aff)
+
+
+def test_polish_floor_keeps_a_needed_second_step(monkeypatch):
+    # one RK4 substep leaves a defect that one Newton step does not bring
+    # to the floor: the polish must still take its second step
+    p = cc.curvature(cc.lift(cc.random_projective(np.random.default_rng(1), 128, strength=0.9)))
+    solves = []
+    solve = pf.solve_linear_periodic
+    monkeypatch.setattr(pf, "solve_linear_periodic", lambda *a: solves.append(1) or solve(*a))
+    for label in ("plus", "minus"):
+        del solves[:]
+        branch = rm.riccati_branch(p, 0.5, label, substeps=1)
+        assert len(solves) == 2
+        assert riccati_residual(branch, p) <= 1e-13
+
+
 def test_riccati_random_curve_residuals():
     rng = np.random.default_rng(22)
     p = cc.curvature(cc.lift(cc.random_projective(rng, 128)))
