@@ -175,16 +175,22 @@ def pushforward_tangent(
 
     The profile f at Gamma maps to the unique periodic solution g of
     g' - (2w/c) g = -f' - (2w/c) f.  On a hyperbolic branch the
-    homogeneous multiplier is 1/mu^2 != 1, so the solve never resonates.
-    Pass riccati to reuse an already computed branch; otherwise the branch
-    named by the label is computed alone (riccati_branch), and a bad label
-    fails before any integration.
+    homogeneous multiplier is 1/mu^2 != 1, so the solve never resonates;
+    it is the branch's own O(n log n) Floquet solve
+    (RiccatiBranch.solve_linear).  Pass riccati to reuse an already
+    computed branch; it must carry the same label and constant, else
+    ValueError.  Otherwise the branch named by the label is computed alone
+    (riccati_branch).  A bad label fails before any integration or solve.
     """
+    _pick_branch(_BRANCHES, branch)
     if riccati is None:
         riccati = riccati_branch(curvature(Gamma), c_aff, branch, substeps=substeps)
+    elif (riccati.branch, riccati.c_aff) != (branch, c_aff):
+        raise ValueError(
+            f"riccati is branch {riccati.branch!r} at c = {riccati.c_aff!r}, not {branch!r} at {c_aff!r}"
+        )
     kappa = (2.0 / c_aff) * riccati.solution
-    rhs = -pf.differentiate(f) - kappa * f
-    return pf.solve_linear_periodic(kappa, rhs)
+    return riccati.solve_linear(-pf.differentiate(f) - kappa * f)
 
 
 def moebius_conjugacy_residual(

@@ -255,6 +255,25 @@ def values_with_wrap(f: PeriodicFn, m: int) -> np.ndarray:
     return np.concatenate([vals, [endpoint]])
 
 
+def values_and_slopes_with_wrap(samples: np.ndarray, m: int) -> np.ndarray:
+    """Rows f and f' of a periodic interpolant at the m+1 points of [0, pi] inclusive.
+
+    The same numbers as values_with_wrap of f and of differentiate(f), from
+    raw periodic samples, with one real transform each way.
+    """
+    n = samples.shape[0]
+    if m < n or m % 2:
+        raise ValueError("target sample count must be even and >= current")
+    c = np.fft.rfft(samples) * (m / n)
+    if m > n:
+        c[n // 2] *= 0.5  # split the self-conjugate Nyquist coefficient, as upsample does
+    rows = np.zeros((2, m // 2 + 1), dtype=complex)
+    rows[0, : n // 2 + 1] = c
+    rows[1, : n // 2 + 1] = c * _derivative_factors(n, "periodic", 1)[0][: n // 2 + 1]
+    vals = np.fft.irfft(rows, n=m, axis=1)
+    return np.concatenate([vals, vals[:, :1]], axis=1)
+
+
 def shift(f: PeriodicFn, s: float) -> PeriodicFn:
     """Samples of f(t + s) on the same grid."""
     c = spectrum(f) * np.exp(1j * _freq(f.n, f.parity) * s)
@@ -273,9 +292,13 @@ def _diff_matrix(n: int) -> np.ndarray:
 def solve_linear_periodic(kappa: PeriodicFn, rhs: PeriodicFn) -> PeriodicFn:
     """Solve g' - kappa*g = rhs for the unique periodic g.
 
-    Uses spectral collocation: (D - diag(kappa)) g = rhs on the grid.
-    Uniqueness requires the homogeneous monodromy multiplier
-    exp(int_0^pi kappa dt) to stay away from 1; otherwise ``Resonant``.
+    Uses spectral collocation: (D - diag(kappa)) g = rhs on the grid, one
+    O(n^3) dense solve.  Uniqueness requires the homogeneous monodromy
+    multiplier exp(int_0^pi kappa dt) to stay away from 1; otherwise
+    ``Resonant``.  The reference solver: no package code calls it.  The
+    Riccati polish and pushforward_tangent use the O(n log n) Floquet
+    solve bound to their branch (riccati_monodromy.RiccatiBranch.solve_linear),
+    which tests compare against this one.
     """
     if kappa.parity != "periodic" or rhs.parity != "periodic":
         raise ValueError("kappa and rhs must both be periodic")

@@ -16,13 +16,13 @@ spectral invariants.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import periodic_fn as pf
 from .curve_core import ProjectiveCurve, wrap_half_pi
-from .errors import BranchSingular, Degenerate, NoRealFixedPoints, Resonant, ZeroParam
+from .errors import BranchSingular, Degenerate, NoRealFixedPoints, ZeroParam
 
 __all__ = [
     "MonodromyMatrix",
@@ -43,6 +43,7 @@ DEFAULT_SUBSTEPS = 8
 PARABOLIC_TOL = 1e-9
 _BRANCHES = ("plus", "minus")
 TRANSFER_CHUNK = 256  # RK4 steps whose propagators are built and multiplied at once
+_SOLVE_PASSES = 8  # cap on RiccatiBranch.solve_linear's defect-correction passes
 
 
 def _mul(a, b):
@@ -256,6 +257,22 @@ def hill_fundamental(
 
 
 @dataclass(frozen=True)
+class _FloquetFactor:
+    """A branch's Floquet solution u, in the direction in which it grows.
+
+    u2 and du2 hold u^2 and (u^2)' at the RK4 step points of [0, pi], and
+    u(t + pi) = mu u(t) with |mu| > 1.  For the minus branch the frame is
+    reflected: t runs backward from pi, on the potential p(pi - t).
+    """
+
+    u2: np.ndarray
+    du2: np.ndarray
+    mu: float
+    substeps: int
+    reflected: bool
+
+
+@dataclass(frozen=True)
 class RiccatiBranch:
     """One periodic solution of the quadratic relation c w' = w^2 - 1 - c^2 p,
     p the Hill potential, tagged by which Floquet branch produced it."""
@@ -264,6 +281,39 @@ class RiccatiBranch:
     branch: str
     multiplier: float
     c_aff: float
+    _factor: _FloquetFactor = field(repr=False, compare=False)
+
+    def solve_linear(self, rhs: pf.PeriodicFn) -> pf.PeriodicFn:
+        """The periodic g of g' - (2w/c) g = rhs on the grid, w this solution.
+
+        This is the Newton equation of the relation and the pushforward of
+        tangent deformations.  Its homogeneous multiplier is 1/mu^2 for the
+        branch's Floquet multiplier mu, so it never resonates on a
+        hyperbolic branch.  Each pass is the O(n log n) _floquet_solve in
+        the frame the branch was shot in.  A smooth rhs reaches the
+        residual's roundoff floor, 4 n eps max(|rhs|, |(2w/c) g|), in one
+        pass.  Nyquist content takes a few more: the algebraic Nyquist step
+        leaves near-Nyquist residual of relative size |kappa - mean
+        kappa| / |mean kappa|, and each further pass shrinks it about
+        300-fold at n = 128 and 1000-fold at n = 512.
+        """
+        if rhs.parity != "periodic" or rhs.n != self.solution.n:
+            raise ValueError("rhs must be periodic on the solution's grid")
+        kappa = (2.0 / self.c_aff) * self.solution.samples
+        reflected = self._factor.reflected
+        if reflected:  # g~(s) = g(pi - s) solves g~' - k~ g~ = -rhs(pi - s), k~(s) = -kappa(pi - s)
+            kappa, r = -_reflect(kappa), -_reflect(rhs.samples)
+        else:
+            r = rhs.samples
+        eps_n = 4.0 * r.shape[0] * np.finfo(float).eps
+        g, residual = np.zeros_like(r), r
+        for _ in range(_SOLVE_PASSES):
+            g = g + _floquet_solve(self._factor, kappa, residual)
+            kappa_g = kappa * g
+            residual = r - pf.differentiate_samples(g, "periodic") + kappa_g
+            if np.max(np.abs(residual)) <= eps_n * max(np.max(np.abs(r)), np.max(np.abs(kappa_g))):
+                break
+        return pf.PeriodicFn(_reflect(g) if reflected else g, "periodic")
 
 
 def _pick_branch(pair, branch: str):
@@ -273,33 +323,77 @@ def _pick_branch(pair, branch: str):
     return pair[0] if branch == "plus" else pair[1]
 
 
-def _shoot_riccati(potential: pf.PeriodicFn, c_aff: float, substeps: int):
-    """One shooting for both branches: the Floquet data and the trajectory.
+def _reflect(samples: np.ndarray) -> np.ndarray:
+    """Samples of f(pi - t) from the samples of a pi-periodic f on the same grid."""
+    return np.concatenate([samples[:1], samples[:0:-1]])
+
+
+def _integrate_along(factor: _FloquetFactor, rhs: np.ndarray) -> np.ndarray:
+    """Node values of g from u(t)^2 g(t) = u(0)^2 g(0) + int_0^t u^2 rhs.
+
+    Periodicity fixes u(0)^2 g(0) (mu^2 - 1) = int_0^pi u^2 rhs.  u grows
+    along t, so dividing by u(t)^2 damps the quadrature error rather than
+    amplifying it.  The cumulative integral is the endpoint-corrected
+    trapezoid rule, 4th order at every step point for any substep count,
+    with (u^2 rhs)' from the trajectory's u' and the spectral rhs'.
+    """
+    steps = factor.u2.shape[0] - 1
+    h = np.pi / steps
+    r_fine, dr_fine = pf.values_and_slopes_with_wrap(rhs, steps)
+    f = factor.u2 * r_fine
+    df = factor.du2 * r_fine + factor.u2 * dr_fine
+    cumulative = np.empty(steps + 1)
+    cumulative[0] = 0.0
+    np.cumsum(0.5 * h * (f[:-1] + f[1:]) + (h * h / 12.0) * (df[:-1] - df[1:]), out=cumulative[1:])
+    start = cumulative[-1] / (factor.mu**2 - 1.0)
+    nodes = slice(0, steps, factor.substeps)
+    return (start + cumulative[nodes]) / factor.u2[nodes]
+
+
+def _floquet_solve(factor: _FloquetFactor, kappa: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Periodic g of g' - kappa g = rhs on the grid, samples in the factor's frame.
+
+    kappa is 2w/c for the branch's current w, which the integrating
+    factor u^2 matches up to the polish: with kappa = -2u'/u the equation
+    is exactly (u^2 g)' = u^2 rhs (_integrate_along).  One
+    defect-correction sweep against the spectral residual absorbs both
+    the quadrature error and the gap between kappa and -2u'/u.  The
+    collocation derivative zeroes the Nyquist mode cos(nt), which the
+    continuous solve cannot reach (Trefethen, Spectral Methods in MATLAB,
+    ch. 3), so that one coefficient is set algebraically: D g has no
+    Nyquist part, so adding a (-1)^k to g moves the residual's Nyquist
+    coefficient by a mean(kappa).  mean(kappa) is about -(2/pi) ln|mu|,
+    nonzero on a hyperbolic branch.
+    """
+    g = _integrate_along(factor, rhs)
+    residual = rhs - pf.differentiate_samples(g, "periodic") + kappa * g
+    g = g + _integrate_along(factor, residual)
+    alternating = np.resize([1.0, -1.0], g.shape[0])
+    return g - (np.mean((rhs + kappa * g) * alternating) / np.mean(kappa)) * alternating
+
+
+def _shoot_branch(potential: pf.PeriodicFn, c_aff: float, branch: str, substeps: int):
+    """Floquet multiplier and (u, u') trajectory of one branch, in its growing direction.
 
     The quadratic relation is linearized by w = -c u'/u with
     u'' = (potential + 1/c^2) u; periodic w correspond to Floquet
-    solutions, i.e. eigenvectors of the period matrix.  Returns
-    ((mu_plus, v_plus), (mu_minus, v_minus)) ordered by eigenvalue modulus
-    and the fundamental-matrix trajectory.
+    solutions, i.e. eigenvectors of the period matrix.  The plus branch
+    grows forward and is shot forward.  The minus branch is shot forward
+    on the reflected potential p(pi - t), which is integrating it backward
+    from pi: there it is the dominant eigenvector, with multiplier
+    1/mu_minus.  Each branch is so computed in the direction in which it
+    dominates (the dichotomy principle: Ascher, Mattheij & Russell,
+    Numerical Solution of Boundary Value Problems for ODEs, SIAM 1995),
+    and no solution is found by cancellation.
     """
     if c_aff == 0.0:
         raise ZeroParam("c must be nonzero")
     shifted = potential + 1.0 / c_aff**2
+    if branch == "minus":
+        shifted = pf.PeriodicFn(_reflect(shifted.samples), "periodic")
     mono, traj = hill_fundamental(shifted, substeps=substeps, keep_trajectory=True)
-    return mono.eigen_system(), traj
-
-
-def _riccati_from_floquet(potential, c_aff, substeps, name, mu, v, traj) -> RiccatiBranch:
-    """The polished periodic Riccati solution of one Floquet eigenvector v."""
-    sol = traj @ v  # (u, u') along the period
-    u, du = sol[:, 0], sol[:, 1]
-    peak = np.max(np.abs(u))
-    if np.any(u[:-1] * u[1:] <= 0.0) or np.min(np.abs(u)) < 1e-6 * peak:
-        raise BranchSingular(f"branch {name}: u vanishes on [0, pi], the solution a has a pole")
-    nodes = np.arange(potential.n) * substeps
-    w = pf.PeriodicFn(-c_aff * du[nodes] / u[nodes], "periodic")
-    w = _polish_riccati(w, potential, c_aff)
-    return RiccatiBranch(solution=w, branch=name, multiplier=float(mu), c_aff=c_aff)
+    (mu, v), _ = mono.eigen_system()
+    return mu, traj @ v
 
 
 def riccati_branch(
@@ -307,17 +401,28 @@ def riccati_branch(
 ) -> RiccatiBranch:
     """The periodic Riccati solution of one branch, "plus" or "minus".
 
-    Equal, bit for bit, to the matching member of
-    riccati_periodic_solutions, but it shoots once and polishes only the
-    requested branch.  A bad label raises ValueError before any
+    The branch is shot in the direction in which its Floquet solution
+    grows (_shoot_branch), so its pole test is a sign change of u alone,
+    and Newton-polished with an O(n log n) solve bound to that solution
+    (_polish_riccati); the returned branch keeps that solve as
+    RiccatiBranch.solve_linear.  A bad label raises ValueError before any
     integration.  Raises NoRealFixedPoints for an elliptic (or
-    near-parabolic) period matrix, and BranchSingular only when this
-    branch has a pole.
+    near-parabolic) period matrix, and BranchSingular when this branch's
+    u changes sign, i.e. w has a pole.
     """
     _pick_branch(_BRANCHES, branch)
-    floquet, traj = _shoot_riccati(potential, c_aff, substeps)
-    mu, v = _pick_branch(floquet, branch)
-    return _riccati_from_floquet(potential, c_aff, substeps, branch, mu, v, traj)
+    mu, sol = _shoot_branch(potential, c_aff, branch, substeps)
+    u, du = sol[:, 0], sol[:, 1]
+    if np.any(u[:-1] * u[1:] <= 0.0):
+        raise BranchSingular(f"branch {branch}: u vanishes on [0, pi], the solution w has a pole")
+    factor = _FloquetFactor(u * u, 2.0 * u * du, float(mu), substeps, branch == "minus")
+    nodes = slice(0, u.shape[0] - 1, substeps)
+    w = -c_aff * du[nodes] / u[nodes]
+    frame_potential = _reflect(potential.samples) if factor.reflected else potential.samples
+    w = _polish_riccati(w, frame_potential, c_aff, factor)
+    if factor.reflected:  # w(t) = -w~(pi - t)
+        w, mu = -_reflect(w), 1.0 / mu
+    return RiccatiBranch(pf.PeriodicFn(w, "periodic"), branch, float(mu), c_aff, factor)
 
 
 def riccati_periodic_solutions(
@@ -325,45 +430,39 @@ def riccati_periodic_solutions(
 ):
     """Both periodic Riccati solutions for the given Hill potential and c.
 
-    Returns (plus, minus) ordered by Floquet multiplier modulus, from one
-    shooting (see _shoot_riccati); each member equals riccati_branch with
-    its label.  Raises NoRealFixedPoints when the period matrix is
-    elliptic (or within tolerance of parabolic), and BranchSingular when
-    either branch's u vanishes somewhere (that periodic solution has a
-    pole there).  Callers that need one branch should use riccati_branch,
-    which polishes only that one.
+    Returns (plus, minus) ordered by Floquet multiplier modulus; each
+    member equals riccati_branch with its label, and each is shot in its
+    own growing direction.  Raises NoRealFixedPoints when the period
+    matrix is elliptic (or within tolerance of parabolic), and
+    BranchSingular when either branch's u vanishes somewhere (that
+    periodic solution has a pole there).  Callers that need one branch
+    should use riccati_branch, which shoots and polishes only that one.
     """
-    floquet, traj = _shoot_riccati(potential, c_aff, substeps)
-    return tuple(
-        _riccati_from_floquet(potential, c_aff, substeps, name, mu, v, traj)
-        for name, (mu, v) in zip(_BRANCHES, floquet)
-    )
+    return tuple(riccati_branch(potential, c_aff, name, substeps) for name in _BRANCHES)
 
 
-def _polish_riccati(w: pf.PeriodicFn, potential: pf.PeriodicFn, c: float) -> pf.PeriodicFn:
-    """Newton-correct a near-solution of c w' = w^2 - 1 - c^2 p.
+def _polish_riccati(w: np.ndarray, potential: np.ndarray, c: float, factor: _FloquetFactor) -> np.ndarray:
+    """Newton-correct samples of a near-solution of c w' = w^2 - 1 - c^2 p.
 
     The time stepper leaves an O(h^4) defect that compounds when
-    transformations are stacked; one or two spectral Newton steps push it
-    to roundoff.  Each step solves delta' - (2w/c) delta = -defect, whose
-    homogeneous multiplier is the inverse square of the Floquet multiplier,
-    safely away from 1 on a hyperbolic branch.
+    transformations are stacked; spectral Newton steps push it to
+    roundoff.  Each step solves delta' - (2w/c) delta = -defect with the
+    O(n log n) Floquet solve of the branch (_floquet_solve), in the frame
+    the branch was shot in.  That solve is inexact, since its integrating
+    factor is the shot u, so Newton converges linearly; at most four
+    steps are taken.
 
     The polish stops once the defect is at its roundoff floor,
     4 n eps max(1, max|w|): the spectral derivative of w carries an error
     that grows like n eps |w| (Trefethen, Spectral Methods in MATLAB,
-    ch. 3), so no Newton step can push the defect below it, and a further
-    O(n^3) dense solve would change nothing.  At most two steps are taken.
+    ch. 3), so no Newton step can push the defect below it.
     """
-    floor = 4.0 * w.n * np.finfo(float).eps * max(1.0, float(np.max(np.abs(w.samples))))
-    for _ in range(2):
-        defect = pf.differentiate(w) - (w * w - 1.0) / c + c * potential
-        if np.max(np.abs(defect.samples)) < floor:
+    floor = 4.0 * w.shape[0] * np.finfo(float).eps * max(1.0, float(np.max(np.abs(w))))
+    for _ in range(4):
+        defect = pf.differentiate_samples(w, "periodic") - (w * w - 1.0) / c + c * potential
+        if np.max(np.abs(defect)) < floor:
             break
-        try:
-            w = w + pf.solve_linear_periodic((2.0 / c) * w, -defect)
-        except Resonant:
-            break  # weakly hyperbolic: keep the shooting solution
+        w = w + _floquet_solve(factor, (2.0 / c) * w, -defect)
     return w
 
 

@@ -247,17 +247,54 @@ def test_projective_bad_label_fails_before_integrating(monkeypatch):
         bk.apply_tc_projective(bump_curve(64), 4.0, "both")
 
 
-def test_apply_tc_shoots_and_solves_once_at_512(monkeypatch):
+def test_apply_tc_shoots_once_at_512(monkeypatch):
     G = cc.lift(cc.random_projective(np.random.default_rng(2), 512))
-    shootings, solves = [], []
-    shoot, solve = rm.hill_fundamental, pf.solve_linear_periodic
+    shootings = []
+    shoot = rm.hill_fundamental
     monkeypatch.setattr(rm, "hill_fundamental", lambda *a, **kw: shootings.append(1) or shoot(*a, **kw))
-    monkeypatch.setattr(pf, "solve_linear_periodic", lambda *a: solves.append(a[0].n) or solve(*a))
     bk.apply_tc(G, 0.5, "minus")
-    # only the requested branch is polished, and one Newton step reaches
-    # the defect's n eps floor
+    # only the requested branch is shot, in its growing direction
     assert shootings == [1]
-    assert solves == [512]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda G: bk.apply_tc(G, 0.5, "minus"),
+        lambda G: bk.pushforward_tangent(G, 0.5, "plus", pf.random_band_limited(np.random.default_rng(3), G.n)),
+        lambda G: kf.commutation_check(G, 0.5, "minus"),
+    ],
+    ids=["apply_tc", "pushforward_tangent", "commutation_check"],
+)
+def test_plane_map_makes_no_dense_solve(call, monkeypatch):
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+    call(cc.lift(cc.random_projective(np.random.default_rng(1), 128)))
+    assert solves == []
+
+
+@pytest.mark.parametrize("label", ["plus", "minus"])
+@pytest.mark.parametrize("c", [0.22, 0.2, 0.1])
+def test_strongly_hyperbolic_circle_has_no_false_pole(c, label):
+    # the Floquet solution grows by |mu| > 1e6 over the period here, yet w is constant
+    res = bk.apply_tc(cc.lift(cc.make_circle(128)), c, label)
+    want = c * np.sqrt(1.0 / c**2 - 1.0) * (1.0 if label == "minus" else -1.0)
+    assert np.max(np.abs(res.riccati.solution.samples - want)) <= 1e-12
+
+
+def test_pushforward_rejects_a_riccati_branch_of_another_request(monkeypatch):
+    G = cc.lift(cc.random_projective(np.random.default_rng(1), 128))
+    f = pf.random_band_limited(np.random.default_rng(3), 128)
+    plus = rm.riccati_branch(cc.curvature(G), 0.5, "plus")
+
+    def forbidden(*args):
+        raise AssertionError("solved before checking the request")
+
+    monkeypatch.setattr(rm, "_floquet_solve", forbidden)
+    for branch, c in (("both", 0.5), ("minus", 0.5), ("plus", 0.4)):
+        with pytest.raises(ValueError):
+            bk.pushforward_tangent(G, c, branch, f, riccati=plus)
 
 
 @pytest.mark.parametrize(

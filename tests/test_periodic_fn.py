@@ -175,6 +175,15 @@ def test_parity_algebra():
     assert np.allclose(prod.samples, 0.5 * np.sin(2 * prod.grid), atol=1e-14)
 
 
+@pytest.mark.parametrize("m", [32, 96, 256])
+def test_values_and_slopes_match_values_with_wrap(m):
+    # every mode of the grid, the unpaired Nyquist mode (-1)^k included
+    f = pf.random_band_limited(np.random.default_rng(5), 32, max_mode=15) + pf.PeriodicFn(np.resize([0.3, -0.3], 32))
+    vals, slopes = pf.values_and_slopes_with_wrap(f.samples, m)
+    assert np.max(np.abs(vals - pf.values_with_wrap(f, m))) <= 1e-14
+    assert np.max(np.abs(slopes - pf.values_with_wrap(pf.differentiate(f), m))) <= 1e-12
+
+
 def test_solve_linear_periodic_constant_case():
     n = 32
     kappa = pf.constant(1.0, n)

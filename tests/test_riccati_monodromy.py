@@ -149,16 +149,52 @@ def test_riccati_branch_equals_its_member_of_the_pair(n):
 
 def test_polish_floor_keeps_a_needed_second_step(monkeypatch):
     # one RK4 substep leaves a defect that one Newton step does not bring
-    # to the floor: the polish must still take its second step
+    # to the floor: the polish must still take a second step
     p = cc.curvature(cc.lift(cc.random_projective(np.random.default_rng(1), 128, strength=0.9)))
     solves = []
-    solve = pf.solve_linear_periodic
-    monkeypatch.setattr(pf, "solve_linear_periodic", lambda *a: solves.append(1) or solve(*a))
+    solve = rm._floquet_solve
+    monkeypatch.setattr(rm, "_floquet_solve", lambda *a: solves.append(1) or solve(*a))
     for label in ("plus", "minus"):
         del solves[:]
         branch = rm.riccati_branch(p, 0.5, label, substeps=1)
-        assert len(solves) == 2
+        assert len(solves) >= 2
         assert riccati_residual(branch, p) <= 1e-13
+
+
+def collocation_residual(branch, g, rhs):
+    return np.max(np.abs((pf.differentiate(g) - (2.0 / branch.c_aff) * branch.solution * g - rhs).samples))
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_floquet_solve_matches_the_dense_solve(n):
+    p = cc.curvature(cc.lift(cc.random_projective(np.random.default_rng(1), n)))
+    rhs = pf.random_band_limited(np.random.default_rng(3), n)
+    for label in ("plus", "minus"):
+        branch = rm.riccati_branch(p, 0.5, label)
+        g = branch.solve_linear(rhs)
+        dense = pf.solve_linear_periodic((2.0 / branch.c_aff) * branch.solution, rhs)
+        assert np.max(np.abs(g.samples - dense.samples)) <= 1e-12 * np.max(np.abs(dense.samples))
+        assert collocation_residual(branch, g, rhs) <= collocation_residual(branch, dense, rhs)
+
+
+def test_floquet_solve_reaches_the_nyquist_mode():
+    # the collocation derivative zeroes (-1)^k, so the continuous solve alone cannot reach it
+    p = cc.curvature(cc.lift(cc.random_projective(np.random.default_rng(1), 128)))
+    rhs = pf.PeriodicFn(np.resize([1.0, -1.0], 128))
+    for label in ("plus", "minus"):
+        branch = rm.riccati_branch(p, 0.5, label)
+        assert collocation_residual(branch, branch.solve_linear(rhs), rhs) <= 1e-13
+
+
+def test_minus_branch_is_shot_backward():
+    # on the reflected potential p(pi - t) the minus branch dominates, with multiplier 1/mu_minus
+    p = cc.curvature(cc.lift(cc.random_projective(np.random.default_rng(1), 128, strength=0.9)))
+    plus, minus = rm.riccati_periodic_solutions(p, 0.5)
+    reflected = pf.PeriodicFn(np.roll(p.samples[::-1], 1))
+    r_plus, r_minus = rm.riccati_periodic_solutions(reflected, 0.5)
+    assert np.max(np.abs(minus.solution.samples + np.roll(r_plus.solution.samples[::-1], 1))) <= 1e-13
+    assert np.max(np.abs(plus.solution.samples + np.roll(r_minus.solution.samples[::-1], 1))) <= 1e-13
+    assert abs(minus.multiplier * r_plus.multiplier - 1.0) <= 1e-13
 
 
 def test_riccati_random_curve_residuals():
