@@ -37,6 +37,7 @@ from .riccati_monodromy import (
     DEFAULT_SUBSTEPS,
     RiccatiBranch,
     _pick_branch,
+    _reflect,
     conjugator,
     conjugator_affine,
     moebius_apply_angle,
@@ -122,30 +123,16 @@ def apply_tc(
     return BacklundResult(gate_image(g1, g2), sol, image_curvature, param)
 
 
-def apply_tc_projective(
-    gamma: ProjectiveCurve,
-    c_pr: float,
-    branch: str = "minus",
-    substeps: int = DEFAULT_SUBSTEPS,
-) -> ProjectiveCurve:
-    """Projective picture of the plane map, entirely in the angle chart.
+def _reflect_curve(gamma: ProjectiveCurve) -> ProjectiveCurve:
+    """The curve with angle pi - phi(pi - t), i.e. psi(t) -> -psi(pi - t); an involution."""
+    return ProjectiveCurve(pf.PeriodicFn(-_reflect(gamma.psi.samples), "periodic"))
 
-    The image angle solves chi' = c_pr sin^2(chi - phi) / phi', started at
-    the fixed point of the scaled Moebius period map chosen by branch
-    label.  Shooting that scalar equation forward is unstable on the
-    repelling branch (errors grow by the squared multiplier), so the angle
-    is taken from the homogeneous form instead: chi(t) is the direction of
-    F(t) v with F the fundamental matrix trajectory and v the fixed
-    direction, which follows the identical equation but closes exactly.  A
-    periodic image must advance by exactly pi over one period; anything
-    else raises BranchSingular, as does an image angle that stalls (the
-    branch collides with gamma).
-    """
-    param_convert(c_pr, "projective")
-    _pick_branch(_BRANCHES, branch)  # a bad label fails before the integration
+
+def _plus_image(gamma: ProjectiveCurve, c_pr: float, substeps: int) -> ProjectiveCurve:
+    """apply_tc_projective's plus branch: chi(t) is the direction of F(t) v,
+    F the fundamental matrix trajectory and v its dominant fixed direction."""
     mono, traj = moebius_monodromy(gamma, c_pr, substeps=substeps, keep_trajectory=True)
-    _, v = _pick_branch(mono.eigen_system(), branch)
-
+    (_, v), _ = mono.eigen_system()
     w = traj @ v
     chi = np.unwrap(np.arctan2(w[:, 0], w[:, 1]))
     chi += wrap_half_pi(float(chi[0])) - chi[0]
@@ -161,6 +148,31 @@ def apply_tc_projective(
         return ProjectiveCurve(psi)
     except NonMonotone as exc:
         raise BranchSingular(f"image angle stalls: {exc}") from exc
+
+
+def apply_tc_projective(
+    gamma: ProjectiveCurve,
+    c_pr: float,
+    branch: str = "minus",
+    substeps: int = DEFAULT_SUBSTEPS,
+) -> ProjectiveCurve:
+    """Projective picture of the plane map, entirely in the angle chart.
+
+    The image angle solves chi' = c_pr sin^2(chi - phi) / phi', started at
+    the fixed point of the scaled Moebius period map chosen by branch
+    label.  As in the plane picture, each branch is computed where it
+    dominates: the plus branch forward along the homogeneous form
+    (_plus_image), which closes without cancellation, and the minus branch,
+    which repels forward, as R(plus image of R(gamma)), with R the
+    involution psi(t) -> -psi(pi - t) that leaves the angle equation
+    invariant.  An image that does not advance by exactly pi over one
+    period, or whose angle stalls (it meets gamma), raises BranchSingular.
+    """
+    param_convert(c_pr, "projective")
+    _pick_branch(_BRANCHES, branch)  # a bad label fails before the integration
+    if branch == "plus":
+        return _plus_image(gamma, c_pr, substeps)
+    return _reflect_curve(_plus_image(_reflect_curve(gamma), c_pr, substeps))
 
 
 def pushforward_tangent(

@@ -66,9 +66,7 @@ class ProjectiveCurve:
         if self.psi.parity != "periodic":
             raise ValueError("psi must be periodic")
         # phi' > 0 is the diffeomorphism condition; check on an 8x finer grid
-        dpsi = pf.differentiate(self.psi)
-        fine = pf.upsample(dpsi, 8 * self.psi.n).samples
-        low = 1.0 + fine.min()
+        low = 1.0 + pf.values_and_slopes_with_wrap(self.psi.samples, 8 * self.psi.n)[1].min()
         if low <= 0.0:
             raise NonMonotone(f"min phi' = {low!r} <= 0")
 

@@ -92,16 +92,13 @@ def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int):
 
     v is (n//2+1, B), one potential's spectrum per column.
     """
-    nu = 2.0 * np.arange(n // 2 + 1)
-    linear = 0.5j * nu**3
-    linear[-1] = 0.0  # odd derivatives of the unpaired Nyquist mode vanish
-    e_full, e_half, q, f1, f2, f3 = (c[:, None] for c in _etdrk4_coeffs(linear, h))
-    nu = nu[:, None]
+    # p_s = -1/2 p''' + 3/2 (p^2)': linear part -1/2 D^3, nonlinear part 3/2 D
+    d1, d3 = (pf._derivative_factors(n, "periodic", k)[0][: n // 2 + 1] for k in (1, 3))
+    e_full, e_half, q, f1, f2, f3 = (c[:, None] for c in _etdrk4_coeffs(-0.5 * d3, h))
+    nonlin_mult = 1.5 * d1[:, None]
 
     def nonlin(vals):
-        out = 1.5j * nu * np.fft.rfft(vals * vals, axis=0)
-        out[-1] = 0.0
-        return out
+        return nonlin_mult * np.fft.rfft(vals * vals, axis=0)
 
     def samples(w):
         return np.fft.irfft(w, n, axis=0)

@@ -155,10 +155,9 @@ def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, keep_trajectory: bo
 
 @dataclass(frozen=True)
 class MonodromyMatrix:
-    """Period map of a pi-periodic planar linear system, plus its parameter."""
+    """Period map of a pi-periodic planar linear system."""
 
     m: np.ndarray
-    meta: dict | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.m, dtype=float)
@@ -252,24 +251,19 @@ def hill_fundamental(
     b[:, 1, 0] = fine
     if keep_trajectory:
         traj = _rk4_transfer(b, h, keep_trajectory=True)
-        return MonodromyMatrix(traj[-1], meta={"kind": "hill"}), traj
-    return MonodromyMatrix(_rk4_transfer(b, h), meta={"kind": "hill"})
+        return MonodromyMatrix(traj[-1]), traj
+    return MonodromyMatrix(_rk4_transfer(b, h))
 
 
 @dataclass(frozen=True)
 class _FloquetFactor:
-    """A branch's Floquet solution u, in the direction in which it grows.
-
-    u2 and du2 hold u^2 and (u^2)' at the RK4 step points of [0, pi], and
-    u(t + pi) = mu u(t) with |mu| > 1.  For the minus branch the frame is
-    reflected: t runs backward from pi, on the potential p(pi - t).
-    """
+    """A branch's Floquet solution u: u2 and du2 hold u^2 and (u^2)' at the
+    RK4 step points of [0, pi], and u(t + pi) = mu u(t)."""
 
     u2: np.ndarray
     du2: np.ndarray
     mu: float
     substeps: int
-    reflected: bool
 
 
 @dataclass(frozen=True)
@@ -289,8 +283,8 @@ class RiccatiBranch:
         This is the Newton equation of the relation and the pushforward of
         tangent deformations.  Its homogeneous multiplier is 1/mu^2 for the
         branch's Floquet multiplier mu, so it never resonates on a
-        hyperbolic branch.  Each pass is the O(n log n) _floquet_solve in
-        the frame the branch was shot in.  A smooth rhs reaches the
+        hyperbolic branch.  Each pass is the O(n log n) _floquet_solve
+        along the branch's Floquet solution.  A smooth rhs reaches the
         residual's roundoff floor, 4 n eps max(|rhs|, |(2w/c) g|), in one
         pass.  Nyquist content takes a few more: the algebraic Nyquist step
         leaves near-Nyquist residual of relative size |kappa - mean
@@ -300,11 +294,7 @@ class RiccatiBranch:
         if rhs.parity != "periodic" or rhs.n != self.solution.n:
             raise ValueError("rhs must be periodic on the solution's grid")
         kappa = (2.0 / self.c_aff) * self.solution.samples
-        reflected = self._factor.reflected
-        if reflected:  # g~(s) = g(pi - s) solves g~' - k~ g~ = -rhs(pi - s), k~(s) = -kappa(pi - s)
-            kappa, r = -_reflect(kappa), -_reflect(rhs.samples)
-        else:
-            r = rhs.samples
+        r = rhs.samples
         eps_n = 4.0 * r.shape[0] * np.finfo(float).eps
         g, residual = np.zeros_like(r), r
         for _ in range(_SOLVE_PASSES):
@@ -313,7 +303,7 @@ class RiccatiBranch:
             residual = r - pf.differentiate_samples(g, "periodic") + kappa_g
             if np.max(np.abs(residual)) <= eps_n * max(np.max(np.abs(r)), np.max(np.abs(kappa_g))):
                 break
-        return pf.PeriodicFn(_reflect(g) if reflected else g, "periodic")
+        return pf.PeriodicFn(g, "periodic")
 
 
 def _pick_branch(pair, branch: str):
@@ -331,8 +321,9 @@ def _reflect(samples: np.ndarray) -> np.ndarray:
 def _integrate_along(factor: _FloquetFactor, rhs: np.ndarray) -> np.ndarray:
     """Node values of g from u(t)^2 g(t) = u(0)^2 g(0) + int_0^t u^2 rhs.
 
-    Periodicity fixes u(0)^2 g(0) (mu^2 - 1) = int_0^pi u^2 rhs.  u grows
-    along t, so dividing by u(t)^2 damps the quadrature error rather than
+    Periodicity fixes u(0)^2 g(0) (mu^2 - 1) = int_0^pi u^2 rhs.  The
+    integral accumulates from the end where u is small (0 if |mu| > 1,
+    else pi), so dividing by u(t)^2 damps the quadrature error rather than
     amplifying it.  The cumulative integral is the endpoint-corrected
     trapezoid rule, 4th order at every step point for any substep count,
     with (u^2 rhs)' from the trajectory's u' and the spectral rhs'.
@@ -342,16 +333,20 @@ def _integrate_along(factor: _FloquetFactor, rhs: np.ndarray) -> np.ndarray:
     r_fine, dr_fine = pf.values_and_slopes_with_wrap(rhs, steps)
     f = factor.u2 * r_fine
     df = factor.du2 * r_fine + factor.u2 * dr_fine
-    cumulative = np.empty(steps + 1)
-    cumulative[0] = 0.0
-    np.cumsum(0.5 * h * (f[:-1] + f[1:]) + (h * h / 12.0) * (df[:-1] - df[1:]), out=cumulative[1:])
-    start = cumulative[-1] / (factor.mu**2 - 1.0)
+    pieces = 0.5 * h * (f[:-1] + f[1:]) + (h * h / 12.0) * (df[:-1] - df[1:])
+    cumulative = np.zeros(steps + 1)  # u^2 g - u(small end)^2 g(small end)
+    if abs(factor.mu) > 1.0:
+        np.cumsum(pieces, out=cumulative[1:])
+        start = cumulative[-1] / (factor.mu**2 - 1.0)
+    else:
+        cumulative[:-1] = -np.cumsum(pieces[::-1])[::-1]
+        start = cumulative[0] / (factor.mu**-2 - 1.0)
     nodes = slice(0, steps, factor.substeps)
     return (start + cumulative[nodes]) / factor.u2[nodes]
 
 
 def _floquet_solve(factor: _FloquetFactor, kappa: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Periodic g of g' - kappa g = rhs on the grid, samples in the factor's frame.
+    """Periodic g of g' - kappa g = rhs on the grid.
 
     kappa is 2w/c for the branch's current w, which the integrating
     factor u^2 matches up to the polish: with kappa = -2u'/u the equation
@@ -372,28 +367,22 @@ def _floquet_solve(factor: _FloquetFactor, kappa: np.ndarray, rhs: np.ndarray) -
     return g - (np.mean((rhs + kappa * g) * alternating) / np.mean(kappa)) * alternating
 
 
-def _shoot_branch(potential: pf.PeriodicFn, c_aff: float, branch: str, substeps: int):
-    """Floquet multiplier and (u, u') trajectory of one branch, in its growing direction.
+def _plus_branch(potential: pf.PeriodicFn, c_aff: float, substeps: int):
+    """Polished node values of the plus branch's w, and its Floquet factor.
 
-    The quadratic relation is linearized by w = -c u'/u with
-    u'' = (potential + 1/c^2) u; periodic w correspond to Floquet
-    solutions, i.e. eigenvectors of the period matrix.  The plus branch
-    grows forward and is shot forward.  The minus branch is shot forward
-    on the reflected potential p(pi - t), which is integrating it backward
-    from pi: there it is the dominant eigenvector, with multiplier
-    1/mu_minus.  Each branch is so computed in the direction in which it
-    dominates (the dichotomy principle: Ascher, Mattheij & Russell,
-    Numerical Solution of Boundary Value Problems for ODEs, SIAM 1995),
-    and no solution is found by cancellation.
+    w = -c u'/u for the dominant Floquet solution u of
+    u'' = (potential + 1/c^2) u, shot forward, the direction in which it grows.
     """
-    if c_aff == 0.0:
-        raise ZeroParam("c must be nonzero")
-    shifted = potential + 1.0 / c_aff**2
-    if branch == "minus":
-        shifted = pf.PeriodicFn(_reflect(shifted.samples), "periodic")
-    mono, traj = hill_fundamental(shifted, substeps=substeps, keep_trajectory=True)
+    mono, traj = hill_fundamental(potential + 1.0 / c_aff**2, substeps=substeps, keep_trajectory=True)
     (mu, v), _ = mono.eigen_system()
-    return mu, traj @ v
+    sol = traj @ v
+    u, du = sol[:, 0], sol[:, 1]
+    if np.any(u[:-1] * u[1:] <= 0.0):
+        raise BranchSingular("u vanishes on [0, pi], the solution w has a pole")
+    factor = _FloquetFactor(u * u, 2.0 * u * du, float(mu), substeps)
+    nodes = slice(0, u.shape[0] - 1, substeps)
+    w = _polish_riccati(-c_aff * du[nodes] / u[nodes], potential.samples, c_aff, factor)
+    return w, factor
 
 
 def riccati_branch(
@@ -401,28 +390,27 @@ def riccati_branch(
 ) -> RiccatiBranch:
     """The periodic Riccati solution of one branch, "plus" or "minus".
 
-    The branch is shot in the direction in which its Floquet solution
-    grows (_shoot_branch), so its pole test is a sign change of u alone,
-    and Newton-polished with an O(n log n) solve bound to that solution
-    (_polish_riccati); the returned branch keeps that solve as
+    Each branch is computed in the direction in which its Floquet solution
+    grows (the dichotomy principle: Ascher, Mattheij & Russell, Numerical
+    Solution of BVPs for ODEs, SIAM 1995).  The minus branch is the plus
+    branch (_plus_branch) of the reflected potential p(pi - t), reflected
+    back: w(t) = -w~(pi - t), multiplier 1/mu~, Floquet solution u~(pi - t).
+    The returned branch keeps the polish's O(n log n) solve as
     RiccatiBranch.solve_linear.  A bad label raises ValueError before any
     integration.  Raises NoRealFixedPoints for an elliptic (or
     near-parabolic) period matrix, and BranchSingular when this branch's
     u changes sign, i.e. w has a pole.
     """
     _pick_branch(_BRANCHES, branch)
-    mu, sol = _shoot_branch(potential, c_aff, branch, substeps)
-    u, du = sol[:, 0], sol[:, 1]
-    if np.any(u[:-1] * u[1:] <= 0.0):
-        raise BranchSingular(f"branch {branch}: u vanishes on [0, pi], the solution w has a pole")
-    factor = _FloquetFactor(u * u, 2.0 * u * du, float(mu), substeps, branch == "minus")
-    nodes = slice(0, u.shape[0] - 1, substeps)
-    w = -c_aff * du[nodes] / u[nodes]
-    frame_potential = _reflect(potential.samples) if factor.reflected else potential.samples
-    w = _polish_riccati(w, frame_potential, c_aff, factor)
-    if factor.reflected:  # w(t) = -w~(pi - t)
-        w, mu = -_reflect(w), 1.0 / mu
-    return RiccatiBranch(pf.PeriodicFn(w, "periodic"), branch, float(mu), c_aff, factor)
+    if c_aff == 0.0:
+        raise ZeroParam("c must be nonzero")
+    if branch == "plus":
+        w, factor = _plus_branch(potential, c_aff, substeps)
+    else:
+        w, f = _plus_branch(pf.PeriodicFn(_reflect(potential.samples), "periodic"), c_aff, substeps)
+        w = -_reflect(w)
+        factor = _FloquetFactor(f.u2[::-1], -f.du2[::-1], 1.0 / f.mu, substeps)
+    return RiccatiBranch(pf.PeriodicFn(w, "periodic"), branch, factor.mu, c_aff, factor)
 
 
 def riccati_periodic_solutions(
@@ -447,10 +435,9 @@ def _polish_riccati(w: np.ndarray, potential: np.ndarray, c: float, factor: _Flo
     The time stepper leaves an O(h^4) defect that compounds when
     transformations are stacked; spectral Newton steps push it to
     roundoff.  Each step solves delta' - (2w/c) delta = -defect with the
-    O(n log n) Floquet solve of the branch (_floquet_solve), in the frame
-    the branch was shot in.  That solve is inexact, since its integrating
-    factor is the shot u, so Newton converges linearly; at most four
-    steps are taken.
+    O(n log n) Floquet solve of the branch (_floquet_solve).  That solve
+    is inexact, since its integrating factor is the shot u, so Newton
+    converges linearly; at most four steps are taken.
 
     The polish stops once the defect is at its roundoff floor,
     4 n eps max(1, max|w|): the spectral derivative of w carries an error
@@ -475,9 +462,9 @@ def _angle_b_half(gamma: ProjectiveCurve, substeps: int) -> np.ndarray:
     [[-gamma, gamma^2], [-1, gamma]]; this helper returns B/lambda.
     """
     m = 2 * substeps * gamma.n
-    t = np.arange(m + 1) * (np.pi / m)
-    phi = t + pf.values_with_wrap(gamma.psi, m)
-    dphi = 1.0 + pf.values_with_wrap(pf.differentiate(gamma.psi), m)
+    psi, dpsi = pf.values_and_slopes_with_wrap(gamma.psi.samples, m)
+    phi = np.arange(m + 1) * (np.pi / m) + psi
+    dphi = 1.0 + dpsi
     s, c = np.sin(phi), np.cos(phi)
     b = np.empty((m + 1, 2, 2))
     b[:, 0, 0] = -s * c
@@ -501,11 +488,10 @@ def moebius_monodromy(
     """
     h = float(lam) * _step_size(substeps, gamma.n)  # lambda scales the step, not the field
     b = _angle_b_half(gamma, substeps)
-    meta = {"kind": "moebius", "lambda": float(lam)}
     if keep_trajectory:
         traj = _rk4_transfer(b, h, keep_trajectory=True)
-        return MonodromyMatrix(traj[-1], meta=meta), traj
-    return MonodromyMatrix(_rk4_transfer(b, h), meta=meta)
+        return MonodromyMatrix(traj[-1]), traj
+    return MonodromyMatrix(_rk4_transfer(b, h))
 
 
 @dataclass(frozen=True)

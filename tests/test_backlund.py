@@ -132,6 +132,47 @@ def test_projective_circle_both_branches():
     assert np.allclose(plus.psi.samples, -np.pi / 6, atol=1e-9)
 
 
+def reflect_curve(gamma):
+    """The curve with angle pi - phi(pi - t): psi(t) -> -psi(pi - t)."""
+    return cc.ProjectiveCurve(pf.PeriodicFn(-np.roll(gamma.psi.samples[::-1], 1), "periodic"))
+
+
+def angle_equation_residual(gamma, delta, c_pr):
+    """Relative sup residual of chi' = c_pr sin^2(chi - phi) / phi' on the grid, chi delta's angle."""
+    rhs = c_pr * np.sin(delta.psi.samples - gamma.psi.samples) ** 2 / gamma.phi_prime.samples
+    return np.max(np.abs(delta.phi_prime.samples - rhs)) / np.max(np.abs(rhs))
+
+
+HYPERBOLIC_CURVES = {
+    "circle": lambda: cc.make_circle(128),
+    "rng2": lambda: cc.random_projective(np.random.default_rng(2), 128),
+}
+
+
+@pytest.mark.parametrize("c_pr", [100.0, 400.0])
+@pytest.mark.parametrize("name", sorted(HYPERBOLIC_CURVES))
+def test_projective_minus_branch_closes_at_large_constants(name, c_pr):
+    # shot forward, the repelling branch cancels and misses closure by up to 25 radians
+    gamma = HYPERBOLIC_CURVES[name]()
+    minus = bk.apply_tc_projective(gamma, c_pr, "minus")
+    plus = bk.apply_tc_projective(gamma, c_pr, "plus")
+    _, chi_minus = rm.moebius_monodromy(gamma, c_pr).fixed_angles()
+    assert abs(cc.wrap_half_pi(minus.psi.samples[0] - chi_minus)) <= 1e-10
+    assert angle_equation_residual(gamma, minus, c_pr) <= 2.0 * angle_equation_residual(gamma, plus, c_pr)
+    if name == "circle":  # the images are the rotations by -+arcsin(1/sqrt(c_pr)), up to RK4 error
+        shift = np.arcsin(1.0 / np.sqrt(c_pr))
+        rk4_error = np.max(np.abs(plus.psi.samples + shift))
+        assert np.max(np.abs(minus.psi.samples - shift)) <= 1.01 * rk4_error <= 1e-10
+
+
+@pytest.mark.parametrize("c_pr", [4.0, 100.0])
+def test_projective_minus_branch_is_the_reflected_plus_branch(c_pr):
+    gamma = cc.random_projective(np.random.default_rng(2), 128)
+    minus = bk.apply_tc_projective(gamma, c_pr, "minus")
+    mirrored = reflect_curve(bk.apply_tc_projective(reflect_curve(gamma), c_pr, "plus"))
+    assert np.array_equal(minus.psi.samples, mirrored.psi.samples)
+
+
 def test_projective_elliptic_rejected():
     gamma = cc.make_circle(64)
     with pytest.raises(NoRealFixedPoints):
@@ -213,6 +254,11 @@ def test_permutability_random_curve():
     sq = bk.permutability_square(gamma, 5.0, 3.0)
     assert sq.both_orders_distance < 1e-6
     assert sq.prediction_residual < 1e-5
+
+
+def test_permutability_closes_at_strongly_hyperbolic_constants():
+    sq = bk.permutability_square(cc.make_circle(128), 100.0, 50.0)
+    assert sq.both_orders_distance <= 1e-6
 
 
 @pytest.mark.parametrize("branches", [(a, b) for a in ("plus", "minus") for b in ("plus", "minus")])
