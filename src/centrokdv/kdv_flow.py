@@ -169,10 +169,11 @@ def _transport(curves: tuple, s_end: float, ds: float, legs: int):
     cut = 3 * (n // 2 + 1) // 4
     v0 = np.fft.rfft(p0, axis=0)
     v0[cut:] = 0.0
+    slope = pf._derivative_factors(n, "periodic", 1)[0][:cut, None]
 
-    def driver(w):
-        p = np.fft.irfft(w[:cut], n, axis=0)  # irfft zero-fills the dropped band
-        return p[:, None], pf.differentiate_samples(p, "periodic")[:, None]
+    def driver(w):  # p and p' from one irfft of [w, i nu w], which zero-fills the dropped band
+        rows = np.fft.irfft(np.stack([w[:cut], slope * w[:cut]], axis=1), n, axis=0)
+        return rows[:, :1], rows[:, 1:]
 
     def field(y, p, dp):
         # skew-symmetric split of p y' - 1/2 p' y: the advection part

@@ -11,6 +11,10 @@ tree (period map) or an inclusive prefix product (fundamental-matrix
 trajectory), with no loop over steps.  Eigen-structure of the resulting 2x2
 matrices drives everything else: branch labels, fixed points in RP^1, and
 spectral invariants.
+
+Both generators, Hill's [[0, 1], [p, 0]] and the projective field, are
+traceless, so every period map is in SL(2, R) and no determinant is computed:
+the trace, Hill's discriminant (Magnus & Winkler, 1966, ch. 2), is the invariant.
 """
 
 from __future__ import annotations
@@ -172,42 +176,30 @@ class MonodromyMatrix:
         return float(self.m[0, 0] + self.m[1, 1])
 
     @property
-    def det(self) -> float:
-        return float(self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0])
-
-    @property
     def tr2(self) -> float:
-        """Trace squared over determinant: the conjugacy (and sign) invariant."""
-        return self.trace**2 / self.det
+        """Trace squared: invariant under conjugacy and under M -> -M."""
+        return self.trace**2
 
     def eigen_system(self):
         """Real eigen-decomposition ((mu_plus, v_plus), (mu_minus, v_minus)).
 
-        "plus" is the eigenvalue of larger modulus.  Raises
-        NoRealFixedPoints inside the elliptic/parabolic band
-        |trace| <= 2 sqrt(det) + tol, and BranchSingular when the matrix is
-        a multiple of the identity (every direction fixed, no way to pick
-        two branches).
+        mu_plus = (t + sign(t) sqrt(t^2 - 4))/2, the eigenvalue of larger
+        modulus, has no cancellation; mu_minus = 1/mu_plus.  v_minus is the
+        plus direction of adj M = M^-1 = [[m11, -m01], [-m10, m00]], so one
+        row rule serves both.  Raises NoRealFixedPoints inside the
+        elliptic/parabolic band t^2 - 4 <= PARABOLIC_TOL, and BranchSingular
+        at +-I (every direction fixed, no way to pick two branches).
         """
-        t, d = self.trace, self.det
-        disc = t * t - 4.0 * d
-        if disc <= PARABOLIC_TOL * max(1.0, abs(d)):
+        t = self.trace
+        disc = t * t - 4.0
+        if disc <= PARABOLIC_TOL:
             off = max(abs(self.m[0, 1]), abs(self.m[1, 0]), abs(self.m[0, 0] - self.m[1, 1]))
             if off < 1e-9 * max(1.0, abs(t)):
                 raise BranchSingular("monodromy is a multiple of the identity")
-            raise NoRealFixedPoints(f"trace {t!r}, det {d!r}: no real eigen-directions")
-        root = np.sqrt(disc)
-        mu_a = (t + root) / 2.0
-        mu_b = (t - root) / 2.0
-        if abs(mu_a) < abs(mu_b):
-            mu_a, mu_b = mu_b, mu_a
-        return (mu_a, self._eigenvector(mu_a)), (mu_b, self._eigenvector(mu_b))
-
-    def _eigenvector(self, mu: float) -> np.ndarray:
-        r1 = np.array([self.m[0, 1], mu - self.m[0, 0]])
-        r2 = np.array([mu - self.m[1, 1], self.m[1, 0]])
-        v = r1 if np.linalg.norm(r1) >= np.linalg.norm(r2) else r2
-        return v / np.linalg.norm(v)
+            raise NoRealFixedPoints(f"trace {t!r}: no real eigen-directions")
+        mu = 0.5 * (t + np.copysign(np.sqrt(disc), t))
+        adj = np.array([[self.m[1, 1], -self.m[0, 1]], [-self.m[1, 0], self.m[0, 0]]])
+        return (mu, _eigenvector(self.m, mu)), (1.0 / mu, _eigenvector(adj, mu))
 
     def fixed_angles(self):
         """Fixed points of the induced RP^1 map as angles in (-pi/2, pi/2].
@@ -220,6 +212,13 @@ class MonodromyMatrix:
             float(wrap_half_pi(np.arctan2(vp[0], vp[1]))),
             float(wrap_half_pi(np.arctan2(vm[0], vm[1]))),
         )
+
+
+def _eigenvector(m: np.ndarray, mu: float) -> np.ndarray:
+    """Unit null vector of m - mu I, read from the row of larger norm."""
+    rows = np.array([[m[0, 1], mu - m[0, 0]], [mu - m[1, 1], m[1, 0]]])
+    v = rows[np.argmax(np.linalg.norm(rows, axis=1))]
+    return v / np.linalg.norm(v)
 
 
 def moebius_apply_angle(m: np.ndarray, chi):
@@ -496,7 +495,7 @@ def moebius_monodromy(
 
 @dataclass(frozen=True)
 class SpectralScan:
-    """Trace-squared-over-det of the period map sampled on a lambda grid."""
+    """Trace squared of the period map sampled on a lambda grid."""
 
     lambdas: np.ndarray
     tr2: np.ndarray
@@ -529,8 +528,7 @@ def spectral_scan(
     b = np.broadcast_to(b, (b.shape[0], lam.size, 2, 2))
     m = _rk4_transfer(b, lam * h)
     tr = m[:, 0, 0] + m[:, 1, 1]
-    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    return SpectralScan(lambdas=lam, tr2=tr * tr / det)
+    return SpectralScan(lambdas=lam, tr2=tr * tr)
 
 
 def scan_to_csv(scan: SpectralScan, path) -> None:

@@ -156,8 +156,11 @@ def test_projective_minus_branch_closes_at_large_constants(name, c_pr):
     gamma = HYPERBOLIC_CURVES[name]()
     minus = bk.apply_tc_projective(gamma, c_pr, "minus")
     plus = bk.apply_tc_projective(gamma, c_pr, "plus")
-    _, chi_minus = rm.moebius_monodromy(gamma, c_pr).fixed_angles()
+    mono = rm.moebius_monodromy(gamma, c_pr)
+    _, chi_minus = mono.fixed_angles()
     assert abs(cc.wrap_half_pi(minus.psi.samples[0] - chi_minus)) <= 1e-10
+    (mu_plus, _), (mu_minus, _) = mono.eigen_system()
+    assert abs(mu_plus * mu_minus - 1.0) <= 4.0 * np.finfo(float).eps
     assert angle_equation_residual(gamma, minus, c_pr) <= 2.0 * angle_equation_residual(gamma, plus, c_pr)
     if name == "circle":  # the images are the rotations by -+arcsin(1/sqrt(c_pr)), up to RK4 error
         shift = np.arcsin(1.0 / np.sqrt(c_pr))

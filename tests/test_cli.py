@@ -121,6 +121,15 @@ def test_scan_circle_matches_closed_form(tmp_path):
     closed = 4.0 * np.cos(np.pi * np.sqrt(1.0 - table[:, 0])) ** 2
     assert np.max(np.abs(table[:, 1] - closed)) < 1e-8
 
+    # hyperbolic range: every written trace squared is positive and on the closed form
+    rc = run("scan", "--input", circle, "--lambda-min", 90, "--lambda-max", 110,
+             "--lambda-steps", 5, "--output", out)
+    assert rc == 0
+    table = np.array([[float(x) for x in row.split(",")] for row in out.read_text().strip().splitlines()[1:]])
+    closed = 4.0 * np.cosh(np.pi * np.sqrt(table[:, 0] - 1.0)) ** 2
+    assert np.all(table[:, 1] > 0.0)
+    assert np.max(np.abs(table[:, 1] / closed - 1.0)) < 1e-6
+
 
 def test_scan_with_transform_prints_deviation(tmp_path, capsys):
     trig = gen_trig(tmp_path)

@@ -85,7 +85,7 @@ def test_hill_constant_potentials():
     M = rm.hill_fundamental(pf.constant(1.0, 64), substeps=16)
     target = [[np.cosh(np.pi), np.sinh(np.pi)], [np.sinh(np.pi), np.cosh(np.pi)]]
     assert np.allclose(M.m, target, rtol=1e-9, atol=1e-9)
-    assert abs(M.det - 1.0) < 1e-10
+    assert abs(np.linalg.det(M.m) - 1.0) < 1e-10
 
 
 def test_hill_order_four_convergence():
@@ -242,7 +242,7 @@ def test_moebius_unimodular():
     rng = np.random.default_rng(24)
     gamma = cc.random_projective(rng, 128)
     for lam in (-1.0, 0.3, 1.7, 4.0):
-        assert abs(rm.moebius_monodromy(gamma, lam).det - 1.0) < 1e-8
+        assert abs(np.linalg.det(rm.moebius_monodromy(gamma, lam).m) - 1.0) < 1e-8
 
 
 def test_circle_scan_closed_form():
@@ -257,6 +257,13 @@ def test_circle_scan_closed_form():
 
     M4 = rm.moebius_monodromy(gamma, 4.0, substeps=16)
     assert abs(M4.tr2 - 4.0 * np.cosh(np.pi * np.sqrt(3.0)) ** 2) < 1e-6 * M4.tr2
+
+    # strongly hyperbolic: a computed determinant would cancel to roundoff here
+    lams = np.array([40.0, 120.0])
+    scan = rm.spectral_scan(cc.make_circle(256), lams, substeps=16)
+    assert np.max(np.abs(scan.tr2 / circle_tr2(lams) - 1.0)) <= 1e-8
+    tr2 = rm.moebius_monodromy(gamma, 100.0).tr2
+    assert np.isfinite(tr2) and tr2 > 0.0
 
 
 def test_circle_fixed_angles_at_four():
