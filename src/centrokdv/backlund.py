@@ -33,10 +33,9 @@ from .errors import (
     ZeroParam,
 )
 from .riccati_monodromy import (
-    _BRANCHES,
     DEFAULT_SUBSTEPS,
     RiccatiBranch,
-    _pick_branch,
+    _check_branch,
     _reflect,
     conjugator,
     conjugator_affine,
@@ -47,6 +46,8 @@ from .riccati_monodromy import (
 
 # largest angle-advance defect apply_tc_projective spreads over the period
 CLOSURE_TOL = 1e-6
+# largest gap permutability_square allows between a second leg's start and its prediction
+MATCH_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def _plus_image(gamma: ProjectiveCurve, c_pr: float, substeps: int) -> Projectiv
     chi += wrap_half_pi(float(chi[0])) - chi[0]
     closure = chi[-1] - chi[0] - np.pi
     if abs(closure) > CLOSURE_TOL:
-        raise BranchSingular(f"angle advance off by {closure!r}: branch not periodic")
+        raise BranchSingular(f"angle advance off by {float(closure)!r}: branch not periodic")
     # distribute the residual closure defect so psi is exactly periodic
     steps = substeps * gamma.n
     chi -= closure * (np.arange(steps + 1) / steps)
@@ -169,7 +170,7 @@ def apply_tc_projective(
     period, or whose angle stalls (it meets gamma), raises BranchSingular.
     """
     param_convert(c_pr, "projective")
-    _pick_branch(_BRANCHES, branch)  # a bad label fails before the integration
+    _check_branch(branch)  # a bad label fails before the integration
     if branch == "plus":
         return _plus_image(gamma, c_pr, substeps)
     return _reflect_curve(_plus_image(_reflect_curve(gamma), c_pr, substeps))
@@ -181,7 +182,6 @@ def pushforward_tangent(
     branch: str,
     f: pf.PeriodicFn,
     riccati: RiccatiBranch | None = None,
-    substeps: int = DEFAULT_SUBSTEPS,
 ) -> pf.PeriodicFn:
     """Image profile of a tangent deformation under the plane map.
 
@@ -192,11 +192,12 @@ def pushforward_tangent(
     (RiccatiBranch.solve_linear).  Pass riccati to reuse an already
     computed branch; it must carry the same label and constant, else
     ValueError.  Otherwise the branch named by the label is computed alone
-    (riccati_branch).  A bad label fails before any integration or solve.
+    (riccati_branch, DEFAULT_SUBSTEPS).  A bad label fails before any
+    integration or solve.
     """
-    _pick_branch(_BRANCHES, branch)
+    _check_branch(branch)
     if riccati is None:
-        riccati = riccati_branch(curvature(Gamma), c_aff, branch, substeps=substeps)
+        riccati = riccati_branch(curvature(Gamma), c_aff, branch)
     elif (riccati.branch, riccati.c_aff) != (branch, c_aff):
         raise ValueError(
             f"riccati is branch {riccati.branch!r} at c = {riccati.c_aff!r}, not {branch!r} at {c_aff!r}"
@@ -205,40 +206,33 @@ def pushforward_tangent(
     return riccati.solve_linear(-pf.differentiate(f) - kappa * f)
 
 
-def moebius_conjugacy_residual(
-    gamma: ProjectiveCurve,
-    delta: ProjectiveCurve,
-    c_pr: float,
-    lam: float,
-    substeps: int = DEFAULT_SUBSTEPS,
-) -> float:
+def moebius_conjugacy_residual(gamma: ProjectiveCurve, delta: ProjectiveCurve, c_pr: float, lam: float) -> float:
     """How far the two period maps are from being conjugate at weight mu.
 
     For delta a transform of gamma with constant c_pr, the matrix A fixing
     gamma(0) and scaling delta(0) by mu = 1 - lam/c_pr should intertwine
-    the lam-scaled period maps: M_delta A = A M_gamma.  Returns the
-    relative Frobenius mismatch of the two products.
+    the lam-scaled period maps (DEFAULT_SUBSTEPS): M_delta A = A M_gamma.
+    Returns the relative Frobenius mismatch of the two products.
     """
     mu = 1.0 - lam / c_pr
     a = conjugator(gamma, delta, mu, 0.0)
-    m_g = moebius_monodromy(gamma, lam, substeps=substeps).m
-    m_d = moebius_monodromy(delta, lam, substeps=substeps).m
+    m_g = moebius_monodromy(gamma, lam).m
+    m_d = moebius_monodromy(delta, lam).m
     lhs = m_d @ a
     rhs = a @ m_g
     return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300))
 
 
-def matching_identity_residual(base, first, second, mu, nu=None) -> float:
+def matching_identity_residual(base, first, second, mu) -> float:
     """Point-level identity behind the Bianchi square's meeting corner.
 
-    For affine points (base, first, second) and weights with
-    1/mu + 1/nu = 1, the matrix fixing base and scaling second by mu sends
-    first to the same point as the matrix fixing base and scaling first by
-    nu sends second.  Returns the normalized cross product of the two
-    homogeneous results, zero when the identity holds.
+    For affine points (base, first, second) and the weight nu = mu/(mu - 1),
+    so that 1/mu + 1/nu = 1, the matrix fixing base and scaling second by
+    mu sends first to the same point as the matrix fixing base and scaling
+    first by nu sends second.  Returns the normalized cross product of the
+    two homogeneous results, zero when the identity holds.
     """
-    if nu is None:
-        nu = mu / (mu - 1.0)
+    nu = mu / (mu - 1.0)
     va = conjugator_affine(base, second, mu) @ np.array([first, 1.0])
     vb = conjugator_affine(base, first, nu) @ np.array([second, 1.0])
     cross = va[0] * vb[1] - va[1] * vb[0]
@@ -264,7 +258,7 @@ def _matched_step(curve, c_pr, branch, predicted, substeps, match_tol):
     leg = apply_tc_projective(curve, c_pr, branch, substeps=substeps)
     gap = abs(wrap_half_pi(float(leg.psi.samples[0]) - predicted))
     if gap > match_tol:
-        raise MatchFailure(f"branch {branch!r} starts {gap!r} from the predicted angle > {match_tol!r}")
+        raise MatchFailure(f"branch {branch!r} starts {float(gap)!r} from the predicted angle > {match_tol!r}")
     return leg, gap
 
 
@@ -274,7 +268,7 @@ def permutability_square(
     c2_pr: float,
     branches=("minus", "minus"),
     substeps: int = DEFAULT_SUBSTEPS,
-    match_tol: float = 1e-5,
+    match_tol: float = MATCH_TOL,
 ) -> PermutabilitySquare:
     """Close the Bianchi square over two transformation constants.
 

@@ -91,14 +91,14 @@ def _cmd_backlund(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if (args.c is None) != (args.delta_output is None):
+        raise ValueError("--c and --delta-output go together: give both or neither")
     gamma = _load_projective(args.input)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_steps)
     scan = spectral_scan(gamma, lams, substeps=args.substeps)
     scan_to_csv(scan, args.output)
     if args.c is None:
         return 0
-    if args.delta_output is None:
-        raise ValueError("--delta-output is required when --c is given")
     param = bk.param_convert(args.c, args.c_kind)
     delta = bk.apply_tc_projective(gamma, param.c_pr, args.branch, substeps=args.substeps)
     dscan = spectral_scan(delta, lams, substeps=args.substeps)
@@ -191,7 +191,7 @@ def _parser() -> argparse.ArgumentParser:
     p = add("kdv", _cmd_kdv, "evolve a curve and write the flow trace CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--s-end", type=float, required=True)
-    p.add_argument("--ds", type=float, default=1e-4)
+    p.add_argument("--ds", type=float, default=kf.DEFAULT_DS)
     p.add_argument("--samples", type=int, default=5)
     p.add_argument("--output", required=True)
 
@@ -203,7 +203,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", choices=("plus", "minus"), default="minus")
     p.add_argument("--branch2", choices=("plus", "minus"), default="minus")
     p.add_argument("--substeps", type=int, default=DEFAULT_SUBSTEPS)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--tol", type=float, default=bk.MATCH_TOL)
     p.add_argument("--output", default=None)
 
     p = add("selfcheck", _cmd_selfcheck, "run every diagnostic suite; exit 0 iff all pass")

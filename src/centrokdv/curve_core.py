@@ -68,7 +68,7 @@ class ProjectiveCurve:
         # phi' > 0 is the diffeomorphism condition; check on an 8x finer grid
         low = 1.0 + pf.values_and_slopes_with_wrap(self.psi.samples, 8 * self.psi.n)[1].min()
         if low <= 0.0:
-            raise NonMonotone(f"min phi' = {low!r} <= 0")
+            raise NonMonotone(f"min phi' = {float(low)!r} <= 0")
 
     @property
     def n(self) -> int:
@@ -144,7 +144,7 @@ def project(Gamma: CentroAffineCurve) -> ProjectiveCurve:
     theta = np.unwrap(np.arctan2(v2, v1))
     winding = (theta[-1] - theta[0]) / np.pi
     if abs(winding - 1.0) > 1e-6:
-        raise NonMonotone(f"rotation number {winding!r} != 1")
+        raise NonMonotone(f"rotation number {float(winding)!r} != 1")
     psi = theta[: 2 * n : 2] - ts[: 2 * n : 2]
     psi -= np.pi * np.ceil((psi[0] - np.pi / 2) / np.pi)
     return ProjectiveCurve(pf.PeriodicFn(psi, "periodic"))
@@ -175,17 +175,17 @@ def make_circle(n: int) -> ProjectiveCurve:
     return ProjectiveCurve(pf.constant(0.0, n))
 
 
-def random_projective(rng, n: int, max_mode: int = 4, strength: float = 0.6) -> ProjectiveCurve:
+def random_projective(rng, n: int, strength: float = 0.6) -> ProjectiveCurve:
     """Random band-limited angle data with a guaranteed margin phi' >= 1 - strength.
 
-    psi = sum over k of alpha_k sin 2kt + beta_k cos 2kt, rescaled so that
-    sum 2k(|alpha_k| + |beta_k|) = strength < 1.  The draw depends only on
-    the rng state and max_mode, so the same seed gives the same curve at
-    every sample count n.
+    psi = sum over k = 1..4 of alpha_k sin 2kt + beta_k cos 2kt, rescaled so
+    that sum 2k(|alpha_k| + |beta_k|) = strength < 1.  The draw depends only
+    on the rng state, so the same seed gives the same curve at every sample
+    count n.
     """
     if not 0.0 < strength < 1.0:
         raise ValueError("strength must lie in (0, 1)")
-    coeffs = [rng.normal(size=2) / k**2 for k in range(1, max_mode + 1)]
+    coeffs = [rng.normal(size=2) / k**2 for k in range(1, 5)]
     budget = sum(2 * k * (abs(a) + abs(b)) for k, (a, b) in enumerate(coeffs, start=1))
     t = pf.grid(n)
     vals = np.zeros(n)
@@ -220,7 +220,7 @@ def sl2_apply(A: np.ndarray, Gamma: CentroAffineCurve) -> CentroAffineCurve:
     A = np.asarray(A, dtype=float)
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     if abs(det - 1.0) > 1e-9:
-        raise ValueError(f"det = {det!r}, need a unimodular matrix")
+        raise ValueError(f"det = {float(det)!r}, need a unimodular matrix")
     g1 = A[0, 0] * Gamma.gamma1 + A[0, 1] * Gamma.gamma2
     g2 = A[1, 0] * Gamma.gamma1 + A[1, 1] * Gamma.gamma2
     return CentroAffineCurve(g1, g2)

@@ -30,6 +30,8 @@ __all__ = [
     "invariant_report",
 ]
 
+DEFORMATION_STEP = 1e-5  # finite-difference step of every deformation derivative (richardson_derivative)
+
 
 def omega_pair(f: pf.PeriodicFn, g: pf.PeriodicFn) -> float:
     """Antisymmetric pairing (1/2) integral of f g' - f' g over a period."""
@@ -112,33 +114,33 @@ def _moments_of(a: pf.PeriodicFn, b: pf.PeriodicFn) -> np.ndarray:
     )
 
 
-def richardson_derivative(value, eps: float):
-    """d/de value at 0 as (4 D(eps/2) - D(eps))/3, D(e) = (value(e) - value(-e))/2e."""
+def richardson_derivative(value):
+    """d/de value at 0 as (4 D(eps/2) - D(eps))/3, D(e) = (value(e) - value(-e))/2e, eps = DEFORMATION_STEP."""
 
     def centered(e):
         return (value(e) - value(-e)) / (2.0 * e)
 
-    return (4.0 * centered(0.5 * eps) - centered(eps)) / 3.0
+    return (4.0 * centered(0.5 * DEFORMATION_STEP) - centered(DEFORMATION_STEP)) / 3.0
 
 
-def moment_derivative(Gamma: CentroAffineCurve, f: pf.PeriodicFn, eps: float = 1e-5):
+def moment_derivative(Gamma: CentroAffineCurve, f: pf.PeriodicFn):
     """Directional derivative of (I, J, K) along the tangent field of f.
 
     Centered differences on the raw deformed components (the deformation
     violates the unit-Wronskian constraint only at second order), refined
-    by one Richardson step.
+    by one Richardson step (richardson_derivative).
     """
     u1, u2 = tangent_field(Gamma, f)
-    return richardson_derivative(lambda e: _moments_of(Gamma.gamma1 + e * u1, Gamma.gamma2 + e * u2), eps)
+    return richardson_derivative(lambda e: _moments_of(Gamma.gamma1 + e * u1, Gamma.gamma2 + e * u2))
 
 
-def sl2_hamiltonian_check(Gamma: CentroAffineCurve, f: pf.PeriodicFn, eps: float = 1e-5):
+def sl2_hamiltonian_check(Gamma: CentroAffineCurve, f: pf.PeriodicFn):
     """Residuals of the identities d(I, J, K)(U_f) = 2 omega(f, moment density).
 
     The predicted derivatives pair f with g1^2, g1 g2, g2^2 respectively;
     returns the three absolute mismatches against finite differences.
     """
-    fd = moment_derivative(Gamma, f, eps)
+    fd = moment_derivative(Gamma, f)
     g1, g2 = Gamma.gamma1, Gamma.gamma2
     predicted = np.array(
         [

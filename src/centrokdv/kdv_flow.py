@@ -26,7 +26,7 @@ from . import periodic_fn as pf
 from .backlund import apply_tc, plane_map
 from .curve_core import CentroAffineCurve, curvature, tangent_field
 from .errors import StepUnstable
-from .riccati_monodromy import DEFAULT_SUBSTEPS, riccati_branch
+from .riccati_monodromy import riccati_branch
 
 __all__ = [
     "FLOW_TRACE_HEADER",
@@ -42,6 +42,7 @@ __all__ = [
 
 FLOW_TRACE_HEADER = ("s", "H1", "H2", "I", "J", "K")
 
+DEFAULT_DS = 1e-4  # target flow step of evolve_potential, evolve_curve and flow_trace
 CONTOUR_POINTS = 32
 
 
@@ -127,7 +128,7 @@ def _step_count(s_end: float, ds: float) -> int:
     return max(1, ceil(abs(s_end) / ds))
 
 
-def evolve_potential(potential: pf.PeriodicFn, s_end: float, ds: float = 1e-4) -> pf.PeriodicFn:
+def evolve_potential(potential: pf.PeriodicFn, s_end: float, ds: float = DEFAULT_DS) -> pf.PeriodicFn:
     """Evolve the potential to flow time s_end with target step ds.
 
     The linear part is solved exactly in the trigonometric basis, the
@@ -209,7 +210,7 @@ def _transport(curves: tuple, s_end: float, ds: float, legs: int):
 
 
 def evolve_curve(
-    Gamma: CentroAffineCurve | tuple[CentroAffineCurve, ...], s_end: float, ds: float = 1e-4
+    Gamma: CentroAffineCurve | tuple[CentroAffineCurve, ...], s_end: float, ds: float = DEFAULT_DS
 ) -> CentroAffineCurve | tuple[CentroAffineCurve, ...]:
     """Carry a unit-Wronskian curve, or a tuple of curves, along the flow to time s_end.
 
@@ -248,7 +249,7 @@ class FlowState:
 def flow_trace(
     Gamma: CentroAffineCurve,
     s_end: float,
-    ds: float = 1e-4,
+    ds: float = DEFAULT_DS,
     samples: int = 5,
 ) -> list[FlowState]:
     """Snapshots at evenly spaced flow times from 0 to s_end inclusive.
@@ -275,7 +276,7 @@ def flow_trace_to_csv(states, path) -> None:
             )
 
 
-def _hamiltonian_derivative(Gamma: CentroAffineCurve, g: pf.PeriodicFn, j: int, eps: float) -> float:
+def _hamiltonian_derivative(Gamma: CentroAffineCurve, g: pf.PeriodicFn, j: int) -> float:
     """d/ds H_j along the deformation by the tangent field of profile g."""
     u1, u2 = tangent_field(Gamma, g)
 
@@ -283,17 +284,18 @@ def _hamiltonian_derivative(Gamma: CentroAffineCurve, g: pf.PeriodicFn, j: int, 
         q = cc.hill_potential(Gamma.gamma1 + e * u1, Gamma.gamma2 + e * u2)
         return pf.integrate_period(q if j == 1 else 0.5 * (q * q))
 
-    return iv.richardson_derivative(value, eps)
+    return iv.richardson_derivative(value)
 
 
-def recursion_check(Gamma: CentroAffineCurve, j: int, test_fields, eps: float = 1e-5):
+def recursion_check(Gamma: CentroAffineCurve, j: int, test_fields):
     """Residuals of the two ladder identities linking the pairings.
 
     For each test profile g the derivative of H_j along the deformation by g
     must equal both the second-order pairing against the previous ladder
     profile (1 for j = 1, the potential for j = 2) and the first-order
     pairing against the next one (the potential for j = 1; not constructed
-    for j = 2).  Returns a dict of per-field residual arrays.
+    for j = 2), each derivative by iv.richardson_derivative.  Returns a
+    dict of per-field residual arrays.
     """
     if j not in (1, 2):
         raise ValueError("ladder index must be 1 or 2")
@@ -303,7 +305,7 @@ def recursion_check(Gamma: CentroAffineCurve, j: int, test_fields, eps: float = 
     second_form = []
     first_form = []
     for g in test_fields:
-        dh = _hamiltonian_derivative(Gamma, g, j, eps)
+        dh = _hamiltonian_derivative(Gamma, g, j)
         second_form.append(abs(iv.big_omega_pair(pot, previous, g) - dh))
         if following is not None:
             first_form.append(abs(iv.omega_pair(following, g) - dh))
@@ -318,19 +320,18 @@ def commutation_check(
     c_aff: float,
     branch: str = "minus",
     s: float = 0.02,
-    ds: float = 1e-4,
-    substeps: int = DEFAULT_SUBSTEPS,
 ) -> float:
     """Sup distance between transform-then-flow and flow-then-transform.
 
     The KdV flow is isospectral for the Hill operator, so the Floquet
     multipliers that label the two Riccati branches do not move along it:
-    the flowed curve takes the branch with the same label.
+    the flowed curve takes the branch with the same label.  Both transforms
+    shoot with DEFAULT_SUBSTEPS and the flow steps by DEFAULT_DS.
     """
-    first = apply_tc(Gamma, c_aff, branch, substeps=substeps)
-    transformed_then_flowed, flowed = evolve_curve((first.image, Gamma), s, ds=ds)
+    first = apply_tc(Gamma, c_aff, branch)
+    transformed_then_flowed, flowed = evolve_curve((first.image, Gamma), s)
     pot = curvature(flowed)
-    w = riccati_branch(pot, c_aff, branch, substeps=substeps).solution
+    w = riccati_branch(pot, c_aff, branch).solution
     # build the second image with the ungated plane map: the flowed curve
     # satisfies the unit-Wronskian constraint only to the flow's own
     # truncation error, and the distance measured here does not need the

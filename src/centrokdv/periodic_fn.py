@@ -80,38 +80,29 @@ class PeriodicFn:
 
     # pointwise algebra; products multiply samples (collocation), parity
     # composes as even/odd: anti * anti = periodic, anti * periodic = anti
-    def _binary(self, other, op):
+    def __add__(self, other):
         if isinstance(other, PeriodicFn):
             if other.n != self.n:
                 raise ValueError("sample counts differ")
-            return op(self.samples, other.samples), other.parity
+            if other.parity != self.parity:
+                raise ValueError("cannot add functions of different parity")
+            return PeriodicFn(self.samples + other.samples, self.parity)
         if np.isscalar(other):
-            return op(self.samples, float(other)), None
-        return NotImplemented, None
-
-    def __add__(self, other):
-        vals, parity = self._binary(other, np.add)
-        if vals is NotImplemented:
-            return NotImplemented
-        if parity is None:
             # adding a constant only preserves parity in the periodic case
             if self.parity != "periodic" and float(other) != 0.0:
                 raise ValueError("cannot add a nonzero constant to an antiperiodic function")
-            return PeriodicFn(vals, self.parity)
-        if parity != self.parity:
-            raise ValueError("cannot add functions of different parity")
-        return PeriodicFn(vals, self.parity)
+            return PeriodicFn(self.samples + float(other), self.parity)
+        return NotImplemented
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, PeriodicFn) or np.isscalar(other):
-            return self.__add__(-other if np.isscalar(other) else -1.0 * other)
+            return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
-        return (-1.0 * self).__add__(other)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, PeriodicFn):

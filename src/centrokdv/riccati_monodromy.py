@@ -262,7 +262,6 @@ class _FloquetFactor:
     u2: np.ndarray
     du2: np.ndarray
     mu: float
-    substeps: int
 
 
 @dataclass(frozen=True)
@@ -305,11 +304,10 @@ class RiccatiBranch:
         return pf.PeriodicFn(g, "periodic")
 
 
-def _pick_branch(pair, branch: str):
-    """The member of a (plus, minus) pair named by a branch label; ValueError on any other label."""
+def _check_branch(branch: str) -> None:
+    """Raise ValueError unless branch is "plus" or "minus"."""
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    return pair[0] if branch == "plus" else pair[1]
 
 
 def _reflect(samples: np.ndarray) -> np.ndarray:
@@ -326,6 +324,8 @@ def _integrate_along(factor: _FloquetFactor, rhs: np.ndarray) -> np.ndarray:
     amplifying it.  The cumulative integral is the endpoint-corrected
     trapezoid rule, 4th order at every step point for any substep count,
     with (u^2 rhs)' from the trajectory's u' and the spectral rhs'.
+    The factor holds substeps * n + 1 step points, so the n grid nodes are
+    every (steps // n)-th one.
     """
     steps = factor.u2.shape[0] - 1
     h = np.pi / steps
@@ -340,7 +340,7 @@ def _integrate_along(factor: _FloquetFactor, rhs: np.ndarray) -> np.ndarray:
     else:
         cumulative[:-1] = -np.cumsum(pieces[::-1])[::-1]
         start = cumulative[0] / (factor.mu**-2 - 1.0)
-    nodes = slice(0, steps, factor.substeps)
+    nodes = slice(0, steps, steps // rhs.shape[0])
     return (start + cumulative[nodes]) / factor.u2[nodes]
 
 
@@ -378,7 +378,7 @@ def _plus_branch(potential: pf.PeriodicFn, c_aff: float, substeps: int):
     u, du = sol[:, 0], sol[:, 1]
     if np.any(u[:-1] * u[1:] <= 0.0):
         raise BranchSingular("u vanishes on [0, pi], the solution w has a pole")
-    factor = _FloquetFactor(u * u, 2.0 * u * du, float(mu), substeps)
+    factor = _FloquetFactor(u * u, 2.0 * u * du, float(mu))
     nodes = slice(0, u.shape[0] - 1, substeps)
     w = _polish_riccati(-c_aff * du[nodes] / u[nodes], potential.samples, c_aff, factor)
     return w, factor
@@ -400,7 +400,7 @@ def riccati_branch(
     near-parabolic) period matrix, and BranchSingular when this branch's
     u changes sign, i.e. w has a pole.
     """
-    _pick_branch(_BRANCHES, branch)
+    _check_branch(branch)
     if c_aff == 0.0:
         raise ZeroParam("c must be nonzero")
     if branch == "plus":
@@ -408,13 +408,11 @@ def riccati_branch(
     else:
         w, f = _plus_branch(pf.PeriodicFn(_reflect(potential.samples), "periodic"), c_aff, substeps)
         w = -_reflect(w)
-        factor = _FloquetFactor(f.u2[::-1], -f.du2[::-1], 1.0 / f.mu, substeps)
+        factor = _FloquetFactor(f.u2[::-1], -f.du2[::-1], 1.0 / f.mu)
     return RiccatiBranch(pf.PeriodicFn(w, "periodic"), branch, factor.mu, c_aff, factor)
 
 
-def riccati_periodic_solutions(
-    potential: pf.PeriodicFn, c_aff: float, substeps: int = DEFAULT_SUBSTEPS
-):
+def riccati_periodic_solutions(potential: pf.PeriodicFn, c_aff: float):
     """Both periodic Riccati solutions for the given Hill potential and c.
 
     Returns (plus, minus) ordered by Floquet multiplier modulus; each
@@ -424,8 +422,9 @@ def riccati_periodic_solutions(
     BranchSingular when either branch's u vanishes somewhere (that
     periodic solution has a pole there).  Callers that need one branch
     should use riccati_branch, which shoots and polishes only that one.
+    Both are shot with DEFAULT_SUBSTEPS.
     """
-    return tuple(riccati_branch(potential, c_aff, name, substeps) for name in _BRANCHES)
+    return tuple(riccati_branch(potential, c_aff, name) for name in _BRANCHES)
 
 
 def _polish_riccati(w: np.ndarray, potential: np.ndarray, c: float, factor: _FloquetFactor) -> np.ndarray:

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import centrokdv.backlund as bk
 import centrokdv.cli as cli
 import centrokdv.curve_core as cc
+import centrokdv.kdv_flow as kf
 
 
 def run(*argv):
@@ -144,10 +146,13 @@ def test_scan_with_transform_prints_deviation(tmp_path, capsys):
 
 
 def test_scan_requires_delta_output(tmp_path, capsys):
+    # --c and --delta-output go together; either one alone exits 2 before any integration
     trig = gen_trig(tmp_path)
-    rc = run("scan", "--input", trig, "--c", 4.0, "--output", tmp_path / "scan.csv")
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("ERROR ValueError:")
+    out, dout = tmp_path / "scan.csv", tmp_path / "scan_delta.csv"
+    for half in (("--c", 4.0), ("--delta-output", dout)):
+        assert run("scan", "--input", trig, *half, "--output", out) == 2
+        assert capsys.readouterr().err.startswith("ERROR ValueError:")
+        assert not out.exists() and not dout.exists()
 
 
 def test_scan_is_deterministic(tmp_path):
@@ -186,6 +191,25 @@ def test_permutability_report(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["both_orders_distance"] < 1e-6
     assert abs(report["mu"] + 2.0 / 3.0) < 1e-15
+
+
+def test_permutability_match_failure_exits_3_with_a_plain_number(tmp_path, capsys):
+    trig = gen_trig(tmp_path)
+    assert run("permutability", "--input", trig, "--c", 5.0, "--c2", 3.0, "--tol", 1e-20) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR MatchFailure: branch 'minus' starts ")
+    assert 0.0 < float(err.split(" starts ")[1].split()[0]) < 1e-6
+
+
+def test_flow_step_and_match_tolerance_defaults_have_one_home(monkeypatch):
+    assert inspect.signature(kf.evolve_curve).parameters["ds"].default == kf.DEFAULT_DS
+    assert inspect.signature(bk.permutability_square).parameters["match_tol"].default == bk.MATCH_TOL
+    # the command reads both when it builds its parser
+    monkeypatch.setattr(kf, "DEFAULT_DS", 2.5e-4)
+    monkeypatch.setattr(bk, "MATCH_TOL", 3e-6)
+    parser = cli._parser()
+    assert parser.parse_args(["kdv", "--input", "x", "--s-end", "1", "--output", "y"]).ds == 2.5e-4
+    assert parser.parse_args(["permutability", "--input", "x", "--c", "1", "--c2", "2"]).tol == 3e-6
 
 
 def test_permutability_equal_constants_exit_2(tmp_path, capsys):

@@ -51,13 +51,35 @@ def test_lift_project_sign_ambiguity():
     assert -np.pi / 2 < cc.project(neg).psi.samples[0] <= np.pi / 2
 
 
-def test_project_rejects_winding_curve():
+def wound_curve():
+    """Unit-Wronskian plane curve with rotation number three."""
     t = pf.grid(128)
     g1 = pf.PeriodicFn(np.cos(3 * t) / np.sqrt(3.0), "antiperiodic")
     g2 = pf.PeriodicFn(np.sin(3 * t) / np.sqrt(3.0), "antiperiodic")
-    wound = cc.CentroAffineCurve(g1, g2)
+    return cc.CentroAffineCurve(g1, g2)
+
+
+def test_project_rejects_winding_curve():
     with pytest.raises(NonMonotone):
-        cc.project(wound)
+        cc.project(wound_curve())
+
+
+@pytest.mark.parametrize(
+    "build, error, prefix",
+    [
+        (lambda: cc.ProjectiveCurve(pf.from_callable(lambda t: 0.6 * np.sin(2 * t), 64)), NonMonotone, "min phi' = "),
+        (lambda: cc.project(wound_curve()), NonMonotone, "rotation number "),
+        (lambda: cc.sl2_apply(np.diag([2.0, 1.0]), cc.lift(cc.make_circle(64))), ValueError, "det = "),
+    ],
+    ids=["min_phi_prime", "rotation_number", "sl2_apply_det"],
+)
+def test_gate_messages_print_plain_numbers(build, error, prefix):
+    # numpy 2 prints a numpy scalar's repr as np.float64(...); the gates cast to float first
+    with pytest.raises(error) as info:
+        build()
+    message = str(info.value)
+    assert message.startswith(prefix)
+    float(message[len(prefix):].split()[0].rstrip(","))
 
 
 def test_curvature_residual():

@@ -132,6 +132,16 @@ def test_riccati_identity_monodromy_degenerate():
         rm.riccati_periodic_solutions(p, 1.0)
 
 
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+def test_riccati_branch_pole_raises(branch):
+    # p + 1/c^2 = -1 + 0.4 cos 2t: the shifted Hill map is hyperbolic with
+    # trace < -2, so each Floquet solution u changes sign and w has a pole
+    p = pf.from_callable(lambda t: -5.0 + 0.4 * np.cos(2 * t), 128)
+    assert rm.hill_fundamental(p + 4.0).trace < -2.0
+    with pytest.raises(BranchSingular, match="pole"):
+        rm.riccati_branch(p, 0.5, branch)
+
+
 def test_riccati_zero_param():
     with pytest.raises(ZeroParam):
         rm.riccati_periodic_solutions(pf.constant(-1.0, 64), 0.0)
