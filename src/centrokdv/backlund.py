@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import curve_core as cc
 from . import periodic_fn as pf
 from .curve_core import (
     CentroAffineCurve,
     ProjectiveCurve,
+    _gated,
     curvature,
     projective_distance,
     wrap_half_pi,
@@ -96,14 +96,6 @@ def plane_map(Gamma: CentroAffineCurve, potential: pf.PeriodicFn, w: pf.Periodic
     return g1, g2, potential + (2.0 / c_aff) * pf.differentiate(w)
 
 
-def gate_image(g1: pf.PeriodicFn, g2: pf.PeriodicFn) -> CentroAffineCurve:
-    """Gate step of the plane map: the image curve, or OffUnity on a Wronskian miss."""
-    defect = cc.wronskian_defect(g1, g2)
-    if defect > cc.WRONSKIAN_TOL:
-        raise OffUnity(f"image misses unit Wronskian by {defect!r} > {cc.WRONSKIAN_TOL!r}")
-    return CentroAffineCurve(g1, g2)
-
-
 def apply_tc(
     Gamma: CentroAffineCurve,
     c_aff: float,
@@ -115,13 +107,13 @@ def apply_tc(
     w is the periodic Riccati solution of the chosen branch; it makes
     [Gamma, Delta] = c and keeps [Delta, Delta'] = 1, and the image Hill
     potential is p + 2 w'/c.  Applying the opposite branch to the image
-    returns -Gamma.
+    returns -Gamma.  An image off unit Wronskian raises OffUnity.
     """
     param = param_convert(c_aff, "affine")
     pot = curvature(Gamma)
     sol = riccati_branch(pot, c_aff, branch, substeps=substeps)
     g1, g2, image_curvature = plane_map(Gamma, pot, sol.solution, c_aff)
-    return BacklundResult(gate_image(g1, g2), sol, image_curvature, param)
+    return BacklundResult(_gated(g1, g2, OffUnity, "image"), sol, image_curvature, param)
 
 
 def _reflect_curve(gamma: ProjectiveCurve) -> ProjectiveCurve:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import periodic_fn as pf
-from .errors import NonMonotone
+from .errors import NonMonotone, NumericalFailure, OffUnity
 
 __all__ = [
     "ProjectiveCurve",
@@ -97,7 +97,7 @@ class ProjectiveCurve:
 
 @dataclass(frozen=True)
 class CentroAffineCurve:
-    """Antiperiodic plane curve with unit Wronskian [Gamma, Gamma'] = 1."""
+    """Antiperiodic plane curve with unit Wronskian [Gamma, Gamma'] = 1; a miss raises ValueError."""
 
     gamma1: pf.PeriodicFn
     gamma2: pf.PeriodicFn
@@ -109,7 +109,7 @@ class CentroAffineCurve:
             raise ValueError("component sample counts differ")
         err = wronskian_defect(self.gamma1, self.gamma2)
         if err > WRONSKIAN_TOL:
-            raise ValueError(f"Wronskian off unity by {err!r}")
+            raise ValueError(f"Wronskian off unity by {err!r} > {WRONSKIAN_TOL!r}")
 
     @property
     def n(self) -> int:
@@ -119,14 +119,22 @@ class CentroAffineCurve:
         return _wronskian(self.gamma1, self.gamma2)
 
 
+def _gated(g1: pf.PeriodicFn, g2: pf.PeriodicFn, failure: type[NumericalFailure], what: str) -> CentroAffineCurve:
+    """The curve of samples the package computed; a gate miss is that computation's failure."""
+    try:
+        return CentroAffineCurve(g1, g2)
+    except ValueError as exc:
+        raise failure(f"{what}: {exc}") from exc
+
+
 def lift(gamma: ProjectiveCurve) -> CentroAffineCurve:
-    """Unit-Wronskian plane lift Gamma = (cos phi, sin phi)/sqrt(phi')."""
+    """Unit-Wronskian plane lift Gamma = (cos phi, sin phi)/sqrt(phi'); OffUnity if it misses the gate."""
     t = gamma.psi.grid
     phi = t + gamma.psi.samples
     root = np.sqrt(gamma.phi_prime.samples)
     g1 = pf.PeriodicFn(np.cos(phi) / root, "antiperiodic")
     g2 = pf.PeriodicFn(np.sin(phi) / root, "antiperiodic")
-    return CentroAffineCurve(g1, g2)
+    return _gated(g1, g2, OffUnity, "lifted curve")
 
 
 def project(Gamma: CentroAffineCurve) -> ProjectiveCurve:
@@ -216,14 +224,14 @@ def random_sl2(rng, scale: float = 0.5) -> np.ndarray:
 
 
 def sl2_apply(A: np.ndarray, Gamma: CentroAffineCurve) -> CentroAffineCurve:
-    """Apply a unimodular matrix to the curve componentwise."""
+    """Apply a unimodular matrix to the curve componentwise; OffUnity if the image misses the gate."""
     A = np.asarray(A, dtype=float)
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     if abs(det - 1.0) > 1e-9:
         raise ValueError(f"det = {float(det)!r}, need a unimodular matrix")
     g1 = A[0, 0] * Gamma.gamma1 + A[0, 1] * Gamma.gamma2
     g2 = A[1, 0] * Gamma.gamma1 + A[1, 1] * Gamma.gamma2
-    return CentroAffineCurve(g1, g2)
+    return _gated(g1, g2, OffUnity, "mapped curve")
 
 
 def curve_distance(a: CentroAffineCurve, b: CentroAffineCurve) -> float:
@@ -268,19 +276,32 @@ def save_curve(curve, path, meta: dict | None = None) -> None:
         fh.write("\n")
 
 
+def _samples(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as a float array; ValueError naming key if it is missing or not a list of numbers."""
+    value = doc.get(key)
+    if isinstance(value, list):
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"curve file field {key!r} is missing or not a list of numbers")
+
+
 def load_curve(path):
-    """Read a curve from the JSON interchange format."""
+    """Read a curve from the JSON interchange format; ValueError if the document is malformed."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"curve file must hold a JSON object, not {type(doc).__name__}")
     kind = doc.get("kind")
     if kind == "projective":
-        psi = np.asarray(doc["psi"], dtype=float)
+        psi = _samples(doc, "psi")
         if len(psi) != doc.get("n", len(psi)):
             raise ValueError("sample count mismatch in curve file")
         return ProjectiveCurve(pf.PeriodicFn(psi, "periodic"))
     if kind == "centro_affine":
-        g1 = np.asarray(doc["gamma1"], dtype=float)
-        g2 = np.asarray(doc["gamma2"], dtype=float)
+        g1 = _samples(doc, "gamma1")
+        g2 = _samples(doc, "gamma2")
         if len(g1) != doc.get("n", len(g1)):
             raise ValueError("sample count mismatch in curve file")
         return CentroAffineCurve(

@@ -2,13 +2,10 @@
 
 Two families: precondition violations (bad input; CLI exit code 2) and
 numerical failures (well-posed input, but the requested object does not
-exist or the computation cannot proceed; CLI exit code 3).
+exist or the computation cannot proceed; CLI exit code 3).  A curve the
+package computes that misses the unit-Wronskian gate is a numerical
+failure; caller samples that miss it raise a bare ValueError.
 """
-
-import linecache
-from pathlib import Path
-
-_PACKAGE_DIR = Path(__file__).resolve().parent
 
 
 class PreconditionError(Exception):
@@ -64,21 +61,7 @@ class MatchFailure(NumericalFailure):
 
 
 def documented(exc: BaseException) -> bool:
-    """Whether exc is a failure mode the package documents.
-
-    Those are precondition and numerical failures, and a bare ValueError
-    raised by a ``raise`` statement of the package itself: its construction
-    gates (such as the unit-Wronskian gate of a plane curve) and input
-    checks.  numpy's ValueErrors have no such frame, even when package
-    arithmetic triggers them.
-    """
-    if isinstance(exc, (PreconditionError, NumericalFailure)):
-        return True
-    if type(exc) is not ValueError or exc.__traceback__ is None:
-        return False
-    tb = exc.__traceback__
-    while tb.tb_next is not None:
-        tb = tb.tb_next
-    filename = tb.tb_frame.f_code.co_filename
-    in_package = Path(filename).resolve().parent == _PACKAGE_DIR
-    return in_package and linecache.getline(filename, tb.tb_lineno).lstrip().startswith("raise ")
+    """Whether exc is a failure mode the package documents: a precondition
+    or a numerical failure.  Anything else, a ValueError of an argument
+    check included, is the caller's error or a defect of the program."""
+    return isinstance(exc, (PreconditionError, NumericalFailure))

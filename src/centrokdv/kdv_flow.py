@@ -153,7 +153,7 @@ def _transport(curves: tuple, s_end: float, ds: float, legs: int):
     The curves share a grid and each is driven by its own potential; the
     batch rides on the last axis of every array.  Each leg takes
     _step_count(s_end / legs, ds) steps of evolve_curve's scheme, and every
-    yielded curve has passed its own Wronskian gate.
+    yielded curve has passed its own Wronskian gate; a miss raises StepUnstable.
     """
     if len({G.gamma1.n for G in curves}) != 1:
         raise ValueError("need one or more curves on one grid")
@@ -186,6 +186,7 @@ def _transport(curves: tuple, s_end: float, ds: float, legs: int):
     end = next(nodes)
     x = np.stack([np.stack([G.gamma1.samples, G.gamma2.samples], axis=1) for G in curves], axis=2)
     sup = np.max(np.abs(x), axis=(0, 1))
+    miss = "transported curve misses unit Wronskian; reduce ds or refine the grid"
     for _ in range(legs):
         for _ in range(per_leg):
             start, mid, end = end, next(nodes), next(nodes)
@@ -199,13 +200,7 @@ def _transport(curves: tuple, s_end: float, ds: float, legs: int):
         for b in range(len(curves)):
             g1 = pf.PeriodicFn(x[:, 0, b], "antiperiodic")
             g2 = pf.PeriodicFn(x[:, 1, b], "antiperiodic")
-            defect = cc.wronskian_defect(g1, g2)
-            if defect > cc.WRONSKIAN_TOL:
-                raise StepUnstable(
-                    f"transported curve misses unit Wronskian by {defect!r}; "
-                    f"reduce ds or refine the grid"
-                )
-            moved.append(CentroAffineCurve(g1, g2))
+            moved.append(cc._gated(g1, g2, StepUnstable, miss))
         yield tuple(moved)
 
 

@@ -50,6 +50,11 @@ TRANSFER_CHUNK = 256  # RK4 steps whose propagators are built and multiplied at 
 _SOLVE_PASSES = 8  # cap on RiccatiBranch.solve_linear's defect-correction passes
 
 
+def _roundoff_floor(n: int, scale: float) -> float:
+    """4 n eps scale: the floor of a residual holding the spectral derivative of n samples of size scale."""
+    return 4.0 * n * np.finfo(float).eps * scale
+
+
 def _mul(a, b):
     """a @ b for stacks of 2x2 matrices held as component tuples (m00, m01, m10, m11).
 
@@ -293,13 +298,13 @@ class RiccatiBranch:
             raise ValueError("rhs must be periodic on the solution's grid")
         kappa = (2.0 / self.c_aff) * self.solution.samples
         r = rhs.samples
-        eps_n = 4.0 * r.shape[0] * np.finfo(float).eps
         g, residual = np.zeros_like(r), r
         for _ in range(_SOLVE_PASSES):
             g = g + _floquet_solve(self._factor, kappa, residual)
             kappa_g = kappa * g
             residual = r - pf.differentiate_samples(g, "periodic") + kappa_g
-            if np.max(np.abs(residual)) <= eps_n * max(np.max(np.abs(r)), np.max(np.abs(kappa_g))):
+            scale = max(np.max(np.abs(r)), np.max(np.abs(kappa_g)))
+            if np.max(np.abs(residual)) <= _roundoff_floor(r.shape[0], scale):
                 break
         return pf.PeriodicFn(g, "periodic")
 
@@ -442,7 +447,7 @@ def _polish_riccati(w: np.ndarray, potential: np.ndarray, c: float, factor: _Flo
     that grows like n eps |w| (Trefethen, Spectral Methods in MATLAB,
     ch. 3), so no Newton step can push the defect below it.
     """
-    floor = 4.0 * w.shape[0] * np.finfo(float).eps * max(1.0, float(np.max(np.abs(w))))
+    floor = _roundoff_floor(w.shape[0], max(1.0, float(np.max(np.abs(w)))))
     for _ in range(4):
         defect = pf.differentiate_samples(w, "periodic") - (w * w - 1.0) / c + c * potential
         if np.max(np.abs(defect)) < floor:

@@ -286,7 +286,8 @@ def run_all(n: int = 128, seed: int = 7) -> list[SuiteResult]:
     """Run every suite on one seeded generator; deterministic in (n, seed).
 
     A suite stopped by a documented failure is a FAIL with residual inf,
-    and the remaining suites still run; any other exception propagates.
+    and the remaining suites still run; any other exception propagates,
+    an argument check's ValueError (such as an odd n) too.
     """
     rng = np.random.default_rng(seed)
     results = []

@@ -73,15 +73,22 @@ def test_circle_elliptic_parameter_rejected():
         bk.apply_tc(Gamma, 2.0, "minus")
 
 
-def test_gate_rejects_image_off_unit_wronskian():
-    t = pf.grid(128)
-    circle = [pf.PeriodicFn(np.cos(t), "antiperiodic"), pf.PeriodicFn(np.sin(t), "antiperiodic")]
-    assert isinstance(bk.gate_image(*circle), cc.CentroAffineCurve)
-    # (cos t, sin t) has Wronskian 1; scaling both by sqrt(1 + 2e-9) gives 1 + 2e-9
-    g1, g2 = (np.sqrt(1.0 + 2e-9) * g for g in circle)
-    assert cc.wronskian_defect(g1, g2) == pytest.approx(2e-9, rel=1e-3)
-    with pytest.raises(OffUnity):
-        bk.gate_image(g1, g2)
+def test_gate_rejects_image_off_unit_wronskian(monkeypatch):
+    Gamma = cc.lift(cc.make_circle(128))
+    assert isinstance(bk.apply_tc(Gamma, 0.5).image, cc.CentroAffineCurve)
+    # the circle's image (cos, sin)(t - pi/6) has Wronskian 1 up to its own
+    # roundoff (about 8e-12); scaling both components by sqrt(1 + 2e-9) gives 1 + 2e-9
+    build = bk.plane_map
+
+    def off_unity(*args):
+        g1, g2, pot = build(*args)
+        return np.sqrt(1.0 + 2e-9) * g1, np.sqrt(1.0 + 2e-9) * g2, pot
+
+    monkeypatch.setattr(bk, "plane_map", off_unity)
+    with pytest.raises(OffUnity) as info:
+        bk.apply_tc(Gamma, 0.5)
+    defect, tol = str(info.value).split(" by ")[1].split(" > ")
+    assert float(defect) == pytest.approx(2e-9, abs=1e-11) and float(tol) == cc.WRONSKIAN_TOL
     assert issubclass(OffUnity, NumericalFailure)
 
 

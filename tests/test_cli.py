@@ -61,6 +61,32 @@ def test_lift_rejects_plane_curve(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR ValueError:")
 
 
+def test_lift_of_a_curve_too_rough_for_its_grid_exits_3(tmp_path, capsys):
+    src = tmp_path / "rough.json"
+    assert run("gen", "--preset", "trig", "--n", 64, "--seed", 7, "--output", src) == 0
+    assert run("lift", "--input", src, "--output", tmp_path / "plane.json") == 3
+    assert capsys.readouterr().err.startswith("ERROR OffUnity: lifted curve: Wronskian off unity by ")
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"kind": "projective"}, "'psi'"),
+        ({"kind": "projective", "psi": None}, "'psi'"),
+        ({"kind": "centro_affine", "gamma2": [0.0] * 16}, "'gamma1'"),
+        ({"kind": "centro_affine", "gamma1": [0.0] * 16, "gamma2": None}, "'gamma2'"),
+        ([0.0] * 16, "JSON object"),
+    ],
+    ids=["no_psi", "null_psi", "no_gamma1", "null_gamma2", "top_level_list"],
+)
+def test_malformed_curve_file_exits_2_naming_the_field(tmp_path, capsys, doc, field):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(doc))
+    assert run("lift", "--input", src, "--output", tmp_path / "x.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR ValueError:") and field in err
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     rc = run("lift", "--input", tmp_path / "nope.json", "--output", tmp_path / "x.json")
     assert rc == 2
@@ -237,9 +263,16 @@ def test_selfcheck_passes(capsys):
     assert "FAIL" not in out.replace("PASS", "")
 
 
+def test_selfcheck_rejects_an_odd_sample_count(capsys):
+    assert run("selfcheck", "--n", 63) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR ValueError: need an even sample count >= 16, got 63\n"
+
+
 def test_selfcheck_reports_every_suite_when_one_misses_a_gate(capsys):
     # at n = 64 the strength-0.6 stream curve of symplectic_invariance misses
-    # lift's unit-Wronskian gate; the run still reports all twelve suites
+    # lift's unit-Wronskian gate, an OffUnity; the run still reports all twelve suites
     assert run("selfcheck", "--n", 64, "--seed", 7) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -248,5 +281,5 @@ def test_selfcheck_reports_every_suite_when_one_misses_a_gate(capsys):
     suites = lines[1:-1]
     assert len(suites) == 12
     gate_miss = next(line for line in suites if line.startswith("symplectic_invariance "))
-    assert gate_miss.split()[1:] == ["inf", "tol", "1.0e-06", "margin", "-inf", "FAIL", "ValueError"]
+    assert gate_miss.split()[1:] == ["inf", "tol", "1.0e-06", "margin", "-inf", "FAIL", "OffUnity"]
     assert suites[0].startswith("spectral_calculus ") and suites[0].endswith("PASS")

@@ -5,7 +5,7 @@ import pytest
 
 from centrokdv import curve_core as cc
 from centrokdv import periodic_fn as pf
-from centrokdv.errors import NonMonotone
+from centrokdv.errors import NonMonotone, OffUnity
 
 
 def bump_curve(n, amp=0.1):
@@ -51,6 +51,14 @@ def test_lift_project_sign_ambiguity():
     assert -np.pi / 2 < cc.project(neg).psi.samples[0] <= np.pi / 2
 
 
+def off_unity_circle(n):
+    """(cos t, 1.1 sin t): Wronskian 1.1, so construction raises."""
+    return cc.CentroAffineCurve(
+        pf.from_callable(np.cos, n, "antiperiodic"),
+        pf.from_callable(lambda t: 1.1 * np.sin(t), n, "antiperiodic"),
+    )
+
+
 def wound_curve():
     """Unit-Wronskian plane curve with rotation number three."""
     t = pf.grid(128)
@@ -70,8 +78,15 @@ def test_project_rejects_winding_curve():
         (lambda: cc.ProjectiveCurve(pf.from_callable(lambda t: 0.6 * np.sin(2 * t), 64)), NonMonotone, "min phi' = "),
         (lambda: cc.project(wound_curve()), NonMonotone, "rotation number "),
         (lambda: cc.sl2_apply(np.diag([2.0, 1.0]), cc.lift(cc.make_circle(64))), ValueError, "det = "),
+        # caller samples off unit Wronskian are bad input; a computed lift that misses is a numerical failure
+        (lambda: off_unity_circle(64), ValueError, "Wronskian off unity by "),
+        (
+            lambda: cc.lift(cc.random_projective(np.random.default_rng(7), 64)),
+            OffUnity,
+            "lifted curve: Wronskian off unity by ",
+        ),
     ],
-    ids=["min_phi_prime", "rotation_number", "sl2_apply_det"],
+    ids=["min_phi_prime", "rotation_number", "sl2_apply_det", "caller_samples_off_unity", "lift_off_unity"],
 )
 def test_gate_messages_print_plain_numbers(build, error, prefix):
     # numpy 2 prints a numpy scalar's repr as np.float64(...); the gates cast to float first

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import centrokdv.backlund as bk
 import centrokdv.periodic_fn as pf
 import centrokdv.curve_core as cc
 import centrokdv.invariants as iv
@@ -178,6 +179,21 @@ def test_curve_batch_with_an_unstable_member_raises():
     for pair in ((good, bad), (bad, good)):
         with pytest.raises(StepUnstable, match="misses unit Wronskian"):
             kf.evolve_curve(pair, 0.02)
+
+
+def test_each_gated_curve_computes_its_wronskian_defect_once(monkeypatch):
+    G = seeded_curve(1)
+    calls = []
+    defect = cc.wronskian_defect
+    monkeypatch.setattr(cc, "wronskian_defect", lambda g1, g2: calls.append(g1.n) or defect(g1, g2))
+    bk.apply_tc(G, 0.5, "minus")
+    assert len(calls) == 1  # the image
+    calls.clear()
+    kf.flow_trace(G, 0.01, samples=3)
+    assert len(calls) == 3  # one transported curve per leg
+    calls.clear()
+    kf.evolve_curve((G, G), 0.01)
+    assert len(calls) == 2  # one per curve of the batch
 
 
 def test_curve_batch_rejects_mixed_grids():

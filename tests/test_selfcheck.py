@@ -90,14 +90,19 @@ def test_documented_failure_is_a_fail_and_the_run_goes_on(monkeypatch):
     assert lines[1] == "singular           inf  tol  1.0e-06  margin   -inf  FAIL  BranchSingular"
 
 
-def test_package_value_error_gate_is_documented(monkeypatch):
-    def off_unity(n, rng):
-        g = cc.lift(cc.make_circle(n))
-        cc.CentroAffineCurve(g.gamma1, 1.1 * g.gamma2)  # Wronskian 1.1
+def test_lift_miss_inside_a_suite_is_an_off_unity_fail(monkeypatch):
+    def rough_lift(n, rng):
+        # the strength-0.6 curve of default_rng(7) is too rough for n = 64: its lift misses the gate
+        cc.lift(cc.random_projective(rng, n))
 
-    monkeypatch.setattr(selfcheck, "_SUITES", (("gate", 1e-6, off_unity),))
+    monkeypatch.setattr(selfcheck, "_SUITES", (("gate", 1e-6, rough_lift),))
     (result,) = selfcheck.run_all(64, 7)
-    assert result.error == "ValueError" and not result.passed
+    assert result.error == "OffUnity" and not result.passed
+
+
+def _caller_samples_off_unity(n, rng):
+    g = cc.lift(cc.make_circle(n))
+    cc.CentroAffineCurve(g.gamma1, 1.1 * g.gamma2)  # Wronskian 1.1
 
 
 @pytest.mark.parametrize(
@@ -107,6 +112,10 @@ def test_package_value_error_gate_is_documented(monkeypatch):
         _raising(ValueError("raised outside the package")),
         # numpy's broadcast ValueError, raised inside package arithmetic
         lambda n, rng: rm.conjugator_affine(np.ones(3), np.ones(4), 0.5),
+        # argument checks raised by the package itself: a bad strength, and
+        # caller samples off unit Wronskian
+        pytest.param(lambda n, rng: cc.random_projective(rng, n, strength=1.5), id="package_argument_check"),
+        pytest.param(_caller_samples_off_unity, id="caller_samples_off_unity"),
     ],
 )
 def test_undocumented_exception_propagates(monkeypatch, suite):
