@@ -40,8 +40,15 @@ RESONANCE_TOL = 1e-8
 _PARITIES = ("periodic", "antiperiodic")
 
 
+def _check_sample_count(n: int) -> None:
+    """Raise ValueError unless n is an even sample count >= MIN_SAMPLES."""
+    if n < MIN_SAMPLES or n % 2:
+        raise ValueError(f"need an even sample count >= {MIN_SAMPLES}, got {n}")
+
+
 def grid(n: int) -> np.ndarray:
-    """Sample points t_k = k*pi/n, k = 0..n-1."""
+    """Sample points t_k = k*pi/n, k = 0..n-1; n must be a valid sample count."""
+    _check_sample_count(n)
     return np.arange(n) * (np.pi / n)
 
 
@@ -56,9 +63,7 @@ class PeriodicFn:
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 1:
             raise ValueError("samples must be a one-dimensional array")
-        n = arr.shape[0]
-        if n < MIN_SAMPLES or n % 2:
-            raise ValueError(f"need an even sample count >= {MIN_SAMPLES}, got {n}")
+        _check_sample_count(arr.shape[0])
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
         if self.parity not in _PARITIES:
@@ -139,6 +144,7 @@ def from_callable(fn, n: int, parity: str = "periodic") -> PeriodicFn:
 
 
 def constant(value: float, n: int) -> PeriodicFn:
+    _check_sample_count(n)
     return PeriodicFn(np.full(n, float(value)), "periodic")
 
 

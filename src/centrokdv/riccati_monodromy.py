@@ -5,12 +5,16 @@ conjugator.
 All period maps are classical RK4 on [0, pi] with step h = pi/(substeps*N);
 coefficient values at half steps come from exact trigonometric resampling,
 so step-halving exhibits clean order-4 decay.  The systems are linear, so
-each RK4 step is a fixed 2x2 propagator: ``_rk4_transfer`` builds them a
-chunk at a time in one vectorised pass and multiplies them by a pairwise
-tree (period map) or an inclusive prefix product (fundamental-matrix
-trajectory), with no loop over steps.  Eigen-structure of the resulting 2x2
-matrices drives everything else: branch labels, fixed points in RP^1, and
-spectral invariants.
+each RK4 step is a fixed 2x2 step map, and the maps are multiplied a chunk
+at a time (_chunked_product) by a pairwise tree (period map) or an
+inclusive prefix product (fundamental-matrix trajectory), with no loop over
+steps.  Hill's generator builds its step maps from the RK4 stages
+(_rk4_transfer).  The projective generator B squares to zero, so its RK4
+step map is exactly the quadratic I + h C1 + h^2 C2; C1 and C2 are built
+once per curve, before any lambda is applied, and each lambda costs one
+Horner evaluation per step (_quadratic_transfer).  Eigen-structure of the
+resulting 2x2 matrices drives everything else: branch labels, fixed points
+in RP^1, and spectral invariants.
 
 Both generators, Hill's [[0, 1], [p, 0]] and the projective field, are
 traceless, so every period map is in SL(2, R) and no determinant is computed:
@@ -124,32 +128,23 @@ def _step_size(substeps: int, n: int) -> float:
     return np.pi / (substeps * n)
 
 
-def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, keep_trajectory: bool = False):
-    """Integrate X' = B(t)X from X(0) = I across K classical RK4 steps of size h.
+def _chunked_product(step_maps, steps: int, batch: tuple, keep_trajectory: bool):
+    """X(t_k) = P_{k-1} ... P_0 from step maps built TRANSFER_CHUNK at a time.
 
-    ``b_half`` holds B at half-step resolution: shape (2K+1, ..., 2, 2),
-    where index 2k is the start of step k, 2k+1 its midpoint, 2k+2 its end.
-    Batch axes between the time axis and the matrix block are carried along;
-    h may be an array broadcast over them, one step size per batch entry.
-    Returns the final matrix, or the whole (K+1)-point trajectory.
-
-    The system is linear, so step k is the fixed 2x2 propagator P_k of
-    _step_propagators and X(t_k) = P_{k-1} ... P_0.  Propagators are built
-    TRANSFER_CHUNK steps at a time in one vectorised pass; a chunk is
-    reduced by a pairwise tree product, or, for the trajectory, by an
-    inclusive prefix product, and the running matrix is carried from chunk
-    to chunk, so memory stays flat in K.
+    step_maps(lo, hi) returns the component stack of P_lo, ..., P_{hi-1},
+    each component of shape (hi - lo,) + batch.  A chunk is reduced by a
+    pairwise tree product, or, for the trajectory, by an inclusive prefix
+    product, and the running matrix is carried from chunk to chunk, so
+    memory stays flat in the step count.  Returns the final matrix, or the
+    whole (steps+1)-point trajectory.
     """
-    steps = (b_half.shape[0] - 1) // 2
-    batch = np.broadcast_shapes(b_half.shape[1:-2], np.shape(h))
     running = (np.ones(batch), np.zeros(batch), np.zeros(batch), np.ones(batch))
     traj = np.empty((steps + 1,) + batch + (2, 2)) if keep_trajectory else None
     if keep_trajectory:
         traj[0] = np.eye(2)
     for lo in range(0, steps, TRANSFER_CHUNK):
         hi = min(lo + TRANSFER_CHUNK, steps)
-        b = b_half[2 * lo : 2 * hi + 1]
-        p = _step_propagators(_components(b[:-1:2]), _components(b[1::2]), _components(b[2::2]), h)
+        p = step_maps(lo, hi)
         if keep_trajectory:
             chunk = _mul(_prefix_products(p), running)
             for x, y in zip(_components(traj[lo + 1 : hi + 1]), chunk):
@@ -160,6 +155,56 @@ def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, keep_trajectory: bo
     if keep_trajectory:
         return traj
     return np.stack(running, axis=-1).reshape(batch + (2, 2))
+
+
+def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, keep_trajectory: bool = False):
+    """Integrate X' = B(t)X from X(0) = I across K classical RK4 steps of size h.
+
+    ``b_half`` holds B at half-step resolution: shape (2K+1, ..., 2, 2),
+    where index 2k is the start of step k, 2k+1 its midpoint, 2k+2 its end.
+    Batch axes between the time axis and the matrix block are carried along;
+    h may be an array broadcast over them, one step size per batch entry.
+    Returns the final matrix, or the whole (K+1)-point trajectory.
+
+    This is the RK4 stage form, for a generator with B^2 != 0 (Hill's):
+    step k is the propagator P_k of _step_propagators, and
+    _chunked_product multiplies them.  The projective generator, with
+    B^2 = 0, takes the exact quadratic step map of _quadratic_transfer.
+    """
+    steps = (b_half.shape[0] - 1) // 2
+    batch = np.broadcast_shapes(b_half.shape[1:-2], np.shape(h))
+
+    def step_maps(lo, hi):
+        b = b_half[2 * lo : 2 * hi + 1]
+        return _step_propagators(_components(b[:-1:2]), _components(b[1::2]), _components(b[2::2]), h)
+
+    return _chunked_product(step_maps, steps, batch, keep_trajectory)
+
+
+def _quadratic_transfer(b_half: np.ndarray, h: float | np.ndarray, keep_trajectory: bool = False):
+    """_rk4_transfer for a generator with B^2 = 0, by the exact quadratic step map.
+
+    Expanding the stages of _step_propagators in h gives the step map
+    I + h C1 + h^2 C2 + h^3 C3 + h^4 C4 with C1 = (B0 + 4 Bm + B1)/6,
+    C2 = (Bm B0 + Bm^2 + B1 Bm)/6, C3 = (Bm^2 B0 + B1 Bm^2)/12 and
+    C4 = B1 Bm^2 B0/24 (Hairer, Norsett & Wanner, Solving ODEs I, II.1).
+    With Bm^2 = 0, C2 = (Bm B0 + B1 Bm)/6 and C3 and C4 vanish, so
+    P_k = I + h (C1_k + h C2_k) is the RK4 step map exactly.  C1 and C2 do
+    not depend on h: they are built once, over all K steps, and each batch
+    entry's step size costs one Horner evaluation per step.
+    """
+    b0, bm, b1 = _components(b_half[:-1:2]), _components(b_half[1::2]), _components(b_half[2::2])
+    c1 = tuple((x0 + 4.0 * xm + x1) / 6.0 for x0, xm, x1 in zip(b0, bm, b1))
+    c2 = tuple((x + y) / 6.0 for x, y in zip(_mul(bm, b0), _mul(b1, bm)))
+    batch = np.broadcast_shapes(b_half.shape[1:-2], np.shape(h))
+
+    def step_maps(lo, hi):
+        p = [h * (a[lo:hi] + h * b[lo:hi]) for a, b in zip(c1, c2)]
+        p[0] += 1.0
+        p[3] += 1.0
+        return p
+
+    return _chunked_product(step_maps, c1[0].shape[0], batch, keep_trajectory)
 
 
 @dataclass(frozen=True)
@@ -463,6 +508,8 @@ def _angle_b_half(gamma: ProjectiveCurve, substeps: int) -> np.ndarray:
     B(t) = (lambda/phi') [[-sin phi cos phi, sin^2 phi], [-cos^2 phi, sin phi cos phi]],
     the angle-chart form of the affine-chart field (lambda/gamma')
     [[-gamma, gamma^2], [-1, gamma]]; this helper returns B/lambda.
+    That is (1/phi') v w^T with v = (sin phi, cos phi) and
+    w = (-cos phi, sin phi); w^T v = 0, so B^2 = 0 (_quadratic_transfer).
     """
     m = 2 * substeps * gamma.n
     psi, dpsi = pf.values_and_slopes_with_wrap(gamma.psi.samples, m)
@@ -492,9 +539,9 @@ def moebius_monodromy(
     h = float(lam) * _step_size(substeps, gamma.n)  # lambda scales the step, not the field
     b = _angle_b_half(gamma, substeps)
     if keep_trajectory:
-        traj = _rk4_transfer(b, h, keep_trajectory=True)
+        traj = _quadratic_transfer(b, h, keep_trajectory=True)
         return MonodromyMatrix(traj[-1]), traj
-    return MonodromyMatrix(_rk4_transfer(b, h))
+    return MonodromyMatrix(_quadratic_transfer(b, h))
 
 
 @dataclass(frozen=True)
@@ -524,13 +571,12 @@ def spectral_scan(
 
     All grid points ride one batched integration.  An RK4 step of lambda B
     with step h is one of B with step lambda h, so the batch shares one
-    lambda-free field, broadcast without copying, and lambda scales the step.
+    lambda-free field, passed with batch shape (1,) so its step coefficients
+    are built once, and lambda scales the step.
     """
     lam = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
     h = _step_size(substeps, gamma.n)
-    b = _angle_b_half(gamma, substeps)[:, None]
-    b = np.broadcast_to(b, (b.shape[0], lam.size, 2, 2))
-    m = _rk4_transfer(b, lam * h)
+    m = _quadratic_transfer(_angle_b_half(gamma, substeps)[:, None], lam * h)
     tr = m[:, 0, 0] + m[:, 1, 1]
     return SpectralScan(lambdas=lam, tr2=tr * tr)
 

@@ -270,6 +270,14 @@ def test_selfcheck_rejects_an_odd_sample_count(capsys):
     assert captured.err == "ERROR ValueError: need an even sample count >= 16, got 63\n"
 
 
+@pytest.mark.parametrize("n", [0, -4])
+def test_selfcheck_names_a_sample_count_below_the_minimum(n, capsys):
+    assert run("selfcheck", "--n", n) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR ValueError: need an even sample count >= 16, got {n}\n"
+
+
 def test_selfcheck_reports_every_suite_when_one_misses_a_gate(capsys):
     # at n = 64 the strength-0.6 stream curve of symplectic_invariance misses
     # lift's unit-Wronskian gate, an OffUnity; the run still reports all twelve suites

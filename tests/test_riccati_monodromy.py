@@ -35,6 +35,28 @@ def sequential_rk4(b_half, h, keep_trajectory=False):
     return np.stack(traj) if keep_trajectory else m
 
 
+def stage_form_transfer(b_half, h, keep_trajectory=False):
+    """The chunked RK4 stage-form transfer written out in full: Hill's outputs match it bit for bit."""
+    steps = (b_half.shape[0] - 1) // 2
+    batch = np.broadcast_shapes(b_half.shape[1:-2], np.shape(h))
+    running = (np.ones(batch), np.zeros(batch), np.zeros(batch), np.ones(batch))
+    traj = np.empty((steps + 1,) + batch + (2, 2))
+    traj[0] = np.eye(2)
+    for lo in range(0, steps, rm.TRANSFER_CHUNK):
+        hi = min(lo + rm.TRANSFER_CHUNK, steps)
+        b = b_half[2 * lo : 2 * hi + 1]
+        b0, bm, b1 = rm._components(b[:-1:2]), rm._components(b[1::2]), rm._components(b[2::2])
+        p = rm._step_propagators(b0, bm, b1, h)
+        if keep_trajectory:
+            chunk = rm._mul(rm._prefix_products(p), running)
+            for x, y in zip(rm._components(traj[lo + 1 : hi + 1]), chunk):
+                x[...] = y
+            running = tuple(x[-1] for x in chunk)
+        else:
+            running = rm._mul(rm._tree_product(p), running)
+    return traj if keep_trajectory else np.stack(running, axis=-1).reshape(batch + (2, 2))
+
+
 def smooth_coefficients(steps, batch, seed):
     """A pi-periodic 2x2 field of three Fourier modes per entry, at the half steps of [0, pi]."""
     rng = np.random.default_rng(seed)
@@ -62,6 +84,59 @@ def test_transfer_matches_sequential_rk4(steps, batch):
     assert np.array_equal(traj[0], np.broadcast_to(np.eye(2), batch + (2, 2)))
     assert np.max(np.abs(traj - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(traj[-1] - m)) <= 1e-13 * np.max(np.abs(m))
+
+
+@pytest.mark.parametrize("batch", [(), (21,)])
+@pytest.mark.parametrize("steps", [1, 3, 2 * rm.TRANSFER_CHUNK, 2 * rm.TRANSFER_CHUNK + 3])
+def test_quadratic_transfer_matches_sequential_rk4(steps, batch):
+    # the projective field of a curve, cut to its first `steps` RK4 steps
+    gamma = cc.random_projective(np.random.default_rng(steps), 128)
+    b = rm._angle_b_half(gamma, substeps=8)[: 2 * steps + 1]
+    assert np.max(np.abs(b @ b)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(b)) ** 2
+    if batch:  # one field of batch shape (1,); lambda h carries the batch
+        lam_h = np.linspace(-1.0, 1.5, 21) * (np.pi / steps)
+        b_in, h_ref = b[:, None], lam_h[:, None, None]
+        b_ref = np.broadcast_to(b_in, (b.shape[0],) + batch + (2, 2))
+    else:
+        lam_h = 1.5 * np.pi / steps
+        b_in, b_ref, h_ref = b, b, lam_h
+    m = rm._quadratic_transfer(b_in, lam_h)
+    ref = sequential_rk4(b_ref, h_ref)
+    assert m.shape == batch + (2, 2)
+    assert np.max(np.abs(m - ref)) <= 1e-13 * np.max(np.abs(ref))
+    traj = rm._quadratic_transfer(b_in, lam_h, keep_trajectory=True)
+    ref = sequential_rk4(b_ref, h_ref, keep_trajectory=True)
+    assert traj.shape == (steps + 1,) + batch + (2, 2)
+    assert np.array_equal(traj[0], np.broadcast_to(np.eye(2), batch + (2, 2)))
+    assert np.max(np.abs(traj - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(traj[-1] - m)) <= 1e-13 * np.max(np.abs(m))
+
+
+def stage_form_hill(potential, substeps=rm.DEFAULT_SUBSTEPS, keep_trajectory=False):
+    """hill_fundamental through stage_form_transfer."""
+    fine = pf.values_with_wrap(potential, 2 * substeps * potential.n)
+    b = np.zeros((fine.shape[0], 2, 2))
+    b[:, 0, 1] = 1.0
+    b[:, 1, 0] = fine
+    out = stage_form_transfer(b, np.pi / (substeps * potential.n), keep_trajectory)
+    return (rm.MonodromyMatrix(out[-1]), out) if keep_trajectory else rm.MonodromyMatrix(out)
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_hill_and_riccati_outputs_are_bit_identical_to_the_stage_form(n, monkeypatch):
+    p = cc.curvature(cc.lift(cc.random_projective(np.random.default_rng(1), n)))
+
+    def outputs():
+        mono, traj = rm.hill_fundamental(p, keep_trajectory=True)
+        arrays = [mono.m, traj, rm.hill_fundamental(p, substeps=16).m]
+        for label in ("plus", "minus"):
+            branch = rm.riccati_branch(p, 0.5, label)
+            arrays += [branch.solution.samples, branch.multiplier, branch.solve_linear(p).samples]
+        return arrays
+
+    got = outputs()
+    monkeypatch.setattr(rm, "hill_fundamental", stage_form_hill)
+    assert all(np.array_equal(x, y) for x, y in zip(got, outputs(), strict=True))
 
 
 def test_callers_keep_their_transfer_shapes():
@@ -233,7 +308,7 @@ def test_strongly_hyperbolic_branches_stay_accurate(n, monkeypatch):
         far = bk.apply_tc_projective(gamma, 25.0, "minus")
     except BranchSingular:
         far = None
-    monkeypatch.setattr(rm, "_rk4_transfer", sequential_rk4)
+    monkeypatch.setattr(rm, "_quadratic_transfer", sequential_rk4)
     ref = bk.apply_tc_projective(gamma, 4.0, "minus")
     assert np.max(np.abs(image.psi.samples - ref.psi.samples)) <= 1e-9
     if far is not None:
@@ -295,12 +370,12 @@ def test_scan_reparametrization_invariance():
 
 
 def test_scan_single_point_matches_monodromy():
-    rng = np.random.default_rng(26)
-    gamma = cc.random_projective(rng, 64, strength=0.9)
     lams = np.linspace(-2.0, 2.0, 21)  # negative values and 0 included
-    scan = rm.spectral_scan(gamma, lams)
-    single = np.array([rm.moebius_monodromy(gamma, lam).tr2 for lam in lams])
-    assert np.all(np.abs(scan.tr2 - single) <= 1e-13 * np.abs(single))
+    for n, strength, substeps in ((64, 0.9, rm.DEFAULT_SUBSTEPS), (512, 0.35, 16)):
+        gamma = cc.random_projective(np.random.default_rng(26), n, strength=strength)
+        scan = rm.spectral_scan(gamma, lams, substeps=substeps)
+        single = np.array([rm.moebius_monodromy(gamma, lam, substeps=substeps).tr2 for lam in lams])
+        assert np.all(np.abs(scan.tr2 - single) <= 1e-13 * np.abs(single))
 
 
 @pytest.mark.parametrize("substeps", [0, -1])
