@@ -66,6 +66,8 @@ def param_convert(value: float, kind: str) -> BacklundParam:
     affine constant recovered from a projective input is the positive root.
     """
     value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{kind} parameter must be finite, got {value!r}")
     if kind == "affine":
         if value == 0.0:
             raise ZeroParam("affine parameter must be nonzero")
@@ -270,12 +272,15 @@ def permutability_square(
     maps intertwine (moebius_conjugacy_residual), so each second step's
     meeting point has the eigenvalue, and so the label, of the first step
     with the same constant: gamma12 takes branches[1], gamma21 branches[0].
-    A start more than match_tol from its prediction raises MatchFailure.
-    Both composition orders are returned so the caller can verify they
-    agree.
+    A start more than match_tol from its prediction raises MatchFailure;
+    a match_tol that is not a positive number raises ValueError before any
+    integration.  Both composition orders are returned so the caller can
+    verify they agree.
     """
     param_convert(c1_pr, "projective")
     param_convert(c2_pr, "projective")
+    if not match_tol > 0.0:  # NaN compares false, so it cannot switch the gate off
+        raise ValueError(f"match_tol must be a positive number, got {match_tol!r}")
     if c1_pr == c2_pr:
         raise Degenerate("equal constants: weight mu = 0 collapses the square")
     g1 = apply_tc_projective(gamma, c1_pr, branches[0], substeps=substeps)

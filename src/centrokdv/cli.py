@@ -93,6 +93,11 @@ def _cmd_backlund(args) -> int:
 def _cmd_scan(args) -> int:
     if (args.c is None) != (args.delta_output is None):
         raise ValueError("--c and --delta-output go together: give both or neither")
+    if not (np.all(np.isfinite([args.lambda_min, args.lambda_max])) and args.lambda_steps > 0):
+        raise ValueError(
+            "need finite --lambda-min and --lambda-max and a positive --lambda-steps, got "
+            f"{args.lambda_min!r}, {args.lambda_max!r}, {args.lambda_steps!r}"
+        )
     gamma = _load_projective(args.input)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_steps)
     scan = spectral_scan(gamma, lams, substeps=args.substeps)

@@ -16,7 +16,7 @@ also serves several curves.
 
 import csv
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -94,7 +94,7 @@ def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int):
     v is (n//2+1, B), one potential's spectrum per column.
     """
     # p_s = -1/2 p''' + 3/2 (p^2)': linear part -1/2 D^3, nonlinear part 3/2 D
-    d1, d3 = (pf._derivative_factors(n, "periodic", k)[0][: n // 2 + 1] for k in (1, 3))
+    d1, d3 = (pf.rfft_derivative_factor(n, k) for k in (1, 3))
     e_full, e_half, q, f1, f2, f3 = (c[:, None] for c in _etdrk4_coeffs(-0.5 * d3, h))
     nonlin_mult = 1.5 * d1[:, None]
 
@@ -123,8 +123,10 @@ def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int):
 
 
 def _step_count(s_end: float, ds: float) -> int:
-    if ds <= 0.0:
-        raise ValueError("ds must be positive")
+    if not isfinite(s_end):
+        raise ValueError(f"s_end must be finite, got {s_end!r}")
+    if not (isfinite(ds) and ds > 0.0):
+        raise ValueError(f"ds must be a positive finite number, got {ds!r}")
     return max(1, ceil(abs(s_end) / ds))
 
 
@@ -170,7 +172,7 @@ def _transport(curves: tuple, s_end: float, ds: float, legs: int):
     cut = 3 * (n // 2 + 1) // 4
     v0 = np.fft.rfft(p0, axis=0)
     v0[cut:] = 0.0
-    slope = pf._derivative_factors(n, "periodic", 1)[0][:cut, None]
+    slope = pf.rfft_derivative_factor(n, 1)[:cut, None]
 
     def driver(w):  # p and p' from one irfft of [w, i nu w], which zero-fills the dropped band
         rows = np.fft.irfft(np.stack([w[:cut], slope * w[:cut]], axis=1), n, axis=0)

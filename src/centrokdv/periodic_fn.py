@@ -184,6 +184,14 @@ def _derivative_factors(n: int, parity: str, order: int):
     return mult, demod, remod
 
 
+def rfft_derivative_factor(n: int, order: int) -> np.ndarray:
+    """Read-only (i nu)^order on the n // 2 + 1 rfft modes of n periodic samples.
+
+    Odd orders zero the Nyquist mode, as differentiate_samples does.
+    """
+    return _derivative_factors(n, "periodic", order)[0][: n // 2 + 1]
+
+
 def differentiate_samples(samples: np.ndarray, parity: str, order: int = 1) -> np.ndarray:
     """Spectral derivative of raw samples along axis 0 (trailing axes are columns); order 1, 2 or 3."""
     if order not in (1, 2, 3) or parity not in _PARITIES:
@@ -266,7 +274,7 @@ def values_and_slopes_with_wrap(samples: np.ndarray, m: int) -> np.ndarray:
         c[n // 2] *= 0.5  # split the self-conjugate Nyquist coefficient, as upsample does
     rows = np.zeros((2, m // 2 + 1), dtype=complex)
     rows[0, : n // 2 + 1] = c
-    rows[1, : n // 2 + 1] = c * _derivative_factors(n, "periodic", 1)[0][: n // 2 + 1]
+    rows[1, : n // 2 + 1] = c * rfft_derivative_factor(n, 1)
     vals = np.fft.irfft(rows, n=m, axis=1)
     return np.concatenate([vals, vals[:, :1]], axis=1)
 

@@ -8,17 +8,18 @@ so step-halving exhibits clean order-4 decay.  The systems are linear, so
 each RK4 step is a fixed 2x2 step map, and the maps are multiplied a chunk
 at a time (_chunked_product) by a pairwise tree (period map) or an
 inclusive prefix product (fundamental-matrix trajectory), with no loop over
-steps.  Hill's generator builds its step maps from the RK4 stages
-(_rk4_transfer).  The projective generator B squares to zero, so its RK4
-step map is exactly the quadratic I + h C1 + h^2 C2; C1 and C2 are built
-once per curve, before any lambda is applied, and each lambda costs one
-Horner evaluation per step (_quadratic_transfer).  Eigen-structure of the
-resulting 2x2 matrices drives everything else: branch labels, fixed points
-in RP^1, and spectral invariants.
+steps.  Both generators, Hill's [[0, 1], [p, 0]] and the projective field,
+are traceless, so each squares to a scalar, B^2 = q I (q = p for Hill, 0
+for the projective field), and one rule builds every step map
+(_rk4_transfer): the RK4 step polynomial in h, whose coefficients are then
+closed forms built once per field, before any step size is applied; each
+step size, so each lambda of a scan, costs one Horner evaluation per step.
+Eigen-structure of the resulting 2x2 matrices drives everything else:
+branch labels, fixed points in RP^1, and spectral invariants.
 
-Both generators, Hill's [[0, 1], [p, 0]] and the projective field, are
-traceless, so every period map is in SL(2, R) and no determinant is computed:
-the trace, Hill's discriminant (Magnus & Winkler, 1966, ch. 2), is the invariant.
+Tracelessness also puts every period map in SL(2, R), so no determinant is
+computed: the trace, Hill's discriminant (Magnus & Winkler, 1966, ch. 2),
+is the invariant.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ __all__ = [
 DEFAULT_SUBSTEPS = 8
 PARABOLIC_TOL = 1e-9
 _BRANCHES = ("plus", "minus")
-TRANSFER_CHUNK = 256  # RK4 steps whose propagators are built and multiplied at once
+TRANSFER_CHUNK = 256  # RK4 steps whose step maps are evaluated and multiplied at once
 _SOLVE_PASSES = 8  # cap on RiccatiBranch.solve_linear's defect-correction passes
 
 
@@ -77,25 +78,6 @@ def _mul(a, b):
 
 def _components(x: np.ndarray):
     return x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1]
-
-
-def _step_propagators(b0, bm, b1, h: float):
-    """RK4 step maps P = I + h/6 (A1 + 2 A2 + 2 A3 + A4) of X' = B(t) X.
-
-    A1 = B0, A2 = Bm (I + h/2 A1), A3 = Bm (I + h/2 A2), A4 = B1 (I + h A3),
-    so that one RK4 step sends X to P X exactly.
-    """
-
-    def times_shifted(b, a, s):  # b @ (I + s a)
-        return _mul(b, (1.0 + s * a[0], s * a[1], s * a[2], 1.0 + s * a[3]))
-
-    a2 = times_shifted(bm, b0, 0.5 * h)
-    a3 = times_shifted(bm, a2, 0.5 * h)
-    a4 = times_shifted(b1, a3, h)
-    p = [(h / 6.0) * (x1 + 2.0 * (x2 + x3) + x4) for x1, x2, x3, x4 in zip(b0, a2, a3, a4)]
-    p[0] += 1.0
-    p[3] += 1.0
-    return p
 
 
 def _tree_product(p):
@@ -157,54 +139,51 @@ def _chunked_product(step_maps, steps: int, batch: tuple, keep_trajectory: bool)
     return np.stack(running, axis=-1).reshape(batch + (2, 2))
 
 
-def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, keep_trajectory: bool = False):
+def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, keep_trajectory: bool = False, *, square):
     """Integrate X' = B(t)X from X(0) = I across K classical RK4 steps of size h.
 
-    ``b_half`` holds B at half-step resolution: shape (2K+1, ..., 2, 2),
-    where index 2k is the start of step k, 2k+1 its midpoint, 2k+2 its end.
-    Batch axes between the time axis and the matrix block are carried along;
-    h may be an array broadcast over them, one step size per batch entry.
-    Returns the final matrix, or the whole (K+1)-point trajectory.
+    ``b_half`` holds a traceless B at half-step resolution: shape
+    (2K+1, ..., 2, 2), where index 2k is the start of step k, 2k+1 its
+    midpoint, 2k+2 its end.  Batch axes between the time axis and the
+    matrix block are carried along; h may be an array broadcast over them,
+    one step size per batch entry.  ``square`` is the scalar q with
+    B^2 = q I (Cayley-Hamilton) at the K midpoints: Hill's p, or 0 for the
+    projective field.  The caller passes it because it knows q exactly;
+    read back from b_half, the projective field's zero square would carry
+    roundoff.  Returns the final matrix, or the whole (K+1)-point
+    trajectory.
 
-    This is the RK4 stage form, for a generator with B^2 != 0 (Hill's):
-    step k is the propagator P_k of _step_propagators, and
-    _chunked_product multiplies them.  The projective generator, with
-    B^2 = 0, takes the exact quadratic step map of _quadratic_transfer.
-    """
-    steps = (b_half.shape[0] - 1) // 2
-    batch = np.broadcast_shapes(b_half.shape[1:-2], np.shape(h))
-
-    def step_maps(lo, hi):
-        b = b_half[2 * lo : 2 * hi + 1]
-        return _step_propagators(_components(b[:-1:2]), _components(b[1::2]), _components(b[2::2]), h)
-
-    return _chunked_product(step_maps, steps, batch, keep_trajectory)
-
-
-def _quadratic_transfer(b_half: np.ndarray, h: float | np.ndarray, keep_trajectory: bool = False):
-    """_rk4_transfer for a generator with B^2 = 0, by the exact quadratic step map.
-
-    Expanding the stages of _step_propagators in h gives the step map
+    Expanding the RK4 stages in h gives the step map
     I + h C1 + h^2 C2 + h^3 C3 + h^4 C4 with C1 = (B0 + 4 Bm + B1)/6,
     C2 = (Bm B0 + Bm^2 + B1 Bm)/6, C3 = (Bm^2 B0 + B1 Bm^2)/12 and
-    C4 = B1 Bm^2 B0/24 (Hairer, Norsett & Wanner, Solving ODEs I, II.1).
-    With Bm^2 = 0, C2 = (Bm B0 + B1 Bm)/6 and C3 and C4 vanish, so
-    P_k = I + h (C1_k + h C2_k) is the RK4 step map exactly.  C1 and C2 do
-    not depend on h: they are built once, over all K steps, and each batch
-    entry's step size costs one Horner evaluation per step.
+    C4 = B1 Bm^2 B0/24 (Hairer, Norsett & Wanner, Solving ODEs I, II.1);
+    with Bm^2 = q I these are closed forms.  The C do not depend on h:
+    they are built once, over all K steps, and each batch entry's step
+    size costs one Horner evaluation per step.  Where q is identically
+    zero, C3 and C4 vanish and the polynomial is the quadratic
+    I + h (C1 + h C2).  _chunked_product multiplies the step maps.
     """
     b0, bm, b1 = _components(b_half[:-1:2]), _components(b_half[1::2]), _components(b_half[2::2])
-    c1 = tuple((x0 + 4.0 * xm + x1) / 6.0 for x0, xm, x1 in zip(b0, bm, b1))
-    c2 = tuple((x + y) / 6.0 for x, y in zip(_mul(bm, b0), _mul(b1, bm)))
+    q = np.asarray(square, dtype=float)
+    coeffs = [
+        tuple((x0 + 4.0 * xm + x1) / 6.0 for x0, xm, x1 in zip(b0, bm, b1)),
+        tuple((x + y + z) / 6.0 for x, y, z in zip(_mul(bm, b0), _mul(b1, bm), (q, 0.0, 0.0, q))),
+    ]
+    if np.any(q):  # else C3 and C4 vanish
+        coeffs.append(tuple(q * (x0 + x1) / 12.0 for x0, x1 in zip(b0, b1)))
+        coeffs.append(tuple(q * x / 24.0 for x in _mul(b1, b0)))
     batch = np.broadcast_shapes(b_half.shape[1:-2], np.shape(h))
 
-    def step_maps(lo, hi):
-        p = [h * (a[lo:hi] + h * b[lo:hi]) for a, b in zip(c1, c2)]
+    def step_maps(lo, hi):  # Horner: h (C1 + h (C2 + h (C3 + h C4)))
+        p = [c[lo:hi] for c in coeffs[-1]]
+        for c in coeffs[-2::-1]:
+            p = [a[lo:hi] + h * x for a, x in zip(c, p)]
+        p = [h * x for x in p]
         p[0] += 1.0
         p[3] += 1.0
         return p
 
-    return _chunked_product(step_maps, c1[0].shape[0], batch, keep_trajectory)
+    return _chunked_product(step_maps, coeffs[0][0].shape[0], batch, keep_trajectory)
 
 
 @dataclass(frozen=True)
@@ -299,9 +278,9 @@ def hill_fundamental(
     b[:, 0, 1] = 1.0
     b[:, 1, 0] = fine
     if keep_trajectory:
-        traj = _rk4_transfer(b, h, keep_trajectory=True)
+        traj = _rk4_transfer(b, h, keep_trajectory=True, square=fine[1::2])
         return MonodromyMatrix(traj[-1]), traj
-    return MonodromyMatrix(_rk4_transfer(b, h))
+    return MonodromyMatrix(_rk4_transfer(b, h, square=fine[1::2]))
 
 
 @dataclass(frozen=True)
@@ -509,7 +488,7 @@ def _angle_b_half(gamma: ProjectiveCurve, substeps: int) -> np.ndarray:
     the angle-chart form of the affine-chart field (lambda/gamma')
     [[-gamma, gamma^2], [-1, gamma]]; this helper returns B/lambda.
     That is (1/phi') v w^T with v = (sin phi, cos phi) and
-    w = (-cos phi, sin phi); w^T v = 0, so B^2 = 0 (_quadratic_transfer).
+    w = (-cos phi, sin phi); w^T v = 0, so B^2 = 0 (square 0 in _rk4_transfer).
     """
     m = 2 * substeps * gamma.n
     psi, dpsi = pf.values_and_slopes_with_wrap(gamma.psi.samples, m)
@@ -539,9 +518,9 @@ def moebius_monodromy(
     h = float(lam) * _step_size(substeps, gamma.n)  # lambda scales the step, not the field
     b = _angle_b_half(gamma, substeps)
     if keep_trajectory:
-        traj = _quadratic_transfer(b, h, keep_trajectory=True)
+        traj = _rk4_transfer(b, h, keep_trajectory=True, square=0.0)
         return MonodromyMatrix(traj[-1]), traj
-    return MonodromyMatrix(_quadratic_transfer(b, h))
+    return MonodromyMatrix(_rk4_transfer(b, h, square=0.0))
 
 
 @dataclass(frozen=True)
@@ -572,11 +551,14 @@ def spectral_scan(
     All grid points ride one batched integration.  An RK4 step of lambda B
     with step h is one of B with step lambda h, so the batch shares one
     lambda-free field, passed with batch shape (1,) so its step coefficients
-    are built once, and lambda scales the step.
+    are built once, and lambda scales the step.  An empty or non-finite
+    grid raises ValueError.
     """
     lam = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
+    if lam.size == 0 or not np.all(np.isfinite(lam)):
+        raise ValueError(f"lambda_grid must be a non-empty grid of finite numbers, got {lam!r}")
     h = _step_size(substeps, gamma.n)
-    m = _quadratic_transfer(_angle_b_half(gamma, substeps)[:, None], lam * h)
+    m = _rk4_transfer(_angle_b_half(gamma, substeps)[:, None], lam * h, square=0.0)
     tr = m[:, 0, 0] + m[:, 1, 1]
     return SpectralScan(lambdas=lam, tr2=tr * tr)
 

@@ -371,6 +371,22 @@ def test_plane_bad_label_fails_before_integrating(call, monkeypatch):
     assert shootings == []
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("kind", ["affine", "projective"])
+def test_param_convert_rejects_non_finite_constants(kind, value):
+    with pytest.raises(ValueError, match=f"{kind} parameter must be finite"):
+        bk.param_convert(value, kind)
+
+
+@pytest.mark.parametrize("match_tol", [np.nan, -1.0, 0.0])
+def test_permutability_rejects_a_bad_match_tolerance_before_integrating(match_tol, monkeypatch):
+    legs = []
+    monkeypatch.setattr(bk, "apply_tc_projective", lambda *a, **kw: legs.append(1))
+    with pytest.raises(ValueError, match="match_tol must be a positive number"):
+        bk.permutability_square(cc.make_circle(64), 4.0, 9.0, match_tol=match_tol)
+    assert legs == []
+
+
 def test_permutability_equal_constants_rejected():
     gamma = cc.make_circle(64)
     with pytest.raises(Degenerate):

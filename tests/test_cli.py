@@ -255,6 +255,25 @@ def test_zero_substeps_exits_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("ERROR ValueError: substeps must be at least 1")
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("permutability", "--c", 5.0, "--c2", 3.0, "--tol", "nan"), "match_tol"),
+        (("permutability", "--c", 5.0, "--c2", 3.0, "--tol", -1), "match_tol"),
+        (("backlund", "--c", "inf"), "affine parameter"),
+        (("scan", "--lambda-max", "inf"), "--lambda-max"),
+        (("scan", "--lambda-min", "nan"), "--lambda-min"),
+        (("scan", "--lambda-steps", 0), "--lambda-steps"),
+        (("kdv", "--s-end", 0.01, "--ds", "nan"), "ds must be"),
+    ],
+)
+def test_bad_numbers_exit_2_naming_the_argument(tmp_path, capsys, argv, name):
+    trig = gen_trig(tmp_path)
+    assert run(*argv, "--input", trig, "--output", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR ValueError:") and name in err
+
+
 def test_selfcheck_passes(capsys):
     assert run("selfcheck", "--n", 128, "--seed", 7) == 0
     out = capsys.readouterr().out

@@ -75,6 +75,20 @@ def test_potential_flow_rejects_bad_inputs():
         kf.evolve_potential(wave_potential(), 0.01, ds=0.0)
 
 
+@pytest.mark.parametrize(
+    "s_end, ds, name",
+    [(np.inf, 1e-4, "s_end"), (np.nan, 1e-4, "s_end"), (0.01, np.nan, "ds"), (0.01, np.inf, "ds")],
+)
+def test_flows_reject_a_non_finite_time_naming_the_argument(s_end, ds, name):
+    curve = cc.lift(cc.make_circle(64))
+    for flow in (
+        lambda: kf.evolve_potential(wave_potential(), s_end, ds),
+        lambda: kf.evolve_curve(curve, s_end, ds),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            flow()
+
+
 def test_potential_flow_conserves_hamiltonians():
     p0 = wave_potential()
     h1a, h2a = iv.hamiltonians(p0)

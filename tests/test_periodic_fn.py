@@ -59,6 +59,18 @@ def test_differentiate_samples_matches_columnwise(parity, order):
         assert np.max(np.abs(both[:, k] - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_rfft_derivative_factor_differentiates_real_samples(order):
+    # the alternating column is the Nyquist mode cos(64 t), which odd orders zero
+    smooth = pf.random_band_limited(np.random.default_rng(5), 64, max_mode=5)
+    samples = smooth.samples + np.resize([1.0, -1.0], 64)
+    factor = pf.rfft_derivative_factor(64, order)
+    assert factor.shape == (33,) and not factor.flags.writeable
+    got = np.fft.irfft(factor * np.fft.rfft(samples), 64)
+    ref = pf.differentiate_samples(samples, "periodic", order)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_differentiate_samples_validation():
     with pytest.raises(ValueError):
         pf.differentiate_samples(np.ones((16, 2)), "periodic", order=4)

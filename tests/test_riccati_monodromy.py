@@ -19,8 +19,12 @@ def circle_tr2(lam):
     return out
 
 
-def sequential_rk4(b_half, h, keep_trajectory=False):
-    """Reference transfer: one classical RK4 step of X' = B(t) X per iteration."""
+def sequential_rk4(b_half, h, keep_trajectory=False, square=None):
+    """Reference transfer: one classical RK4 step of X' = B(t) X per iteration.
+
+    square is accepted and ignored, so this can stand in for _rk4_transfer:
+    the stages use B itself, not the closed form of B^2.
+    """
     steps = (b_half.shape[0] - 1) // 2
     m = np.broadcast_to(np.eye(2), b_half.shape[1:]).copy()
     traj = [m]
@@ -35,28 +39,6 @@ def sequential_rk4(b_half, h, keep_trajectory=False):
     return np.stack(traj) if keep_trajectory else m
 
 
-def stage_form_transfer(b_half, h, keep_trajectory=False):
-    """The chunked RK4 stage-form transfer written out in full: Hill's outputs match it bit for bit."""
-    steps = (b_half.shape[0] - 1) // 2
-    batch = np.broadcast_shapes(b_half.shape[1:-2], np.shape(h))
-    running = (np.ones(batch), np.zeros(batch), np.zeros(batch), np.ones(batch))
-    traj = np.empty((steps + 1,) + batch + (2, 2))
-    traj[0] = np.eye(2)
-    for lo in range(0, steps, rm.TRANSFER_CHUNK):
-        hi = min(lo + rm.TRANSFER_CHUNK, steps)
-        b = b_half[2 * lo : 2 * hi + 1]
-        b0, bm, b1 = rm._components(b[:-1:2]), rm._components(b[1::2]), rm._components(b[2::2])
-        p = rm._step_propagators(b0, bm, b1, h)
-        if keep_trajectory:
-            chunk = rm._mul(rm._prefix_products(p), running)
-            for x, y in zip(rm._components(traj[lo + 1 : hi + 1]), chunk):
-                x[...] = y
-            running = tuple(x[-1] for x in chunk)
-        else:
-            running = rm._mul(rm._tree_product(p), running)
-    return traj if keep_trajectory else np.stack(running, axis=-1).reshape(batch + (2, 2))
-
-
 def smooth_coefficients(steps, batch, seed):
     """A pi-periodic 2x2 field of three Fourier modes per entry, at the half steps of [0, pi]."""
     rng = np.random.default_rng(seed)
@@ -69,74 +51,54 @@ def smooth_coefficients(steps, batch, seed):
     return b
 
 
+def traceless_fields(steps, batch):
+    """(name, b_half, h, square) of three traceless fields over `steps` RK4 steps, B^2 = square I.
+
+    Hill's field of a curve (square p) and its projective field (square 0)
+    are cut to their first `steps` steps; with a batch they take batch
+    shape (1,) and the batch rides on per-entry step sizes, as in
+    spectral_scan.  The generic field carries the batch in its entries.
+    """
+    gamma = cc.random_projective(np.random.default_rng(steps), 128)
+    fine = pf.values_with_wrap(cc.curvature(cc.lift(gamma)), 2 * 8 * 128)[: 2 * steps + 1]
+    hill = np.zeros((fine.shape[0], 2, 2))
+    hill[:, 0, 1] = 1.0
+    hill[:, 1, 0] = fine
+    projective = rm._angle_b_half(gamma, substeps=8)[: 2 * steps + 1]
+    generic = smooth_coefficients(steps, batch, seed=steps)
+    generic[..., 1, 1] = -generic[..., 0, 0]
+    mid = generic[1::2]
+
+    def batched(x):
+        return x[:, None] if batch else x
+
+    lam_h = (np.linspace(-1.0, 1.5, 21) if batch else 1.5) * (np.pi / steps)
+    return [
+        ("hill", batched(hill), lam_h, batched(fine[1::2])),
+        ("projective", batched(projective), lam_h, 0.0),
+        ("generic", generic, np.pi / steps, mid[..., 0, 0] ** 2 + mid[..., 0, 1] * mid[..., 1, 0]),
+    ]
+
+
 @pytest.mark.parametrize("batch", [(), (21,)])
 @pytest.mark.parametrize("steps", [1, 3, 2 * rm.TRANSFER_CHUNK, 2 * rm.TRANSFER_CHUNK + 3])
 def test_transfer_matches_sequential_rk4(steps, batch):
-    b = smooth_coefficients(steps, batch, seed=steps)
-    h = np.pi / steps
-    m = rm._rk4_transfer(b, h)
-    ref = sequential_rk4(b, h)
-    assert m.shape == batch + (2, 2)
-    assert np.max(np.abs(m - ref)) <= 1e-13 * np.max(np.abs(ref))
-    traj = rm._rk4_transfer(b, h, keep_trajectory=True)
-    ref = sequential_rk4(b, h, keep_trajectory=True)
-    assert traj.shape == (steps + 1,) + batch + (2, 2)
-    assert np.array_equal(traj[0], np.broadcast_to(np.eye(2), batch + (2, 2)))
-    assert np.max(np.abs(traj - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.max(np.abs(traj[-1] - m)) <= 1e-13 * np.max(np.abs(m))
-
-
-@pytest.mark.parametrize("batch", [(), (21,)])
-@pytest.mark.parametrize("steps", [1, 3, 2 * rm.TRANSFER_CHUNK, 2 * rm.TRANSFER_CHUNK + 3])
-def test_quadratic_transfer_matches_sequential_rk4(steps, batch):
-    # the projective field of a curve, cut to its first `steps` RK4 steps
-    gamma = cc.random_projective(np.random.default_rng(steps), 128)
-    b = rm._angle_b_half(gamma, substeps=8)[: 2 * steps + 1]
-    assert np.max(np.abs(b @ b)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(b)) ** 2
-    if batch:  # one field of batch shape (1,); lambda h carries the batch
-        lam_h = np.linspace(-1.0, 1.5, 21) * (np.pi / steps)
-        b_in, h_ref = b[:, None], lam_h[:, None, None]
-        b_ref = np.broadcast_to(b_in, (b.shape[0],) + batch + (2, 2))
-    else:
-        lam_h = 1.5 * np.pi / steps
-        b_in, b_ref, h_ref = b, b, lam_h
-    m = rm._quadratic_transfer(b_in, lam_h)
-    ref = sequential_rk4(b_ref, h_ref)
-    assert m.shape == batch + (2, 2)
-    assert np.max(np.abs(m - ref)) <= 1e-13 * np.max(np.abs(ref))
-    traj = rm._quadratic_transfer(b_in, lam_h, keep_trajectory=True)
-    ref = sequential_rk4(b_ref, h_ref, keep_trajectory=True)
-    assert traj.shape == (steps + 1,) + batch + (2, 2)
-    assert np.array_equal(traj[0], np.broadcast_to(np.eye(2), batch + (2, 2)))
-    assert np.max(np.abs(traj - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.max(np.abs(traj[-1] - m)) <= 1e-13 * np.max(np.abs(m))
-
-
-def stage_form_hill(potential, substeps=rm.DEFAULT_SUBSTEPS, keep_trajectory=False):
-    """hill_fundamental through stage_form_transfer."""
-    fine = pf.values_with_wrap(potential, 2 * substeps * potential.n)
-    b = np.zeros((fine.shape[0], 2, 2))
-    b[:, 0, 1] = 1.0
-    b[:, 1, 0] = fine
-    out = stage_form_transfer(b, np.pi / (substeps * potential.n), keep_trajectory)
-    return (rm.MonodromyMatrix(out[-1]), out) if keep_trajectory else rm.MonodromyMatrix(out)
-
-
-@pytest.mark.parametrize("n", [128, 512])
-def test_hill_and_riccati_outputs_are_bit_identical_to_the_stage_form(n, monkeypatch):
-    p = cc.curvature(cc.lift(cc.random_projective(np.random.default_rng(1), n)))
-
-    def outputs():
-        mono, traj = rm.hill_fundamental(p, keep_trajectory=True)
-        arrays = [mono.m, traj, rm.hill_fundamental(p, substeps=16).m]
-        for label in ("plus", "minus"):
-            branch = rm.riccati_branch(p, 0.5, label)
-            arrays += [branch.solution.samples, branch.multiplier, branch.solve_linear(p).samples]
-        return arrays
-
-    got = outputs()
-    monkeypatch.setattr(rm, "hill_fundamental", stage_form_hill)
-    assert all(np.array_equal(x, y) for x, y in zip(got, outputs(), strict=True))
+    for name, b, h, square in traceless_fields(steps, batch):
+        mid = b[1::2]
+        gap = np.max(np.abs(mid @ mid - np.multiply.outer(square, np.eye(2))))
+        assert gap <= 4.0 * np.finfo(float).eps * np.max(np.abs(b)) ** 2, name
+        b_ref = np.broadcast_to(b, (b.shape[0],) + batch + (2, 2))
+        h_ref = np.reshape(h, np.shape(h) + (1, 1))
+        m = rm._rk4_transfer(b, h, square=square)
+        ref = sequential_rk4(b_ref, h_ref)
+        assert m.shape == batch + (2, 2), name
+        assert np.max(np.abs(m - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+        traj = rm._rk4_transfer(b, h, keep_trajectory=True, square=square)
+        ref = sequential_rk4(b_ref, h_ref, keep_trajectory=True)
+        assert traj.shape == (steps + 1,) + batch + (2, 2), name
+        assert np.array_equal(traj[0], np.broadcast_to(np.eye(2), batch + (2, 2))), name
+        assert np.max(np.abs(traj - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+        assert np.max(np.abs(traj[-1] - m)) <= 1e-13 * np.max(np.abs(m)), name
 
 
 def test_callers_keep_their_transfer_shapes():
@@ -259,7 +221,10 @@ def test_floquet_solve_matches_the_dense_solve(n):
         g = branch.solve_linear(rhs)
         dense = pf.solve_linear_periodic((2.0 / branch.c_aff) * branch.solution, rhs)
         assert np.max(np.abs(g.samples - dense.samples)) <= 1e-12 * np.max(np.abs(dense.samples))
-        assert collocation_residual(branch, g, rhs) <= collocation_residual(branch, dense, rhs)
+        # solve_linear's own stopping rule: the residual's roundoff floor
+        kappa_g = (2.0 / branch.c_aff) * branch.solution.samples * g.samples
+        scale = max(np.max(np.abs(rhs.samples)), np.max(np.abs(kappa_g)))
+        assert collocation_residual(branch, g, rhs) <= rm._roundoff_floor(n, scale)
 
 
 def test_floquet_solve_reaches_the_nyquist_mode():
@@ -308,7 +273,7 @@ def test_strongly_hyperbolic_branches_stay_accurate(n, monkeypatch):
         far = bk.apply_tc_projective(gamma, 25.0, "minus")
     except BranchSingular:
         far = None
-    monkeypatch.setattr(rm, "_quadratic_transfer", sequential_rk4)
+    monkeypatch.setattr(rm, "_rk4_transfer", sequential_rk4)
     ref = bk.apply_tc_projective(gamma, 4.0, "minus")
     assert np.max(np.abs(image.psi.samples - ref.psi.samples)) <= 1e-9
     if far is not None:
@@ -376,6 +341,12 @@ def test_scan_single_point_matches_monodromy():
         scan = rm.spectral_scan(gamma, lams, substeps=substeps)
         single = np.array([rm.moebius_monodromy(gamma, lam, substeps=substeps).tr2 for lam in lams])
         assert np.all(np.abs(scan.tr2 - single) <= 1e-13 * np.abs(single))
+
+
+@pytest.mark.parametrize("grid", [[], [0.5, np.inf], [np.nan, 1.0]])
+def test_scan_rejects_an_empty_or_non_finite_grid(grid):
+    with pytest.raises(ValueError, match="lambda_grid must be a non-empty grid of finite numbers"):
+        rm.spectral_scan(cc.make_circle(64), grid)
 
 
 @pytest.mark.parametrize("substeps", [0, -1])
