@@ -80,10 +80,8 @@ def traceless_fields(steps, batch):
     ]
 
 
-@pytest.mark.parametrize("batch", [(), (21,)])
-@pytest.mark.parametrize("steps", [1, 3, 2 * rm.TRANSFER_CHUNK, 2 * rm.TRANSFER_CHUNK + 3])
-def test_transfer_matches_sequential_rk4(steps, batch):
-    for name, b, h, square in traceless_fields(steps, batch):
+def assert_matches_sequential_rk4(fields, steps, batch):
+    for name, b, h, square in fields:
         mid = b[1::2]
         gap = np.max(np.abs(mid @ mid - np.multiply.outer(square, np.eye(2))))
         assert gap <= 4.0 * np.finfo(float).eps * np.max(np.abs(b)) ** 2, name
@@ -99,6 +97,21 @@ def test_transfer_matches_sequential_rk4(steps, batch):
         assert np.array_equal(traj[0], np.broadcast_to(np.eye(2), batch + (2, 2))), name
         assert np.max(np.abs(traj - ref)) <= 1e-13 * np.max(np.abs(ref)), name
         assert np.max(np.abs(traj[-1] - m)) <= 1e-13 * np.max(np.abs(m)), name
+
+
+@pytest.mark.parametrize("batch", [(), (21,)])
+@pytest.mark.parametrize("steps", [1, 3, 2 * rm.TRANSFER_CHUNK, 2 * rm.TRANSFER_CHUNK + 3])
+def test_transfer_matches_sequential_rk4(steps, batch):
+    fields = [f for f in traceless_fields(steps, batch) if f[0] != "projective"]
+    assert_matches_sequential_rk4(fields, steps, batch)
+
+
+@pytest.mark.parametrize("batch", [(), (21,)])
+@pytest.mark.parametrize("steps", [1, 3, 2 * rm.TRANSFER_CHUNK, 2 * rm.TRANSFER_CHUNK + 3])
+def test_quadratic_transfer_matches_sequential_rk4(steps, batch):
+    # square 0: the step map is the quadratic I + h C1 + h^2 C2
+    fields = [f for f in traceless_fields(steps, batch) if f[0] == "projective"]
+    assert_matches_sequential_rk4(fields, steps, batch)
 
 
 def test_callers_keep_their_transfer_shapes():
