@@ -18,6 +18,7 @@ from . import periodic_fn as pf
 from .curve_core import (
     CentroAffineCurve,
     ProjectiveCurve,
+    _from_angles,
     _gated,
     curvature,
     projective_distance,
@@ -44,8 +45,6 @@ from .riccati_monodromy import (
     riccati_branch,
 )
 
-# largest angle-advance defect apply_tc_projective spreads over the period
-CLOSURE_TOL = 1e-6
 # largest gap permutability_square allows between a second leg's start and its prediction
 MATCH_TOL = 1e-5
 
@@ -61,9 +60,9 @@ class BacklundParam:
 def param_convert(value: float, kind: str) -> BacklundParam:
     """Build the parameter pair from either picture's constant.
 
-    kind "affine" takes the plane constant c (any nonzero real); kind
-    "projective" takes the flow scale 1/c^2, which must be positive.  The
-    affine constant recovered from a projective input is the positive root.
+    kind "affine" takes the plane constant c, nonzero with a finite nonzero
+    1/c^2; kind "projective" takes the flow scale 1/c^2, which must be
+    positive.  The affine constant from a projective input is the positive root.
     """
     value = float(value)
     if not np.isfinite(value):
@@ -71,7 +70,13 @@ def param_convert(value: float, kind: str) -> BacklundParam:
     if kind == "affine":
         if value == 0.0:
             raise ZeroParam("affine parameter must be nonzero")
-        return BacklundParam(c_aff=value, c_pr=1.0 / value**2)
+        try:
+            c_pr = 1.0 / value**2
+        except (OverflowError, ZeroDivisionError):  # c^2 overflows, or underflows to 0
+            c_pr = np.inf
+        if not 0.0 < c_pr < np.inf:
+            raise ValueError(f"affine parameter {value!r} has no finite nonzero partner 1/c^2")
+        return BacklundParam(c_aff=value, c_pr=c_pr)
     if kind == "projective":
         if value == 0.0:
             raise ZeroParam("projective parameter must be nonzero")
@@ -129,20 +134,10 @@ def _plus_image(gamma: ProjectiveCurve, c_pr: float, substeps: int) -> Projectiv
     mono, traj = moebius_monodromy(gamma, c_pr, substeps=substeps, keep_trajectory=True)
     (_, v), _ = mono.eigen_system()
     w = traj @ v
-    chi = np.unwrap(np.arctan2(w[:, 0], w[:, 1]))
-    chi += wrap_half_pi(float(chi[0])) - chi[0]
-    closure = chi[-1] - chi[0] - np.pi
-    if abs(closure) > CLOSURE_TOL:
-        raise BranchSingular(f"angle advance off by {float(closure)!r}: branch not periodic")
-    # distribute the residual closure defect so psi is exactly periodic
-    steps = substeps * gamma.n
-    chi -= closure * (np.arange(steps + 1) / steps)
-    nodes = np.arange(gamma.n) * substeps
-    psi = pf.PeriodicFn(chi[nodes] - gamma.psi.grid, "periodic")
     try:
-        return ProjectiveCurve(psi)
+        return _from_angles(np.arctan2(w[:, 0], w[:, 1]), substeps)
     except NonMonotone as exc:
-        raise BranchSingular(f"image angle stalls: {exc}") from exc
+        raise BranchSingular(f"image angle: {exc}") from exc
 
 
 def apply_tc_projective(

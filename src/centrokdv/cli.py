@@ -75,8 +75,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_backlund(args) -> int:
+    param = bk.param_convert(args.c, args.c_kind)  # a bad constant is refused before the curve is lifted
     G = _load_plane(args.input)
-    param = bk.param_convert(args.c, args.c_kind)
     res = bk.apply_tc(G, param.c_aff, args.branch, substeps=args.substeps)
     cc.save_curve(res.image, args.output)
     report = {

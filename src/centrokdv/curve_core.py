@@ -137,25 +137,30 @@ def lift(gamma: ProjectiveCurve) -> CentroAffineCurve:
     return _gated(g1, g2, OffUnity, "lifted curve")
 
 
-def project(Gamma: CentroAffineCurve) -> ProjectiveCurve:
-    """Angle data of a plane curve; psi(0) normalized into (-pi/2, pi/2].
+def _from_angles(theta: np.ndarray, stride: int) -> ProjectiveCurve:
+    """Curve through raw angles theta at the K + 1 = stride*n + 1 points k*pi/K of [0, pi].
 
-    The inverse of ``lift`` up to the overall sign of Gamma.  Requires
-    rotation number one (the angle must advance by exactly pi over a
-    period); winding curves are outside the stored representation.
+    The unwrapped angle must advance by pi within pi*K*eps, the roundoff of
+    K increments below pi; a winding curve, or a branch shot in its decaying
+    direction, misses by more and raises NonMonotone.  psi(0) is in (-pi/2, pi/2].
     """
-    n = Gamma.n
-    # sample at 2n+1 points including t = pi to measure the total winding
-    ts = np.arange(2 * n + 1) * (np.pi / (2 * n))
-    v1 = pf.values_with_wrap(Gamma.gamma1, 2 * n)
-    v2 = pf.values_with_wrap(Gamma.gamma2, 2 * n)
-    theta = np.unwrap(np.arctan2(v2, v1))
-    winding = (theta[-1] - theta[0]) / np.pi
-    if abs(winding - 1.0) > 1e-6:
-        raise NonMonotone(f"rotation number {float(winding)!r} != 1")
-    psi = theta[: 2 * n : 2] - ts[: 2 * n : 2]
-    psi -= np.pi * np.ceil((psi[0] - np.pi / 2) / np.pi)
+    theta = np.unwrap(theta)
+    intervals = len(theta) - 1
+    defect = theta[-1] - theta[0] - np.pi
+    if not abs(defect) <= np.pi * intervals * np.finfo(float).eps:  # NaN misses too
+        raise NonMonotone(f"rotation number {float(1.0 + defect / np.pi)!r} != 1")
+    psi = theta[:-1:stride] - pf.grid(intervals // stride)
+    psi += wrap_half_pi(psi[0]) - psi[0]
     return ProjectiveCurve(pf.PeriodicFn(psi, "periodic"))
+
+
+def project(Gamma: CentroAffineCurve) -> ProjectiveCurve:
+    """Angle data of a plane curve, the inverse of ``lift`` up to the sign of Gamma.
+
+    Requires rotation number one; psi(0) is normalized into (-pi/2, pi/2].
+    """
+    v1, v2 = (pf.values_with_wrap(g, 2 * Gamma.n) for g in (Gamma.gamma1, Gamma.gamma2))
+    return _from_angles(np.arctan2(v2, v1), 2)
 
 
 def hill_potential(g1: pf.PeriodicFn, g2: pf.PeriodicFn) -> pf.PeriodicFn:

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 DEFORMATION_STEP = 1e-5  # finite-difference step of every deformation derivative (richardson_derivative)
+CROSS_RATIO_EPS = (0.1, 0.05, 0.025)  # separations cross_ratio_check extrapolates to zero
 
 
 def omega_pair(f: pf.PeriodicFn, g: pf.PeriodicFn) -> float:
@@ -164,26 +165,17 @@ def _neville(xs, ys) -> float:
     return vals[0]
 
 
-def cross_ratio_check(
-    gamma: ProjectiveCurve,
-    delta: ProjectiveCurve,
-    t: float,
-    eps_list=(0.1, 0.05, 0.025),
-) -> float:
+def cross_ratio_check(gamma: ProjectiveCurve, delta: ProjectiveCurve, t: float) -> float:
     """Recover the transformation constant from the curve pair geometrically.
 
     The cross-ratio of gamma(t), gamma(t+eps), delta(t), delta(t+eps)
-    grows like c_pr eps^2; dividing by eps^2 and extrapolating eps -> 0
-    returns the constant.  The chord (sine) form of the cross-ratio on
-    angles keeps chart poles out of the computation.  Raises
-    DegeneratePoints when the curves meet at the sample points or the eps
-    list is unusable.
+    grows like c_pr eps^2; dividing by eps^2 at each of CROSS_RATIO_EPS and
+    extrapolating eps -> 0 returns the constant.  The chord (sine) form of
+    the cross-ratio on angles keeps chart poles out of the computation.
+    Raises DegeneratePoints when the curves meet at the sample points.
     """
-    eps = [float(e) for e in eps_list]
-    if len(eps) < 2 or any(e <= 0.0 for e in eps) or len(set(eps)) != len(eps):
-        raise DegeneratePoints("need at least two distinct positive eps values")
     vals = []
-    for e in eps:
+    for e in CROSS_RATIO_EPS:
         a = float(gamma.phi(t))
         b = float(gamma.phi(t + e))
         c = float(delta.phi(t))
@@ -192,7 +184,7 @@ def cross_ratio_check(
         if abs(den) < 1e-12:
             raise DegeneratePoints(f"curves meet near t = {t!r}, cross-ratio degenerates")
         vals.append(np.sin(a - b) * np.sin(c - d) / den / e**2)
-    return float(_neville(eps, vals))
+    return float(_neville(CROSS_RATIO_EPS, vals))
 
 
 def invariant_report(Gamma: CentroAffineCurve) -> dict:

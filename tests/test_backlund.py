@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -376,6 +378,25 @@ def test_plane_bad_label_fails_before_integrating(call, monkeypatch):
 def test_param_convert_rejects_non_finite_constants(kind, value):
     with pytest.raises(ValueError, match=f"{kind} parameter must be finite"):
         bk.param_convert(value, kind)
+
+
+@pytest.mark.parametrize("value", [1e300, -1e300, 1e-300, 1e-160])
+def test_param_convert_refuses_an_affine_constant_without_a_finite_partner(value):
+    # 1/c^2 overflows to inf or underflows to 0: refused where it enters, naming the constant
+    with pytest.raises(ValueError, match=re.escape(f"affine parameter {value!r} has no finite")):
+        bk.param_convert(value, "affine")
+
+
+@pytest.mark.parametrize("c_pr", [4.0, 100.0, 400.0])
+@pytest.mark.parametrize("curve", ["circle", "seed2"])
+def test_closure_gate_catches_a_branch_shot_in_its_decaying_direction(curve, c_pr, monkeypatch):
+    # swapping the eigen-directions shoots the repelling one forward; cancellation
+    # leaves a closure defect far above the roundoff bound of the angle builder
+    gamma = cc.make_circle(128) if curve == "circle" else cc.random_projective(np.random.default_rng(2), 128)
+    eigen_system = rm.MonodromyMatrix.eigen_system
+    monkeypatch.setattr(rm.MonodromyMatrix, "eigen_system", lambda self: eigen_system(self)[::-1])
+    with pytest.raises(BranchSingular, match="rotation number"):
+        bk.apply_tc_projective(gamma, c_pr, "plus")
 
 
 @pytest.mark.parametrize("match_tol", [np.nan, -1.0, 0.0])

@@ -68,6 +68,14 @@ def test_lift_of_a_curve_too_rough_for_its_grid_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR OffUnity: lifted curve: Wronskian off unity by ")
 
 
+def test_backlund_refuses_a_bad_constant_before_lifting(tmp_path, capsys):
+    # the same rough curve: the constant is checked first, so the exit is 2, not the lift's 3
+    src = tmp_path / "rough.json"
+    assert run("gen", "--preset", "trig", "--n", 64, "--seed", 7, "--output", src) == 0
+    assert run("backlund", "--input", src, "--output", tmp_path / "image.json", "--c", "1e300") == 2
+    assert "affine parameter 1e+300" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [
@@ -265,6 +273,8 @@ def test_zero_substeps_exits_2(tmp_path, capsys, argv):
         (("scan", "--lambda-min", "nan"), "--lambda-min"),
         (("scan", "--lambda-steps", 0), "--lambda-steps"),
         (("kdv", "--s-end", 0.01, "--ds", "nan"), "ds must be"),
+        (("backlund", "--c", "1e300"), "affine parameter 1e+300"),
+        (("backlund", "--c", "1e-300"), "affine parameter 1e-300"),
     ],
 )
 def test_bad_numbers_exit_2_naming_the_argument(tmp_path, capsys, argv, name):

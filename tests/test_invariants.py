@@ -201,10 +201,5 @@ def test_cross_ratio_generic_curve():
 
 def test_cross_ratio_degenerate_inputs():
     gamma = bump_curve()
-    delta = bk.apply_tc_projective(gamma, 4.0, "minus")
     with pytest.raises(DegeneratePoints):
         iv.cross_ratio_check(gamma, gamma, 0.0)
-    with pytest.raises(DegeneratePoints):
-        iv.cross_ratio_check(gamma, delta, 0.0, eps_list=(0.1,))
-    with pytest.raises(DegeneratePoints):
-        iv.cross_ratio_check(gamma, delta, 0.0, eps_list=(0.1, 0.0))
