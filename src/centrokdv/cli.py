@@ -98,13 +98,13 @@ def _cmd_scan(args) -> int:
             "need finite --lambda-min and --lambda-max and a positive --lambda-steps, got "
             f"{args.lambda_min!r}, {args.lambda_max!r}, {args.lambda_steps!r}"
         )
+    param = None if args.c is None else bk.param_convert(args.c, args.c_kind)  # refused before any CSV is written
     gamma = _load_projective(args.input)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_steps)
     scan = spectral_scan(gamma, lams, substeps=args.substeps)
     scan_to_csv(scan, args.output)
-    if args.c is None:
+    if param is None:
         return 0
-    param = bk.param_convert(args.c, args.c_kind)
     delta = bk.apply_tc_projective(gamma, param.c_pr, args.branch, substeps=args.substeps)
     dscan = spectral_scan(delta, lams, substeps=args.substeps)
     scan_to_csv(dscan, args.delta_output)

@@ -32,10 +32,6 @@ class Degenerate(PreconditionError):
     """Construction requires two distinct curve points or parameters."""
 
 
-class DegeneratePoints(PreconditionError):
-    """Cross-ratio stencil contains coincident points or a zero offset."""
-
-
 class Resonant(NumericalFailure):
     """Periodic linear solve rejected: homogeneous multiplier within tolerance of 1."""
 

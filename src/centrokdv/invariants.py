@@ -13,7 +13,7 @@ import numpy as np
 
 from . import periodic_fn as pf
 from .curve_core import CentroAffineCurve, ProjectiveCurve, curvature, tangent_field
-from .errors import DegeneratePoints
+from .errors import Degenerate
 
 __all__ = [
     "omega_pair",
@@ -172,7 +172,7 @@ def cross_ratio_check(gamma: ProjectiveCurve, delta: ProjectiveCurve, t: float) 
     grows like c_pr eps^2; dividing by eps^2 at each of CROSS_RATIO_EPS and
     extrapolating eps -> 0 returns the constant.  The chord (sine) form of
     the cross-ratio on angles keeps chart poles out of the computation.
-    Raises DegeneratePoints when the curves meet at the sample points.
+    Raises Degenerate when the curves meet at the sample points.
     """
     vals = []
     for e in CROSS_RATIO_EPS:
@@ -182,7 +182,7 @@ def cross_ratio_check(gamma: ProjectiveCurve, delta: ProjectiveCurve, t: float) 
         d = float(delta.phi(t + e))
         den = np.sin(a - c) * np.sin(b - d)
         if abs(den) < 1e-12:
-            raise DegeneratePoints(f"curves meet near t = {t!r}, cross-ratio degenerates")
+            raise Degenerate(f"curves meet near t = {t!r}, cross-ratio degenerates")
         vals.append(np.sin(a - b) * np.sin(c - d) / den / e**2)
     return float(_neville(CROSS_RATIO_EPS, vals))
 

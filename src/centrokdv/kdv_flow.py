@@ -172,11 +172,6 @@ def _transport(curves: tuple, s_end: float, ds: float, legs: int):
     cut = 3 * (n // 2 + 1) // 4
     v0 = np.fft.rfft(p0, axis=0)
     v0[cut:] = 0.0
-    slope = pf.rfft_derivative_factor(n, 1)[:cut, None]
-
-    def driver(w):  # p and p' from one irfft of [w, i nu w], which zero-fills the dropped band
-        rows = np.fft.irfft(np.stack([w[:cut], slope * w[:cut]], axis=1), n, axis=0)
-        return rows[:, :1], rows[:, 1:]
 
     def field(y, p, dp):
         # skew-symmetric split of p y' - 1/2 p' y: the advection part
@@ -184,7 +179,9 @@ def _transport(curves: tuple, s_end: float, ds: float, legs: int):
         d = pf.differentiate_samples(np.concatenate([y, p * y], axis=1), "antiperiodic")
         return 0.5 * (p * d[:, :2] + d[:, 2:]) - dp * y
 
-    nodes = map(driver, _advance_spectrum(v0, n, 0.5 * h, 2 * legs * per_leg))
+    # each node is the driver's p and p' on the grid, the dropped band zero-filled
+    spectra = _advance_spectrum(v0, n, 0.5 * h, 2 * legs * per_leg)
+    nodes = (pf.interpolate_modes(w[:cut], n, n)[:, :, None] for w in spectra)
     end = next(nodes)
     x = np.stack([np.stack([G.gamma1.samples, G.gamma2.samples], axis=1) for G in curves], axis=2)
     sup = np.max(np.abs(x), axis=(0, 1))

@@ -233,24 +233,23 @@ def evaluate(f: PeriodicFn, t):
 
 
 def upsample(f: PeriodicFn, m: int) -> PeriodicFn:
-    """Exact resampling onto an m-point grid, m even and >= n."""
+    """Exact resampling onto an m-point grid, m even and >= n.
+
+    Periodic data takes values_and_slopes_with_wrap's value row; antiperiodic
+    data pads its demodulated full spectrum.
+    """
     n = f.n
     if m == n:
         return f
     if m < n or m % 2:
         raise ValueError("target sample count must be even and >= current")
+    if f.parity == "periodic":
+        return PeriodicFn(values_and_slopes_with_wrap(f.samples, m)[0, :-1], "periodic")
     c = spectrum(f)
     padded = np.zeros(m, dtype=complex)
     padded[: n // 2] = c[: n // 2]
-    padded[m - n // 2 + 1 :] = c[n // 2 + 1 :]
-    if f.parity == "periodic":
-        # split the self-conjugate Nyquist coefficient symmetrically
-        padded[n // 2] = 0.5 * c[n // 2]
-        padded[m - n // 2] = 0.5 * c[n // 2]
-    else:
-        # lowest odd mode, frequency 1 - n; no conjugate pairing issue
-        padded[m - n // 2] = c[n // 2]
-    return PeriodicFn(_synthesize(padded, f.parity), f.parity)
+    padded[m - n // 2 :] = c[n // 2 :]  # from the lowest odd mode, frequency 1 - n; no conjugate pairs
+    return PeriodicFn(_synthesize(padded, "antiperiodic"), "antiperiodic")
 
 
 def values_with_wrap(f: PeriodicFn, m: int) -> np.ndarray:
@@ -260,22 +259,29 @@ def values_with_wrap(f: PeriodicFn, m: int) -> np.ndarray:
     return np.concatenate([vals, [endpoint]])
 
 
+def interpolate_modes(modes: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Rows f and f' on the m-point grid from the leading rfft modes of n periodic samples.
+
+    modes runs along axis 0, scaled by m / n with the Nyquist mode split if
+    m > n, and trailing axes are columns; the missing modes are zero.  One
+    irfft returns shape (2, m) + columns; the slope zeroes the Nyquist mode.
+    """
+    slope = rfft_derivative_factor(n, 1)[: modes.shape[0]].reshape((-1,) + (1,) * (modes.ndim - 1))
+    return np.fft.irfft(np.stack([modes, slope * modes]), m, axis=1)
+
+
 def values_and_slopes_with_wrap(samples: np.ndarray, m: int) -> np.ndarray:
     """Rows f and f' of a periodic interpolant at the m+1 points of [0, pi] inclusive.
 
-    The same numbers as values_with_wrap of f and of differentiate(f), from
-    raw periodic samples, with one real transform each way.
+    The one interpolation of periodic samples; upsample takes its value row.
     """
     n = samples.shape[0]
     if m < n or m % 2:
         raise ValueError("target sample count must be even and >= current")
     c = np.fft.rfft(samples) * (m / n)
     if m > n:
-        c[n // 2] *= 0.5  # split the self-conjugate Nyquist coefficient, as upsample does
-    rows = np.zeros((2, m // 2 + 1), dtype=complex)
-    rows[0, : n // 2 + 1] = c
-    rows[1, : n // 2 + 1] = c * rfft_derivative_factor(n, 1)
-    vals = np.fft.irfft(rows, n=m, axis=1)
+        c[n // 2] *= 0.5  # split the self-conjugate Nyquist coefficient cos(n t) between frequencies +-n
+    vals = interpolate_modes(c, n, m)
     return np.concatenate([vals, vals[:, :1]], axis=1)
 
 

@@ -581,15 +581,21 @@ def scan_from_csv(path) -> SpectralScan:
     return SpectralScan(lambdas=lam, tr2=tr2)
 
 
+def _fixing_matrix(a, b, mu: float) -> np.ndarray:
+    """P diag(1, mu) P^-1, P = [a b]: fixes homogeneous vector a, scales b by mu; det mu, trace 1 + mu."""
+    (a0, a1), (b0, b1) = a, b
+    return (1.0 / (a0 * b1 - a1 * b0)) * np.array(
+        [[a0 * b1 - mu * a1 * b0, a0 * b0 * (mu - 1.0)], [(1.0 - mu) * a1 * b1, mu * a0 * b1 - a1 * b0]]
+    )
+
+
 def conjugator_affine(x: float, y: float, mu: float) -> np.ndarray:
     """Matrix fixing affine point x with eigenvalue 1 and y with eigenvalue mu.
 
     Explicitly (1/(x-y)) [[x - mu y, x y (mu - 1)], [1 - mu, x mu - y]],
-    with determinant mu and trace 1 + mu.
+    the fixing matrix of the homogeneous vectors (x, 1) and (y, 1).
     """
-    return (1.0 / (x - y)) * np.array(
-        [[x - mu * y, x * y * (mu - 1.0)], [1.0 - mu, x * mu - y]]
-    )
+    return _fixing_matrix((x, 1.0), (y, 1.0), mu)
 
 
 def conjugator(
@@ -597,18 +603,12 @@ def conjugator(
 ) -> np.ndarray:
     """The matrix fixing gamma(t) with eigenvalue 1 and scaling delta(t) by mu.
 
-    The affine-chart formula (conjugator_affine) is chart-equivariant since
-    its eigen-data pins it uniquely, so it is evaluated in the chart
-    centered between the two points and rotated back.  Raises Degenerate
-    when the points coincide in RP^1.
+    The fixing matrix of the homogeneous vectors (sin chi, cos chi) of the
+    two angles, so no chart pole enters.  Raises Degenerate when the points
+    coincide in RP^1.
     """
     chi_g = float(gamma.phi(t))
     chi_d = float(delta.phi(t))
-    gap = wrap_half_pi(chi_g - chi_d)
     if abs(np.sin(chi_g - chi_d)) < 1e-12:
         raise Degenerate(f"curves meet at t = {t!r}: no conjugator")
-    theta = chi_g - gap / 2.0
-    x = np.tan(gap / 2.0)
-    a_mid = conjugator_affine(x, -x, mu)
-    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    return rot.T @ a_mid @ rot
+    return _fixing_matrix((np.sin(chi_g), np.cos(chi_g)), (np.sin(chi_d), np.cos(chi_d)), mu)

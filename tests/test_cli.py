@@ -76,6 +76,16 @@ def test_backlund_refuses_a_bad_constant_before_lifting(tmp_path, capsys):
     assert "affine parameter 1e+300" in capsys.readouterr().err
 
 
+def test_scan_refuses_a_bad_constant_before_writing(tmp_path, capsys):
+    # the constant is checked before the input's scan is integrated, so no --output is left behind
+    src = tmp_path / "rough.json"
+    assert run("gen", "--preset", "trig", "--n", 64, "--seed", 7, "--output", src) == 0
+    out, delta = tmp_path / "scan.csv", tmp_path / "delta.csv"
+    assert run("scan", "--input", src, "--output", out, "--c", -1, "--delta-output", delta) == 2
+    assert capsys.readouterr().err.startswith("ERROR NegativeProjective:")
+    assert not out.exists() and not delta.exists()
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [

@@ -5,7 +5,7 @@ import centrokdv.periodic_fn as pf
 import centrokdv.curve_core as cc
 import centrokdv.backlund as bk
 import centrokdv.invariants as iv
-from centrokdv.errors import DegeneratePoints
+from centrokdv.errors import Degenerate
 
 
 def bump_curve(n=128, amp=0.1):
@@ -201,5 +201,5 @@ def test_cross_ratio_generic_curve():
 
 def test_cross_ratio_degenerate_inputs():
     gamma = bump_curve()
-    with pytest.raises(DegeneratePoints):
+    with pytest.raises(Degenerate):
         iv.cross_ratio_check(gamma, gamma, 0.0)

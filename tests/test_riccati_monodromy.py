@@ -405,8 +405,8 @@ def test_conjugator_eigen_structure():
 
 
 def test_conjugator_matches_affine_formula():
-    # when both points are finite and separated, the rotated-chart result
-    # equals the plain affine-chart formula
+    # when both points are finite and separated, the fixing matrix of the
+    # homogeneous angle vectors equals the plain affine-chart formula
     rng = np.random.default_rng(29)
     gamma = cc.random_projective(rng, 64)
     delta = cc.random_projective(rng, 64, strength=0.3)
