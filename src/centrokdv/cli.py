@@ -98,15 +98,17 @@ def _cmd_scan(args) -> int:
             "need finite --lambda-min and --lambda-max and a positive --lambda-steps, got "
             f"{args.lambda_min!r}, {args.lambda_max!r}, {args.lambda_steps!r}"
         )
-    param = None if args.c is None else bk.param_convert(args.c, args.c_kind)  # refused before any CSV is written
+    param = None if args.c is None else bk.param_convert(args.c, args.c_kind)  # refused before any integration
     gamma = _load_projective(args.input)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_steps)
-    scan = spectral_scan(gamma, lams, substeps=args.substeps)
+    scan, dscan = spectral_scan(gamma, lams, substeps=args.substeps), None
+    if param is not None:
+        delta = bk.apply_tc_projective(gamma, param.c_pr, args.branch, substeps=args.substeps)
+        dscan = spectral_scan(delta, lams, substeps=args.substeps)
+    # both CSVs are written after every integration, so a failure leaves neither behind
     scan_to_csv(scan, args.output)
-    if param is None:
+    if dscan is None:
         return 0
-    delta = bk.apply_tc_projective(gamma, param.c_pr, args.branch, substeps=args.substeps)
-    dscan = spectral_scan(delta, lams, substeps=args.substeps)
     scan_to_csv(dscan, args.delta_output)
     print(f"max deviation: {float(np.max(np.abs(scan.tr2 - dscan.tr2)))!r}")
     return 0

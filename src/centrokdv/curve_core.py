@@ -164,8 +164,16 @@ def project(Gamma: CentroAffineCurve) -> ProjectiveCurve:
 
 
 def hill_potential(g1: pf.PeriodicFn, g2: pf.PeriodicFn) -> pf.PeriodicFn:
-    """[Gamma'', Gamma'] of components g1, g2, which need not have unit Wronskian."""
-    return pf.differentiate(g1, 2) * pf.differentiate(g2) - pf.differentiate(g2, 2) * pf.differentiate(g1)
+    """[Gamma'', Gamma'] of components g1, g2, which need not have unit Wronskian.
+
+    The products of derivatives alias roundoff into the unresolved Nyquist
+    mode cos(nt), (-1)^k on the grid, which the Riccati solve would carry
+    into w and the image; the potential is projected off it (Boyd,
+    Chebyshev and Fourier Spectral Methods, 2001, section 11).
+    """
+    p = pf.differentiate(g1, 2) * pf.differentiate(g2) - pf.differentiate(g2, 2) * pf.differentiate(g1)
+    nyquist = pf.nyquist_mode(p.n)
+    return pf.PeriodicFn(p.samples - np.mean(p.samples * nyquist) * nyquist, "periodic")
 
 
 def curvature(Gamma: CentroAffineCurve) -> pf.PeriodicFn:

@@ -1,11 +1,15 @@
 """Spectral calculus on the half-period grid t_k = k*pi/N.
 
 A ``PeriodicFn`` stores N real samples on [0, pi) together with a parity
-flag.  Parity "periodic" means f(t+pi) = f(t), expanded in even modes
-e^{2ikt}; parity "antiperiodic" means f(t+pi) = -f(t), expanded in odd
-modes e^{i(2k+1)t} on the same grid (handled by demodulating the samples
-with e^{-it}).  All operations act on the trigonometric interpolant and
-are exact for band-limited data up to roundoff.
+flag.  Parity "periodic" means f(t+pi) = f(t); parity "antiperiodic"
+means f(t+pi) = -f(t).  Either way the samples extend to 2N samples
+[f, +-f] of a 2pi-periodic function, and one real FFT of that extension
+gives its modes e^{ijt}, j = 0..N: even j for periodic data, odd j for
+antiperiodic data, and the unpaired Nyquist mode cos(Nt) last.  The
+derivative multiplier (ij)^k is the same for both parities.  Periodic
+interpolation reads the extension's even modes from the N-point rfft.
+All operations act on the trigonometric interpolant and are exact for
+band-limited data up to roundoff.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ MIN_SAMPLES = 16
 # solve_linear_periodic refuses multipliers this close to 1 (relative) as resonant
 RESONANCE_TOL = 1e-8
 
-_PARITIES = ("periodic", "antiperiodic")
+# f(t + pi) = sign * f(t) for each parity
+_WRAP_SIGN = {"periodic": 1.0, "antiperiodic": -1.0}
 
 
 def _check_sample_count(n: int) -> None:
@@ -66,7 +71,7 @@ class PeriodicFn:
         _check_sample_count(arr.shape[0])
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
-        if self.parity not in _PARITIES:
+        if self.parity not in _WRAP_SIGN:
             raise ValueError(f"unknown parity {self.parity!r}")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -148,60 +153,56 @@ def constant(value: float, n: int) -> PeriodicFn:
     return PeriodicFn(np.full(n, float(value)), "periodic")
 
 
-def _freq(n: int, parity: str) -> np.ndarray:
-    """Integer mode frequencies in FFT order."""
-    m = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    return 2 * m if parity == "periodic" else 2 * m + 1
+def _extension_modes(samples: np.ndarray, parity: str) -> np.ndarray:
+    """rfft along axis 0 of the 2pi-periodic extension [f, +-f] on 2n points; mode j is e^{ijt}."""
+    return np.fft.rfft(np.concatenate([samples, _WRAP_SIGN[parity] * samples]), axis=0)
 
 
-def spectrum(f: PeriodicFn) -> np.ndarray:
-    """Complex mode coefficients c_m in FFT order, f(t) = sum c_m e^{i nu_m t}."""
-    if f.parity == "periodic":
-        return np.fft.fft(f.samples) / f.n
-    return np.fft.fft(f.samples * np.exp(-1j * f.grid)) / f.n
-
-
-def _synthesize(coeffs: np.ndarray, parity: str) -> np.ndarray:
-    n = coeffs.shape[0]
-    vals = np.fft.ifft(coeffs * n)
-    if parity == "antiperiodic":
-        vals = vals * np.exp(1j * grid(n))
-    return vals.real
+def _coefficients(f: PeriodicFn) -> np.ndarray:
+    """a_j with f(t) = Re sum_j a_j e^{ijt}, j = 0..n: paired modes count twice, modes 0 and n once."""
+    a = _extension_modes(f.samples, f.parity) / f.n
+    a[[0, -1]] *= 0.5
+    return a
 
 
 @lru_cache(maxsize=32)
-def _derivative_factors(n: int, parity: str, order: int):
-    """Read-only multipliers (i nu)^order and, for antiperiodic samples, the phases e^{-it}, e^{it}."""
-    mult = (1j * _freq(n, parity)) ** order
-    if parity == "periodic" and order % 2:
-        mult[n // 2] = 0.0  # odd derivatives of the unpaired Nyquist mode cos(n t) vanish on the grid
+def _derivative_factor(n: int, order: int) -> np.ndarray:
+    """Read-only (ij)^order on the n + 1 modes of the 2n-point extension, whatever the parity.
+
+    Odd orders zero the unpaired Nyquist mode cos(n t), the last one: its
+    odd derivatives vanish on the grid.
+    """
+    mult = (1j * np.arange(n + 1)) ** order
+    if order % 2:
+        mult[n] = 0.0
     mult.flags.writeable = False
-    if parity == "periodic":
-        return mult, None, None
-    remod = np.exp(1j * grid(n))
-    demod = remod.conj()
-    remod.flags.writeable = demod.flags.writeable = False
-    return mult, demod, remod
+    return mult
+
+
+@lru_cache(maxsize=32)
+def nyquist_mode(n: int) -> np.ndarray:
+    """Read-only samples (-1)^k of the unpaired Nyquist mode cos(n t) on the n-point grid."""
+    mode = np.tile([1.0, -1.0], n // 2)
+    mode.flags.writeable = False
+    return mode
 
 
 def rfft_derivative_factor(n: int, order: int) -> np.ndarray:
     """Read-only (i nu)^order on the n // 2 + 1 rfft modes of n periodic samples.
 
-    Odd orders zero the Nyquist mode, as differentiate_samples does.
+    These modes e^{i nu t}, nu = 2j, are the extension's even ones, so the
+    factor is the even half of the extension's; odd orders zero the Nyquist mode.
     """
-    return _derivative_factors(n, "periodic", order)[0][: n // 2 + 1]
+    return _derivative_factor(n, order)[::2]
 
 
 def differentiate_samples(samples: np.ndarray, parity: str, order: int = 1) -> np.ndarray:
     """Spectral derivative of raw samples along axis 0 (trailing axes are columns); order 1, 2 or 3."""
-    if order not in (1, 2, 3) or parity not in _PARITIES:
+    if order not in (1, 2, 3) or parity not in _WRAP_SIGN:
         raise ValueError(f"need derivative order 1, 2 or 3 and a known parity, got {order!r}, {parity!r}")
-    mult, demod, remod = _derivative_factors(samples.shape[0], parity, order)
-    col = (slice(None),) + (None,) * (samples.ndim - 1)
-    if demod is None:
-        return np.fft.ifft(mult[col] * np.fft.fft(samples, axis=0), axis=0).real
-    coeffs = np.fft.fft(samples * demod[col], axis=0)
-    return (np.fft.ifft(mult[col] * coeffs, axis=0) * remod[col]).real
+    n = samples.shape[0]
+    mult = _derivative_factor(n, order).reshape((-1,) + (1,) * (samples.ndim - 1))
+    return np.fft.irfft(mult * _extension_modes(samples, parity), 2 * n, axis=0)[:n]
 
 
 def differentiate(f: PeriodicFn, order: int = 1) -> PeriodicFn:
@@ -210,90 +211,81 @@ def differentiate(f: PeriodicFn, order: int = 1) -> PeriodicFn:
 
 
 def integrate_period(f: PeriodicFn) -> float:
-    """Integral of the interpolant over [0, pi); exact for the stored modes."""
+    """Integral of the interpolant over [0, pi); exact for the stored modes.
+
+    Of the modes e^{ijt} only j = 0 (integral pi) and the odd ones (2i/j)
+    integrate to nonzero, so periodic samples integrate to pi times their mean.
+    """
     if f.parity == "periodic":
         return float(f.samples.mean() * np.pi)
-    c = spectrum(f)
-    nu = _freq(f.n, f.parity)
-    # int_0^pi e^{i nu t} dt = 2i/nu for odd nu
-    return float(np.sum(c * (2j / nu)).real)
+    return float(np.sum(_coefficients(f)[1::2] * (2j / np.arange(1, f.n, 2))).real)
 
 
 def evaluate(f: PeriodicFn, t):
-    """Trigonometric interpolation at arbitrary points."""
+    """Trigonometric interpolation at arbitrary points, from the modes of f's parity."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    c = spectrum(f)
-    nu = _freq(f.n, f.parity)
-    phases = np.exp(1j * np.outer(t_arr, nu))
-    if f.parity == "periodic":
-        # real-signal convention: the Nyquist coefficient stands for cos(n t)
-        phases[:, f.n // 2] = np.cos(f.n * t_arr)
-    vals = (phases @ c).real
+    first = 0 if f.parity == "periodic" else 1
+    modes = np.arange(first, f.n + 1, 2)
+    vals = (np.exp(1j * np.outer(t_arr, modes)) @ _coefficients(f)[first::2]).real
     return vals[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
 
 
 def upsample(f: PeriodicFn, m: int) -> PeriodicFn:
-    """Exact resampling onto an m-point grid, m even and >= n.
-
-    Periodic data takes values_and_slopes_with_wrap's value row; antiperiodic
-    data pads its demodulated full spectrum.
-    """
-    n = f.n
-    if m == n:
+    """Exact resampling onto an m-point grid, m even and >= n: values_and_slopes_with_wrap's value row."""
+    if m == f.n:
         return f
-    if m < n or m % 2:
-        raise ValueError("target sample count must be even and >= current")
-    if f.parity == "periodic":
-        return PeriodicFn(values_and_slopes_with_wrap(f.samples, m)[0, :-1], "periodic")
-    c = spectrum(f)
-    padded = np.zeros(m, dtype=complex)
-    padded[: n // 2] = c[: n // 2]
-    padded[m - n // 2 :] = c[n // 2 :]  # from the lowest odd mode, frequency 1 - n; no conjugate pairs
-    return PeriodicFn(_synthesize(padded, "antiperiodic"), "antiperiodic")
+    return PeriodicFn(values_and_slopes_with_wrap(f.samples, m, f.parity)[0, :-1], f.parity)
 
 
 def values_with_wrap(f: PeriodicFn, m: int) -> np.ndarray:
     """m+1 values on [0, pi] inclusive; the endpoint uses the parity wrap."""
     vals = upsample(f, m).samples
-    endpoint = vals[0] if f.parity == "periodic" else -vals[0]
-    return np.concatenate([vals, [endpoint]])
+    return np.concatenate([vals, [_WRAP_SIGN[f.parity] * vals[0]]])
 
 
-def interpolate_modes(modes: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Rows f and f' on the m-point grid from the leading rfft modes of n periodic samples.
+def interpolate_modes(modes: np.ndarray, n: int, m: int, parity: str = "periodic") -> np.ndarray:
+    """Rows f and f' on the m-point grid from the leading modes of n samples.
 
-    modes runs along axis 0, scaled by m / n with the Nyquist mode split if
-    m > n, and trailing axes are columns; the missing modes are zero.  One
-    irfft returns shape (2, m) + columns; the slope zeroes the Nyquist mode.
+    Periodic modes are the n-point rfft (the extension's even modes),
+    antiperiodic ones the extension's; modes runs along axis 0, scaled by
+    m / n with the Nyquist mode split if m > n, and trailing axes are
+    columns; the missing modes are zero.  One irfft returns shape (2, m) +
+    columns; the slope zeroes the Nyquist mode.
     """
-    slope = rfft_derivative_factor(n, 1)[: modes.shape[0]].reshape((-1,) + (1,) * (modes.ndim - 1))
-    return np.fft.irfft(np.stack([modes, slope * modes]), m, axis=1)
+    factor, size = _derivative_factor(n, 1), 2 * m
+    if parity == "periodic":
+        factor, size = factor[::2], m
+    slope = factor[: modes.shape[0]].reshape((-1,) + (1,) * (modes.ndim - 1))
+    return np.fft.irfft(np.stack([modes, slope * modes]), size, axis=1)[:, :m]
 
 
-def values_and_slopes_with_wrap(samples: np.ndarray, m: int) -> np.ndarray:
-    """Rows f and f' of a periodic interpolant at the m+1 points of [0, pi] inclusive.
+def values_and_slopes_with_wrap(samples: np.ndarray, m: int, parity: str = "periodic") -> np.ndarray:
+    """Rows f and f' of the interpolant at the m+1 points of [0, pi] inclusive.
 
-    The one interpolation of periodic samples; upsample takes its value row.
+    The one interpolation of samples of either parity; upsample takes its value row.
     """
     n = samples.shape[0]
-    if m < n or m % 2:
-        raise ValueError("target sample count must be even and >= current")
-    c = np.fft.rfft(samples) * (m / n)
+    if m < n or m % 2 or parity not in _WRAP_SIGN:
+        raise ValueError("target sample count must be even and >= current, and parity known")
+    if parity == "periodic":
+        c = np.fft.rfft(samples) * (m / n)  # the extension's even modes at half the cost
+    else:
+        c = _extension_modes(samples, parity) * (m / n)
     if m > n:
-        c[n // 2] *= 0.5  # split the self-conjugate Nyquist coefficient cos(n t) between frequencies +-n
-    vals = interpolate_modes(c, n, m)
-    return np.concatenate([vals, vals[:, :1]], axis=1)
+        c[-1] *= 0.5  # split the self-conjugate Nyquist coefficient cos(n t) between frequencies +-n
+    vals = interpolate_modes(c, n, m, parity)
+    return np.concatenate([vals, _WRAP_SIGN[parity] * vals[:, :1]], axis=1)
 
 
 def shift(f: PeriodicFn, s: float) -> PeriodicFn:
     """Samples of f(t + s) on the same grid."""
-    c = spectrum(f) * np.exp(1j * _freq(f.n, f.parity) * s)
-    return PeriodicFn(_synthesize(c, f.parity), f.parity)
+    modes = _extension_modes(f.samples, f.parity) * np.exp(1j * s * np.arange(f.n + 1))
+    return PeriodicFn(np.fft.irfft(modes, 2 * f.n)[: f.n], f.parity)
 
 
 @lru_cache(maxsize=None)
 def _diff_matrix(n: int) -> np.ndarray:
-    # an owned copy: the derivative is the real view of a complex n x n array,
+    # an owned copy: the derivative is the first half of the 2n x n extension,
     # which the cache would otherwise keep alive at twice the matrix's size
     d = differentiate_samples(np.eye(n), "periodic").copy()
     d.flags.writeable = False

@@ -391,7 +391,7 @@ def _floquet_solve(factor: _FloquetFactor, kappa: np.ndarray, rhs: np.ndarray) -
     g = _integrate_along(factor, rhs)
     residual = rhs - pf.differentiate_samples(g, "periodic") + kappa * g
     g = g + _integrate_along(factor, residual)
-    alternating = np.resize([1.0, -1.0], g.shape[0])
+    alternating = pf.nyquist_mode(g.shape[0])
     return g - (np.mean((rhs + kappa * g) * alternating) / np.mean(kappa)) * alternating
 
 

@@ -412,3 +412,24 @@ def test_permutability_equal_constants_rejected():
     gamma = cc.make_circle(64)
     with pytest.raises(Degenerate):
         bk.permutability_square(gamma, 4.0, 4.0)
+
+
+def test_hill_potential_drops_its_nyquist_mode_at_512():
+    # the products of derivatives used to alias 2.4e-11 into cos(512 t); the Riccati
+    # solve copied it into w and the image missed the 1e-9 gate at 1.7e-9 (OffUnity)
+    G = cc.lift(cc.random_projective(np.random.default_rng(7), 512))
+    p = cc.curvature(G).samples
+    assert abs(np.mean(p * np.resize([1.0, -1.0], 512))) <= 1e-14 * np.max(np.abs(p))
+    image = bk.apply_tc(G, 0.5, "minus").image
+    assert cc.wronskian_defect(image.gamma1, image.gamma2) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [256, 512])
+def test_apply_tc_meets_its_gate_over_strengths_and_constants(n, seed):
+    # apply_tc raises OffUnity on an image off its 1e-9 unit-Wronskian gate
+    for strength in (0.35, 0.6, 0.9):
+        G = cc.lift(cc.random_projective(np.random.default_rng(seed), n, strength=strength))
+        for c in (0.5, 0.2):
+            for label in ("minus", "plus"):
+                bk.apply_tc(G, c, label)

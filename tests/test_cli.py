@@ -86,6 +86,15 @@ def test_scan_refuses_a_bad_constant_before_writing(tmp_path, capsys):
     assert not out.exists() and not delta.exists()
 
 
+def test_scan_writes_nothing_when_the_transform_fails(tmp_path, capsys):
+    # both scans and the transform run before either CSV is written
+    circle = gen_circle(tmp_path, n=64)
+    out, delta = tmp_path / "scan.csv", tmp_path / "delta.csv"
+    assert run("scan", "--input", circle, "--output", out, "--c", 0.5, "--delta-output", delta) == 3
+    assert capsys.readouterr().err.startswith("ERROR NoRealFixedPoints:")
+    assert not out.exists() and not delta.exists()
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [

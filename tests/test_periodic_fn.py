@@ -212,6 +212,19 @@ def test_periodic_interpolation_has_one_path(m):
     assert np.array_equal(pf.upsample(f, m).samples, row[:-1])
 
 
+@pytest.mark.parametrize("m", [34, 96, 256])
+def test_antiperiodic_interpolation_has_the_same_path(m):
+    # antiperiodic samples interpolate through the same routine, with the wrap f(pi) = -f(0);
+    # over rng seeds 1-8 of this construction: values within 7.8e-15, slopes within 1.3e-13 (|g'| up to 17.7)
+    g = pf.random_band_limited(np.random.default_rng(5), 32, max_mode=16, parity="antiperiodic")
+    vals, slopes = pf.values_and_slopes_with_wrap(g.samples, m, "antiperiodic")
+    assert np.array_equal(pf.values_with_wrap(g, m), vals)
+    assert np.array_equal(pf.upsample(g, m).samples, vals[:-1])
+    t = np.arange(m + 1) * (np.pi / m)
+    assert np.max(np.abs(vals - pf.evaluate(g, t))) <= 2e-14
+    assert np.max(np.abs(slopes - pf.evaluate(pf.differentiate(g), t))) <= 2e-13
+
+
 def test_solve_linear_periodic_constant_case():
     n = 32
     kappa = pf.constant(1.0, n)
