@@ -87,9 +87,7 @@ class ProjectiveCurve:
 
     def curvature(self) -> pf.PeriodicFn:
         """Hill potential computed from the angle data alone."""
-        d1 = pf.differentiate(self.psi, 1)
-        d2 = pf.differentiate(self.psi, 2)
-        d3 = pf.differentiate(self.psi, 3)
+        d1, d2, d3 = pf.derivatives(self.psi, 1, 2, 3)
         fp = d1 + 1.0
         ratio = d2 / fp
         return (-0.5) * (d3 / fp) + 0.75 * ratio * ratio - fp * fp
@@ -171,7 +169,8 @@ def hill_potential(g1: pf.PeriodicFn, g2: pf.PeriodicFn) -> pf.PeriodicFn:
     into w and the image; the potential is projected off it (Boyd,
     Chebyshev and Fourier Spectral Methods, 2001, section 11).
     """
-    p = pf.differentiate(g1, 2) * pf.differentiate(g2) - pf.differentiate(g2, 2) * pf.differentiate(g1)
+    (d1_1, d1_2), (d2_1, d2_2) = pf.derivatives(g1, 1, 2), pf.derivatives(g2, 1, 2)
+    p = d1_2 * d2_1 - d2_2 * d1_1
     nyquist = pf.nyquist_mode(p.n)
     return pf.PeriodicFn(p.samples - np.mean(p.samples * nyquist) * nyquist, "periodic")
 

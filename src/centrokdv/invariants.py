@@ -45,8 +45,7 @@ def big_omega_pair(potential: pf.PeriodicFn, f: pf.PeriodicFn, g: pf.PeriodicFn)
     Integrates (1/4)(f' g'' - f'' g') + p (f g' - f' g); the symmetry
     profiles of the curve with potential p lie in its kernel.
     """
-    df, dg = pf.differentiate(f), pf.differentiate(g)
-    d2f, d2g = pf.differentiate(f, 2), pf.differentiate(g, 2)
+    (df, d2f), (dg, d2g) = pf.derivatives(f, 1, 2), pf.derivatives(g, 1, 2)
     integrand = 0.25 * (df * d2g - d2f * dg) + potential * (f * dg - df * g)
     return pf.integrate_period(integrand)
 
@@ -63,8 +62,7 @@ def projective_forms(gamma: ProjectiveCurve, f: pf.PeriodicFn, g: pf.PeriodicFn)
     fp = gamma.phi_prime
     w = f * fp
     z = g * fp
-    dw, dz = pf.differentiate(w), pf.differentiate(z)
-    d2w, d2z = pf.differentiate(w, 2), pf.differentiate(z, 2)
+    (dw, d2w), (dz, d2z) = pf.derivatives(w, 1, 2), pf.derivatives(z, 1, 2)
     fp2 = fp * fp
     first = pf.integrate_period((w * dz - dw * z) / fp2)
     second = pf.integrate_period((d2w * dz - dw * d2z) / fp2 + 4.0 * (w * dz - dw * z))

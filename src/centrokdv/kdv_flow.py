@@ -50,7 +50,8 @@ def kdv_rhs(potential: pf.PeriodicFn) -> pf.PeriodicFn:
     """Right-hand side -1/2 p''' + 3 p' p, computed spectrally."""
     if potential.parity != "periodic":
         raise ValueError("potential must be periodic")
-    return (-0.5) * pf.differentiate(potential, 3) + 3.0 * pf.differentiate(potential) * potential
+    d1, d3 = pf.derivatives(potential, 1, 3)
+    return (-0.5) * d3 + 3.0 * d1 * potential
 
 
 def _etdrk4_coeffs(linear: np.ndarray, h: float):

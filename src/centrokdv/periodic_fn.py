@@ -28,6 +28,7 @@ __all__ = [
     "constant",
     "differentiate",
     "differentiate_samples",
+    "derivatives",
     "integrate_period",
     "evaluate",
     "upsample",
@@ -196,18 +197,36 @@ def rfft_derivative_factor(n: int, order: int) -> np.ndarray:
     return _derivative_factor(n, order)[::2]
 
 
-def differentiate_samples(samples: np.ndarray, parity: str, order: int = 1) -> np.ndarray:
-    """Spectral derivative of raw samples along axis 0 (trailing axes are columns); order 1, 2 or 3."""
+def _check_derivative(order: int, parity: str) -> None:
+    """Raise ValueError unless order is 1, 2 or 3 and parity is known."""
     if order not in (1, 2, 3) or parity not in _WRAP_SIGN:
         raise ValueError(f"need derivative order 1, 2 or 3 and a known parity, got {order!r}, {parity!r}")
-    n = samples.shape[0]
-    mult = _derivative_factor(n, order).reshape((-1,) + (1,) * (samples.ndim - 1))
-    return np.fft.irfft(mult * _extension_modes(samples, parity), 2 * n, axis=0)[:n]
+
+
+def _derivative_from_modes(modes: np.ndarray, order: int) -> np.ndarray:
+    """The order-th derivative's n samples from the n + 1 extension modes along axis 0."""
+    n = modes.shape[0] - 1
+    mult = _derivative_factor(n, order).reshape((-1,) + (1,) * (modes.ndim - 1))
+    return np.fft.irfft(mult * modes, 2 * n, axis=0)[:n]
+
+
+def differentiate_samples(samples: np.ndarray, parity: str, order: int = 1) -> np.ndarray:
+    """Spectral derivative of raw samples along axis 0 (trailing axes are columns); order 1, 2 or 3."""
+    _check_derivative(order, parity)
+    return _derivative_from_modes(_extension_modes(samples, parity), order)
 
 
 def differentiate(f: PeriodicFn, order: int = 1) -> PeriodicFn:
     """Spectral derivative of the interpolant; order 1, 2 or 3."""
     return PeriodicFn(differentiate_samples(f.samples, f.parity, order), f.parity)
+
+
+def derivatives(f: PeriodicFn, *orders: int) -> tuple:
+    """differentiate(f, order) for each of the orders, from one forward transform."""
+    for order in orders:
+        _check_derivative(order, f.parity)
+    modes = _extension_modes(f.samples, f.parity)
+    return tuple(PeriodicFn(_derivative_from_modes(modes, order), f.parity) for order in orders)
 
 
 def integrate_period(f: PeriodicFn) -> float:
@@ -234,7 +253,8 @@ def upsample(f: PeriodicFn, m: int) -> PeriodicFn:
     """Exact resampling onto an m-point grid, m even and >= n: values_and_slopes_with_wrap's value row."""
     if m == f.n:
         return f
-    return PeriodicFn(values_and_slopes_with_wrap(f.samples, m, f.parity)[0, :-1], f.parity)
+    c = _resampling_modes(f.samples, m, f.parity)
+    return PeriodicFn(np.fft.irfft(c, m if f.parity == "periodic" else 2 * m)[:m], f.parity)
 
 
 def values_with_wrap(f: PeriodicFn, m: int) -> np.ndarray:
@@ -259,21 +279,33 @@ def interpolate_modes(modes: np.ndarray, n: int, m: int, parity: str = "periodic
     return np.fft.irfft(np.stack([modes, slope * modes]), size, axis=1)[:, :m]
 
 
-def values_and_slopes_with_wrap(samples: np.ndarray, m: int, parity: str = "periodic") -> np.ndarray:
-    """Rows f and f' of the interpolant at the m+1 points of [0, pi] inclusive.
+def _resampling_modes(samples: np.ndarray, m: int, parity: str) -> np.ndarray:
+    """The modes interpolate_modes takes to resample n samples of a parity onto m points.
 
-    The one interpolation of samples of either parity; upsample takes its value row.
+    Periodic data use the n-point rfft, the extension's even modes at half
+    the cost.  The modes are scaled by m / n, and for m > n the
+    self-conjugate Nyquist coefficient cos(n t) is split between
+    frequencies +-n.
     """
     n = samples.shape[0]
     if m < n or m % 2 or parity not in _WRAP_SIGN:
         raise ValueError("target sample count must be even and >= current, and parity known")
     if parity == "periodic":
-        c = np.fft.rfft(samples) * (m / n)  # the extension's even modes at half the cost
+        c = np.fft.rfft(samples) * (m / n)
     else:
         c = _extension_modes(samples, parity) * (m / n)
     if m > n:
-        c[-1] *= 0.5  # split the self-conjugate Nyquist coefficient cos(n t) between frequencies +-n
-    vals = interpolate_modes(c, n, m, parity)
+        c[-1] *= 0.5
+    return c
+
+
+def values_and_slopes_with_wrap(samples: np.ndarray, m: int, parity: str = "periodic") -> np.ndarray:
+    """Rows f and f' of the interpolant at the m+1 points of [0, pi] inclusive.
+
+    The one interpolation of samples of either parity; upsample synthesizes
+    its value row alone from the same modes.
+    """
+    vals = interpolate_modes(_resampling_modes(samples, m, parity), samples.shape[0], m, parity)
     return np.concatenate([vals, _WRAP_SIGN[parity] * vals[:, :1]], axis=1)
 
 

@@ -5,12 +5,16 @@ conjugator.
 All period maps are classical RK4 on [0, pi] with step h = pi/(substeps*N);
 coefficient values at half steps come from exact trigonometric resampling,
 so step-halving exhibits clean order-4 decay.  The systems are linear, so
-each RK4 step is a fixed 2x2 step map, and the maps are multiplied a chunk
-at a time (_chunked_product) by a pairwise tree (period map) or an
-inclusive prefix product (fundamental-matrix trajectory), with no loop over
-steps.  Both generators, Hill's [[0, 1], [p, 0]] and the projective field,
-are traceless, so each squares to a scalar, B^2 = q I (q = p for Hill, 0
-for the projective field), and one rule builds every step map
+each RK4 step is a fixed 2x2 step map, and the maps are multiplied in
+pairing blocks of TRANSFER_CHUNK = 256 steps (_chunked_product) by a
+pairwise tree (period map) or an inclusive prefix product
+(fundamental-matrix trajectory), with no loop over steps.  As many whole
+blocks as fit TRANSFER_ELEMENTS step-map elements are built and reduced
+together, and the running matrix folds over the blocks in order, so the
+result is bit for bit that of reducing one block at a time.  Both
+generators, Hill's [[0, 1], [p, 0]] and the projective field, are
+traceless, so each squares to a scalar, B^2 = q I (q = p for Hill, 0 for
+the projective field), and one rule builds every step map
 (_rk4_transfer): the RK4 step polynomial in h, whose coefficients are then
 closed forms built once per field, before any step size is applied; each
 step size, so each lambda of a scan, costs one Horner evaluation per step.
@@ -25,6 +29,7 @@ is the invariant.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +56,8 @@ __all__ = [
 DEFAULT_SUBSTEPS = 8
 PARABOLIC_TOL = 1e-9
 _BRANCHES = ("plus", "minus")
-TRANSFER_CHUNK = 256  # RK4 steps whose step maps are evaluated and multiplied at once
+TRANSFER_CHUNK = 256  # RK4 steps per pairing block of the tree and prefix products
+TRANSFER_ELEMENTS = 2**14  # budget of step-map elements (blocks x TRANSFER_CHUNK x batch) reduced at once; at least one block
 _SOLVE_PASSES = 8  # cap on RiccatiBranch.solve_linear's defect-correction passes
 
 
@@ -81,24 +87,29 @@ def _components(x: np.ndarray):
 
 
 def _tree_product(p):
-    """P_{C-1} ... P_1 P_0 of a component stack, by a pairwise tree of products."""
-    while len(p[0]) > 1:
-        pairs = len(p[0]) // 2
-        q = _mul([x[1 : 2 * pairs : 2] for x in p], [x[0 : 2 * pairs : 2] for x in p])
-        if len(p[0]) % 2:  # the odd last step joins the last pair
-            for x, y in zip(q, _mul([x[-1:] for x in p], [x[-1:] for x in q])):
-                x[-1:] = y
+    """P_{C-1} ... P_1 P_0 along axis 1 of a component stack, by a pairwise tree of products.
+
+    Axis 0 holds independent blocks, each reduced to its own product.
+    """
+    while p[0].shape[1] > 1:
+        pairs = p[0].shape[1] // 2
+        q = _mul([x[:, 1 : 2 * pairs : 2] for x in p], [x[:, 0 : 2 * pairs : 2] for x in p])
+        if p[0].shape[1] % 2:  # the odd last step joins the last pair
+            for x, y in zip(q, _mul([x[:, -1:] for x in p], [x[:, -1:] for x in q])):
+                x[:, -1:] = y
         p = q
-    return tuple(x[0] for x in p)
+    return tuple(x[:, 0] for x in p)
 
 
 def _prefix_products(p):
-    """Inclusive prefix products S_k = P_k ... P_0 (Hillis-Steele: log2 C doubling passes)."""
-    p = tuple(np.array(x) for x in p)
+    """Inclusive prefix products S_k = P_k ... P_0 along axis 1, block by block on axis 0.
+
+    Hillis-Steele: log2 C doubling passes, in place on p's arrays.
+    """
     d = 1
-    while d < len(p[0]):
-        for x, y in zip(p, _mul([x[d:] for x in p], [x[:-d] for x in p])):
-            x[d:] = y
+    while d < p[0].shape[1]:
+        for x, y in zip(p, _mul([x[:, d:] for x in p], [x[:, :-d] for x in p])):
+            x[:, d:] = y
         d *= 2
     return p
 
@@ -111,29 +122,45 @@ def _step_size(substeps: int, n: int) -> float:
 
 
 def _chunked_product(step_maps, steps: int, batch: tuple, keep_trajectory: bool):
-    """X(t_k) = P_{k-1} ... P_0 from step maps built TRANSFER_CHUNK at a time.
+    """X(t_k) = P_{k-1} ... P_0 from step maps reduced in blocks of TRANSFER_CHUNK steps.
 
-    step_maps(lo, hi) returns the component stack of P_lo, ..., P_{hi-1},
-    each component of shape (hi - lo,) + batch.  A chunk is reduced by a
-    pairwise tree product, or, for the trajectory, by an inclusive prefix
-    product, and the running matrix is carried from chunk to chunk, so
-    memory stays flat in the step count.  Returns the final matrix, or the
-    whole (steps+1)-point trajectory.
+    step_maps(lo, hi) returns fresh arrays, the component stack of
+    P_lo, ..., P_{hi-1}, each component of shape (hi - lo,) + batch.  Each
+    block of TRANSFER_CHUNK steps is reduced by a pairwise tree product,
+    or, for the trajectory, by an inclusive prefix product.  A group of as
+    many whole blocks as fit TRANSFER_ELEMENTS elements (at least one) is
+    built and reduced in one set of calls, blocks on axis 0; the ragged
+    tail, steps % TRANSFER_CHUNK, is a last group of one short block.  The
+    running matrix folds over the blocks in order, so every product is the
+    one a block-at-a-time reduction takes and the result is bit for bit the
+    same, while memory stays flat in the step count.  Returns the final
+    matrix, or the whole (steps+1)-point trajectory.
     """
     running = (np.ones(batch), np.zeros(batch), np.zeros(batch), np.ones(batch))
     traj = np.empty((steps + 1,) + batch + (2, 2)) if keep_trajectory else None
     if keep_trajectory:
         traj[0] = np.eye(2)
-    for lo in range(0, steps, TRANSFER_CHUNK):
-        hi = min(lo + TRANSFER_CHUNK, steps)
-        p = step_maps(lo, hi)
+    group = TRANSFER_CHUNK * max(1, TRANSFER_ELEMENTS // (TRANSFER_CHUNK * math.prod(batch)))
+    whole = steps - steps % TRANSFER_CHUNK
+    bounds = [(lo, min(lo + group, whole)) for lo in range(0, whole, group)]
+    if whole < steps:
+        bounds.append((whole, steps))
+    for lo, hi in bounds:
+        size = min(hi - lo, TRANSFER_CHUNK)
+        p = tuple(x.reshape((-1, size) + batch) for x in step_maps(lo, hi))
         if keep_trajectory:
-            chunk = _mul(_prefix_products(p), running)
-            for x, y in zip(_components(traj[lo + 1 : hi + 1]), chunk):
+            p = _prefix_products(p)
+            starts = []  # the running matrix entering each block
+            for last in zip(*(x[:, -1] for x in p)):
+                starts.append(running)
+                running = _mul(last, running)
+            starts = [np.stack(x)[:, None] for x in zip(*starts)]
+            out = traj[lo + 1 : hi + 1].reshape((-1, size) + batch + (2, 2))
+            for x, y in zip(_components(out), _mul(p, starts)):
                 x[...] = y
-            running = tuple(x[-1] for x in chunk)
         else:
-            running = _mul(_tree_product(p), running)
+            for block in zip(*_tree_product(p)):
+                running = _mul(block, running)
     if keep_trajectory:
         return traj
     return np.stack(running, axis=-1).reshape(batch + (2, 2))

@@ -114,6 +114,18 @@ def test_curvature_from_angle_matches_components():
     assert np.max(np.abs(p_angle.samples - p_comp.samples)) < 1e-9
 
 
+@pytest.mark.parametrize("n", [64, 512])
+def test_hill_potential_is_the_four_derivative_formula_bit_for_bit(n):
+    # two forward transforms give what one derivative call per factor gave
+    Gamma = cc.lift(cc.random_projective(np.random.default_rng(2), n, strength=0.35))
+    g1, g2 = Gamma.gamma1, Gamma.gamma2
+    p = pf.differentiate(g1, 2) * pf.differentiate(g2) - pf.differentiate(g2, 2) * pf.differentiate(g1)
+    nyquist = pf.nyquist_mode(n)
+    ref = p.samples - np.mean(p.samples * nyquist) * nyquist
+    assert np.array_equal(cc.hill_potential(g1, g2).samples, ref)
+    assert np.array_equal(cc.curvature(Gamma).samples, ref)
+
+
 def test_curvature_sl2_invariant():
     rng = np.random.default_rng(7)
     G = cc.lift(cc.random_projective(rng, 128))

@@ -203,16 +203,17 @@ def test_values_and_slopes_match_values_with_wrap(m):
     assert np.max(np.abs(slopes - pf.evaluate(pf.differentiate(f), t))) <= 2e-13
 
 
-@pytest.mark.parametrize("m", [34, 96, 256])
+@pytest.mark.parametrize("m", [34, 96, 256, 512])
 def test_periodic_interpolation_has_one_path(m):
-    # upsample and values_with_wrap of periodic data are the value row of values_and_slopes_with_wrap
+    # upsample and values_with_wrap of periodic data are the value row of values_and_slopes_with_wrap,
+    # bit for bit, though upsample synthesizes that row alone
     f = _every_grid_mode()
     row = pf.values_and_slopes_with_wrap(f.samples, m)[0]
     assert np.array_equal(pf.values_with_wrap(f, m), row)
     assert np.array_equal(pf.upsample(f, m).samples, row[:-1])
 
 
-@pytest.mark.parametrize("m", [34, 96, 256])
+@pytest.mark.parametrize("m", [34, 96, 256, 512])
 def test_antiperiodic_interpolation_has_the_same_path(m):
     # antiperiodic samples interpolate through the same routine, with the wrap f(pi) = -f(0);
     # over rng seeds 1-8 of this construction: values within 7.8e-15, slopes within 1.3e-13 (|g'| up to 17.7)
@@ -223,6 +224,16 @@ def test_antiperiodic_interpolation_has_the_same_path(m):
     t = np.arange(m + 1) * (np.pi / m)
     assert np.max(np.abs(vals - pf.evaluate(g, t))) <= 2e-14
     assert np.max(np.abs(slopes - pf.evaluate(pf.differentiate(g), t))) <= 2e-13
+
+
+@pytest.mark.parametrize("parity", ["periodic", "antiperiodic"])
+def test_derivatives_share_one_transform_bit_for_bit(parity):
+    f = pf.random_band_limited(np.random.default_rng(7), 64, max_mode=20, parity=parity)
+    for got, order in zip(pf.derivatives(f, 1, 2, 3), (1, 2, 3)):
+        assert got.parity == parity
+        assert np.array_equal(got.samples, pf.differentiate(f, order).samples)
+    with pytest.raises(ValueError):
+        pf.derivatives(f, 1, 4)
 
 
 def test_solve_linear_periodic_constant_case():

@@ -114,6 +114,75 @@ def test_quadratic_transfer_matches_sequential_rk4(steps, batch):
     assert_matches_sequential_rk4(fields, steps, batch)
 
 
+@pytest.mark.parametrize("batch", [(), (21,)])
+def test_transfer_across_groups_matches_sequential_rk4(monkeypatch, batch):
+    # a budget of two blocks: unbatched groups hold two blocks, batched ones one, and a ragged tail follows
+    monkeypatch.setattr(rm, "TRANSFER_ELEMENTS", 2 * rm.TRANSFER_CHUNK)
+    steps = 3 * rm.TRANSFER_CHUNK + 5
+    assert_matches_sequential_rk4(traceless_fields(steps, batch), steps, batch)
+
+
+def per_block_product(step_maps, steps, batch, keep_trajectory):
+    """Reference for _chunked_product: one TRANSFER_CHUNK block per iteration, reduced along axis 0.
+
+    The block-at-a-time loop, with its own tree and prefix products; the
+    grouped reduction must reproduce it bit for bit.
+    """
+
+    def tree(p):
+        while len(p[0]) > 1:
+            pairs = len(p[0]) // 2
+            q = rm._mul([x[1 : 2 * pairs : 2] for x in p], [x[0 : 2 * pairs : 2] for x in p])
+            if len(p[0]) % 2:
+                for x, y in zip(q, rm._mul([x[-1:] for x in p], [x[-1:] for x in q])):
+                    x[-1:] = y
+            p = q
+        return tuple(x[0] for x in p)
+
+    def prefix(p):
+        p = tuple(np.array(x) for x in p)
+        d = 1
+        while d < len(p[0]):
+            for x, y in zip(p, rm._mul([x[d:] for x in p], [x[:-d] for x in p])):
+                x[d:] = y
+            d *= 2
+        return p
+
+    running = (np.ones(batch), np.zeros(batch), np.zeros(batch), np.ones(batch))
+    traj = np.empty((steps + 1,) + batch + (2, 2))
+    traj[0] = np.eye(2)
+    for lo in range(0, steps, rm.TRANSFER_CHUNK):
+        hi = min(lo + rm.TRANSFER_CHUNK, steps)
+        p = step_maps(lo, hi)
+        if keep_trajectory:
+            chunk = rm._mul(prefix(p), running)
+            for x, y in zip(rm._components(traj[lo + 1 : hi + 1]), chunk):
+                x[...] = y
+            running = tuple(x[-1] for x in chunk)
+        else:
+            running = rm._mul(tree(p), running)
+    return traj if keep_trajectory else np.stack(running, axis=-1).reshape(batch + (2, 2))
+
+
+@pytest.mark.parametrize("keep_trajectory", [False, True])
+@pytest.mark.parametrize("batch", [(), (21,)])
+@pytest.mark.parametrize("budget", ["stated", "two blocks"])
+@pytest.mark.parametrize("blocks", [0, 1, 5, 65])
+def test_grouped_product_is_the_block_at_a_time_product_bit_for_bit(monkeypatch, blocks, budget, batch, keep_trajectory):
+    # whole blocks plus a ragged tail of 3 steps; 65 blocks cross an unbatched group at the stated budget
+    if budget == "two blocks":
+        monkeypatch.setattr(rm, "TRANSFER_ELEMENTS", 2 * rm.TRANSFER_CHUNK)
+    steps = blocks * rm.TRANSFER_CHUNK + 3
+    rng = np.random.default_rng(blocks)
+    maps = np.eye(2) + 0.05 * rng.normal(size=(steps,) + batch + (2, 2))
+
+    def step_maps(lo, hi):
+        return [x[lo:hi].copy() for x in rm._components(maps)]
+
+    got = rm._chunked_product(step_maps, steps, batch, keep_trajectory)
+    assert np.array_equal(got, per_block_product(step_maps, steps, batch, keep_trajectory))
+
+
 def test_callers_keep_their_transfer_shapes():
     gamma = cc.random_projective(np.random.default_rng(3), 64)
     mono, traj = rm.hill_fundamental(cc.curvature(cc.lift(gamma)), substeps=4, keep_trajectory=True)
