@@ -107,14 +107,15 @@ def apply_tc(
     Gamma: CentroAffineCurve,
     c_aff: float,
     branch: str = "minus",
-    substeps: int = DEFAULT_SUBSTEPS,
+    substeps: int | None = None,
 ) -> BacklundResult:
     """Plane transformation Delta = w Gamma + c Gamma' for one branch.
 
     w is the periodic Riccati solution of the chosen branch; it makes
     [Gamma, Delta] = c and keeps [Delta, Delta'] = 1, and the image Hill
     potential is p + 2 w'/c.  Applying the opposite branch to the image
-    returns -Gamma.  An image off unit Wronskian raises OffUnity.
+    returns -Gamma.  An image off unit Wronskian raises OffUnity.  w is
+    shot with riccati_branch's step count unless substeps overrides it.
     """
     param = param_convert(c_aff, "affine")
     pot = curvature(Gamma)
@@ -181,7 +182,7 @@ def pushforward_tangent(
     (RiccatiBranch.solve_linear).  Pass riccati to reuse an already
     computed branch; it must carry the same label and constant, else
     ValueError.  Otherwise the branch named by the label is computed alone
-    (riccati_branch, DEFAULT_SUBSTEPS).  A bad label fails before any
+    (riccati_branch, at its default step count).  A bad label fails before any
     integration or solve.
     """
     _check_branch(branch)

@@ -179,7 +179,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--c-kind", choices=("affine", "projective"), default="affine")
     p.add_argument("--branch", choices=("plus", "minus"), default="minus")
-    p.add_argument("--substeps", type=int, default=DEFAULT_SUBSTEPS)
+    p.add_argument("--substeps", type=int, default=None)  # None: apply_tc's step rule
     p.add_argument("--output", required=True)
     p.add_argument("--report", default=None)
 

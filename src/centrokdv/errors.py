@@ -45,7 +45,7 @@ class BranchSingular(NumericalFailure):
 
 
 class StepUnstable(NumericalFailure):
-    """Time step rejected: solution norm doubled within one step."""
+    """Time step rejected: solution norm doubled within one step, or a period map overflowed."""
 
 
 class OffUnity(NumericalFailure):

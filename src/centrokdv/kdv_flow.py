@@ -16,6 +16,7 @@ also serves several curves.
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil, isfinite
 
 import numpy as np
@@ -54,14 +55,18 @@ def kdv_rhs(potential: pf.PeriodicFn) -> pf.PeriodicFn:
     return (-0.5) * d3 + 3.0 * d1 * potential
 
 
-def _etdrk4_coeffs(linear: np.ndarray, h: float):
-    """Stage coefficients of the fourth-order exponential integrator.
+@lru_cache(maxsize=16)
+def _etdrk4_coeffs(n: int, h: float):
+    """Read-only stage coefficients of the fourth-order exponential integrator.
 
+    The linear part is -1/2 D^3 on the n // 2 + 1 rfft modes of n samples.
     The phi-function combinations are averaged over a unit circle around
     each h*L value; the mean-value property evaluates them exactly while
     dodging the removable singularity at 0.  The linear spectrum here is
     imaginary, so the contour points stay complex and so do the results.
+    Cached per (n, h): a flow pass and its repeats share one build.
     """
+    linear = -0.5 * pf.rfft_derivative_factor(n, 3)
     z = h * linear.astype(complex)
     r = np.exp(2j * np.pi * (np.arange(1, CONTOUR_POINTS + 1) - 0.5) / CONTOUR_POINTS)
     lr = z[:, None] + r[None, :]
@@ -70,7 +75,10 @@ def _etdrk4_coeffs(linear: np.ndarray, h: float):
     f1 = h * np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=1)
     f2 = h * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr**3, axis=1)
     f3 = h * np.mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1)
-    return np.exp(z), np.exp(z / 2.0), q, f1, f2, f3
+    coeffs = (np.exp(z), np.exp(z / 2.0), q, f1, f2, f3)
+    for c in coeffs:
+        c.flags.writeable = False
+    return coeffs
 
 
 def _checked_sup(sup: np.ndarray, vals: np.ndarray, h: float, what: str) -> np.ndarray:
@@ -95,9 +103,8 @@ def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int):
     v is (n//2+1, B), one potential's spectrum per column.
     """
     # p_s = -1/2 p''' + 3/2 (p^2)': linear part -1/2 D^3, nonlinear part 3/2 D
-    d1, d3 = (pf.rfft_derivative_factor(n, k) for k in (1, 3))
-    e_full, e_half, q, f1, f2, f3 = (c[:, None] for c in _etdrk4_coeffs(-0.5 * d3, h))
-    nonlin_mult = 1.5 * d1[:, None]
+    e_full, e_half, q, f1, f2, f3 = (c[:, None] for c in _etdrk4_coeffs(n, h))
+    nonlin_mult = 1.5 * pf.rfft_derivative_factor(n, 1)[:, None]
 
     def nonlin(vals):
         return nonlin_mult * np.fft.rfft(vals * vals, axis=0)
@@ -321,7 +328,8 @@ def commutation_check(
     The KdV flow is isospectral for the Hill operator, so the Floquet
     multipliers that label the two Riccati branches do not move along it:
     the flowed curve takes the branch with the same label.  Both transforms
-    shoot with DEFAULT_SUBSTEPS and the flow steps by DEFAULT_DS.
+    shoot with riccati_branch's default step count and the flow steps by
+    DEFAULT_DS.
     """
     first = apply_tc(Gamma, c_aff, branch)
     transformed_then_flowed, flowed = evolve_curve((first.image, Gamma), s)

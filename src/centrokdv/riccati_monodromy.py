@@ -21,6 +21,13 @@ step size, so each lambda of a scan, costs one Horner evaluation per step.
 Eigen-structure of the resulting 2x2 matrices drives everything else:
 branch labels, fixed points in RP^1, and spectral invariants.
 
+The plane picture's Riccati shot is Newton-polished to its roundoff floor,
+so its step count comes from what the polish needs, not from the grid: at
+least SHOT_STEPS steps per period and at least SHOT_MIN_SUBSTEPS per grid
+interval (_shot_substeps), 2 substeps from n = 128 on.  The unpolished maps
+(hill_fundamental, moebius_monodromy, spectral_scan) keep
+DEFAULT_SUBSTEPS unless told otherwise.
+
 Tracelessness also puts every period map in SL(2, R), so no determinant is
 computed: the trace, Hill's discriminant (Magnus & Winkler, 1966, ch. 2),
 is the invariant.
@@ -36,7 +43,7 @@ import numpy as np
 
 from . import periodic_fn as pf
 from .curve_core import ProjectiveCurve, wrap_half_pi
-from .errors import BranchSingular, Degenerate, NoRealFixedPoints, ZeroParam
+from .errors import BranchSingular, Degenerate, NoRealFixedPoints, StepUnstable, ZeroParam
 
 __all__ = [
     "MonodromyMatrix",
@@ -54,10 +61,26 @@ __all__ = [
 ]
 
 DEFAULT_SUBSTEPS = 8
+# A plane-picture shot takes the fewest substeps that give SHOT_STEPS RK4
+# steps per period, and never fewer than SHOT_MIN_SUBSTEPS (_shot_substeps).
+# The Newton polish owns the accuracy of w, so the shot sets only its
+# starting guess and the Floquet factor that the polish and
+# RiccatiBranch.solve_linear integrate along.  Measured on random_projective
+# curves (strengths 0.35-0.9, c from 0.05 to 2, both labels, n from 64 to
+# 2048): from 256 steps the polish reaches its floor everywhere (worst
+# defect/floor 0.98), while 1 substep below n = 128 misses it by up to 4.2x.
+# The factor's quadrature needs 2 step points per grid interval: at 1
+# substep solve_linear shrinks near-Nyquist residual only about 36-fold per
+# pass and stops up to 12x above its floor at n >= 256; at 2 it reaches the
+# floor within 5 passes at every n.
+SHOT_STEPS = 256
+SHOT_MIN_SUBSTEPS = 2
 PARABOLIC_TOL = 1e-9
 _BRANCHES = ("plus", "minus")
 TRANSFER_CHUNK = 256  # RK4 steps per pairing block of the tree and prefix products
 TRANSFER_ELEMENTS = 2**14  # budget of step-map elements (blocks x TRANSFER_CHUNK x batch) reduced at once; at least one block
+# largest period-map entry whose squared sums (tr2, the eigenvector rows' norms) stay finite
+_LARGEST_ENTRY = math.sqrt(np.finfo(float).max) / 8.0
 _SOLVE_PASSES = 8  # cap on RiccatiBranch.solve_linear's defect-correction passes
 
 
@@ -119,6 +142,12 @@ def _step_size(substeps: int, n: int) -> float:
     if substeps < 1:
         raise ValueError(f"substeps must be at least 1, got {substeps!r}")
     return np.pi / (substeps * n)
+
+
+def _shot_substeps(n: int) -> int:
+    """Substeps of a plane-picture shot on an n-point grid: the fewest that give
+    SHOT_STEPS steps per period, at least SHOT_MIN_SUBSTEPS and at most DEFAULT_SUBSTEPS."""
+    return min(DEFAULT_SUBSTEPS, max(SHOT_MIN_SUBSTEPS, -(-SHOT_STEPS // n)))
 
 
 def _chunked_product(step_maps, steps: int, batch: tuple, keep_trajectory: bool):
@@ -312,8 +341,9 @@ def hill_fundamental(
 
 @dataclass(frozen=True)
 class _FloquetFactor:
-    """A branch's Floquet solution u: u2 and du2 hold u^2 and (u^2)' at the
-    RK4 step points of [0, pi], and u(t + pi) = mu u(t)."""
+    """A branch's shot Floquet solution u: u2 and du2 hold u^2 and (u^2)' at
+    the RK4 step points of [0, pi], and u(t + pi) = mu u(t), mu the shot's
+    own multiplier, the one that matches u2 in _integrate_along."""
 
     u2: np.ndarray
     du2: np.ndarray
@@ -323,7 +353,8 @@ class _FloquetFactor:
 @dataclass(frozen=True)
 class RiccatiBranch:
     """One periodic solution of the quadratic relation c w' = w^2 - 1 - c^2 p,
-    p the Hill potential, tagged by which Floquet branch produced it."""
+    p the Hill potential, tagged by which Floquet branch produced it, with
+    that branch's Floquet multiplier exp(-pi mean(w)/c)."""
 
     solution: pf.PeriodicFn
     branch: str
@@ -342,8 +373,10 @@ class RiccatiBranch:
         residual's roundoff floor, 4 n eps max(|rhs|, |(2w/c) g|), in one
         pass.  Nyquist content takes a few more: the algebraic Nyquist step
         leaves near-Nyquist residual of relative size |kappa - mean
-        kappa| / |mean kappa|, and each further pass shrinks it about
-        300-fold at n = 128 and 1000-fold at n = 512.
+        kappa| / |mean kappa|, and each further pass shrinks it 3000- to
+        14000-fold at n = 128 and 9000- to 14000-fold at n = 512 (the
+        default shot, two substeps; a rhs (-1)^k reaches the floor in at
+        most 5 passes from n = 128 to 2048).
         """
         if rhs.parity != "periodic" or rhs.n != self.solution.n:
             raise ValueError("rhs must be periodic on the solution's grid")
@@ -441,7 +474,7 @@ def _plus_branch(potential: pf.PeriodicFn, c_aff: float, substeps: int):
 
 
 def riccati_branch(
-    potential: pf.PeriodicFn, c_aff: float, branch: str, substeps: int = DEFAULT_SUBSTEPS
+    potential: pf.PeriodicFn, c_aff: float, branch: str, substeps: int | None = None
 ) -> RiccatiBranch:
     """The periodic Riccati solution of one branch, "plus" or "minus".
 
@@ -449,23 +482,30 @@ def riccati_branch(
     grows (the dichotomy principle: Ascher, Mattheij & Russell, Numerical
     Solution of BVPs for ODEs, SIAM 1995).  The minus branch is the plus
     branch (_plus_branch) of the reflected potential p(pi - t), reflected
-    back: w(t) = -w~(pi - t), multiplier 1/mu~, Floquet solution u~(pi - t).
-    The returned branch keeps the polish's O(n log n) solve as
-    RiccatiBranch.solve_linear.  A bad label raises ValueError before any
-    integration.  Raises NoRealFixedPoints for an elliptic (or
-    near-parabolic) period matrix, and BranchSingular when this branch's
-    u changes sign, i.e. w has a pole.
+    back: w(t) = -w~(pi - t), Floquet solution u~(pi - t).  The shot takes
+    _shot_substeps(n) substeps (the module's step rule: 4 at n = 64, 2 from
+    n = 128) unless substeps overrides it; the Newton polish then owns the
+    accuracy of w.  The multiplier is read off the polished w: w = -c u'/u, so
+    int_0^pi w = -c ln mu, and u does not vanish on a branch, so
+    mu = exp(-pi mean(w)/c) > 0.  The returned branch keeps the polish's
+    O(n log n) solve as RiccatiBranch.solve_linear.  A bad label raises
+    ValueError before any integration.  Raises NoRealFixedPoints for an
+    elliptic (or near-parabolic) period matrix, and BranchSingular when
+    this branch's u changes sign, i.e. w has a pole.
     """
     _check_branch(branch)
     if c_aff == 0.0:
         raise ZeroParam("c must be nonzero")
+    if substeps is None:
+        substeps = _shot_substeps(potential.n)
     if branch == "plus":
         w, factor = _plus_branch(potential, c_aff, substeps)
     else:
         w, f = _plus_branch(pf.PeriodicFn(_reflect(potential.samples), "periodic"), c_aff, substeps)
         w = -_reflect(w)
         factor = _FloquetFactor(f.u2[::-1], -f.du2[::-1], 1.0 / f.mu)
-    return RiccatiBranch(pf.PeriodicFn(w, "periodic"), branch, factor.mu, c_aff, factor)
+    multiplier = float(np.exp(-np.pi * np.mean(w) / c_aff))
+    return RiccatiBranch(pf.PeriodicFn(w, "periodic"), branch, multiplier, c_aff, factor)
 
 
 def riccati_periodic_solutions(potential: pf.PeriodicFn, c_aff: float):
@@ -478,7 +518,7 @@ def riccati_periodic_solutions(potential: pf.PeriodicFn, c_aff: float):
     BranchSingular when either branch's u vanishes somewhere (that
     periodic solution has a pole there).  Callers that need one branch
     should use riccati_branch, which shoots and polishes only that one.
-    Both are shot with DEFAULT_SUBSTEPS.
+    Both are shot with riccati_branch's default step count.
     """
     return tuple(riccati_branch(potential, c_aff, name) for name in _BRANCHES)
 
@@ -541,13 +581,25 @@ def moebius_monodromy(
     The generator is traceless, so the result is unimodular; its conjugacy
     class in PSL(2, R) is a spectral invariant of the curve.  With
     keep_trajectory, also return the fundamental matrix at every step.
+    A map beyond double range, one that overflows or has an entry above
+    _LARGEST_ENTRY, where the squares that tr2 and eigen_system take would
+    overflow, raises StepUnstable naming lambda (a transform's c_pr) and
+    the RK4 step lambda h, which at such a lambda the grid does not resolve.
     """
     h = float(lam) * _step_size(substeps, gamma.n)  # lambda scales the step, not the field
     b = _angle_b_half(gamma, substeps)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map is refused below
+        out = _rk4_transfer(b, h, keep_trajectory=keep_trajectory, square=0.0)
+    final = out[-1] if keep_trajectory else out
+    largest = np.max(np.abs(final))
+    if not largest <= _LARGEST_ENTRY:  # NaN fails too
+        raise StepUnstable(
+            f"projective period map at lambda = c_pr = {lam!r} is beyond double range "
+            f"(largest entry {float(largest)!r}, RK4 step lambda h = {h!r})"
+        )
     if keep_trajectory:
-        traj = _rk4_transfer(b, h, keep_trajectory=True, square=0.0)
-        return MonodromyMatrix(traj[-1]), traj
-    return MonodromyMatrix(_rk4_transfer(b, h, square=0.0))
+        return MonodromyMatrix(final), out
+    return MonodromyMatrix(final)
 
 
 @dataclass(frozen=True)

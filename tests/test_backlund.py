@@ -15,6 +15,7 @@ from centrokdv.errors import (
     NoRealFixedPoints,
     NumericalFailure,
     OffUnity,
+    StepUnstable,
     ZeroParam,
 )
 
@@ -433,3 +434,40 @@ def test_apply_tc_meets_its_gate_over_strengths_and_constants(n, seed):
         for c in (0.5, 0.2):
             for label in ("minus", "plus"):
                 bk.apply_tc(G, c, label)
+
+
+@pytest.mark.parametrize("c_pr", [3e4, 1e6])
+def test_projective_map_beyond_double_range_raises_step_unstable(c_pr):
+    # RuntimeWarnings are errors under this suite's filter, so none may escape either
+    with pytest.raises(StepUnstable, match=rf"c_pr = {c_pr!r} .*lambda h = "):
+        bk.apply_tc_projective(cc.make_circle(64), c_pr, "minus")
+
+
+def test_projective_map_within_double_range_still_closes():
+    # the circle's minus image at c_pr is the circle turned by arcsin(1/sqrt(c_pr))
+    image = bk.apply_tc_projective(cc.make_circle(64), 1e4, "minus")
+    assert np.max(np.abs(image.psi.samples - np.arcsin(1e-2))) <= 1e-8
+
+
+def test_default_shot_moves_apply_tc_images_only_at_roundoff():
+    # the transform pool: the rule's coarser shot against 8 substeps, the same outcome for every curve
+    outcomes, worst = [], 0.0
+    for seed in (1, 2, 3):
+        for i in range(24):
+            for n in (128, 512):
+                gamma = cc.random_projective(np.random.default_rng([seed, i]), n, strength=(0.35, 0.6, 0.9)[i % 3])
+                try:
+                    G = cc.lift(gamma)
+                    default = bk.apply_tc(G, 0.5, "minus").image
+                except OffUnity:
+                    outcomes.append("OffUnity")
+                    with pytest.raises(OffUnity):
+                        bk.apply_tc(cc.lift(gamma), 0.5, "minus", substeps=8)
+                    continue
+                eight = bk.apply_tc(G, 0.5, "minus", substeps=8).image
+                outcomes.append("ok")
+                a = np.stack([default.gamma1.samples, default.gamma2.samples])
+                b = np.stack([eight.gamma1.samples, eight.gamma2.samples])
+                worst = max(worst, np.max(np.abs(a - b)) / np.max(np.abs(b)))
+    assert (outcomes.count("ok"), outcomes.count("OffUnity")) == (141, 3)
+    assert worst <= 1e-13  # measured 7.8e-15

@@ -339,3 +339,21 @@ def test_selfcheck_reports_every_suite_when_one_misses_a_gate(capsys):
     gate_miss = next(line for line in suites if line.startswith("symplectic_invariance "))
     assert gate_miss.split()[1:] == ["inf", "tol", "1.0e-06", "margin", "-inf", "FAIL", "OffUnity"]
     assert suites[0].startswith("spectral_calculus ") and suites[0].endswith("PASS")
+
+
+def test_backlund_substeps_default_to_apply_tc_and_override_it(tmp_path, capsys):
+    trig = gen_trig(tmp_path)
+    G = cc.lift(cc.load_curve(trig))
+    for flag, substeps in (((), None), (("--substeps", 8), 8)):
+        out = tmp_path / "image.json"
+        assert run("backlund", "--input", trig, "--c", 0.5, "--output", out, *flag) == 0
+        image, want = cc.load_curve(out), bk.apply_tc(G, 0.5, "minus", substeps=substeps).image
+        assert np.array_equal(image.gamma1.samples, want.gamma1.samples)
+        assert np.array_equal(image.gamma2.samples, want.gamma2.samples)
+
+
+def test_scan_with_a_transform_beyond_double_range_exits_3(tmp_path, capsys):
+    circle = gen_circle(tmp_path, n=64)
+    out, delta = tmp_path / "scan.csv", tmp_path / "delta.csv"
+    assert run("scan", "--input", circle, "--output", out, "--c", 3e4, "--delta-output", delta) == 3
+    assert capsys.readouterr().err.startswith("ERROR StepUnstable:")

@@ -415,3 +415,17 @@ def test_flow_trace_csv(tmp_path):
     table = np.array([[float(x) for x in row.split(",")] for row in lines[1:]])
     assert np.allclose(table[:, 0], [0.0, 0.005, 0.01, 0.015, 0.02], atol=1e-15)
     assert np.max(np.abs(table[:, 1] - table[0, 1])) < 1e-9
+
+
+def test_etdrk4_coefficients_are_cached_read_only_and_bit_identical(monkeypatch):
+    for c in kf._etdrk4_coeffs(128, 1e-4):
+        assert not c.flags.writeable
+    assert kf._etdrk4_coeffs(128, 1e-4) is kf._etdrk4_coeffs(128, 1e-4)
+    p = pf.random_band_limited(np.random.default_rng(3), 256, max_mode=6)
+    G = gentle_curve()
+    cached = kf.evolve_potential(p, 0.005), kf.evolve_curve(G, 0.005)
+    monkeypatch.setattr(kf, "_etdrk4_coeffs", kf._etdrk4_coeffs.__wrapped__)
+    built = kf.evolve_potential(p, 0.005), kf.evolve_curve(G, 0.005)
+    assert np.array_equal(cached[0].samples, built[0].samples)
+    assert np.array_equal(cached[1].gamma1.samples, built[1].gamma1.samples)
+    assert np.array_equal(cached[1].gamma2.samples, built[1].gamma2.samples)

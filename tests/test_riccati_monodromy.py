@@ -7,7 +7,7 @@ from centrokdv import backlund as bk
 from centrokdv import curve_core as cc
 from centrokdv import periodic_fn as pf
 from centrokdv import riccati_monodromy as rm
-from centrokdv.errors import BranchSingular, Degenerate, NoRealFixedPoints, ZeroParam
+from centrokdv.errors import BranchSingular, Degenerate, NoRealFixedPoints, OffUnity, ZeroParam
 
 
 def circle_tr2(lam):
@@ -494,3 +494,70 @@ def test_conjugator_degenerate():
     gamma = cc.random_projective(rng, 64)
     with pytest.raises(Degenerate):
         rm.conjugator(gamma, gamma, 0.5, 0.9)
+
+
+def test_shot_takes_the_fewest_substeps_that_give_256_steps_per_period():
+    assert [rm._shot_substeps(n) for n in (16, 32, 64, 96, 100, 128, 256, 512, 2048)] == [8, 8, 4, 3, 3, 2, 2, 2, 2]
+    p = cc.curvature(cc.lift(cc.random_projective(np.random.default_rng(1), 128)))
+    for label in ("plus", "minus"):
+        default, explicit = rm.riccati_branch(p, 0.5, label), rm.riccati_branch(p, 0.5, label, substeps=2)
+        assert np.array_equal(default.solution.samples, explicit.solution.samples)
+        assert default.multiplier == explicit.multiplier
+
+
+def shot_frame_defect(branch, potential):
+    """The Riccati defect of the problem the polish solved, and its roundoff floor.
+
+    The minus branch is polished as the plus branch of the reflected
+    potential; reflection and negation are exact, so this is that polish's
+    own defect.
+    """
+    w, p = branch.solution.samples, potential.samples
+    if branch.branch == "minus":
+        w, p = -rm._reflect(w), rm._reflect(p)
+    c = branch.c_aff
+    defect = np.max(np.abs(pf.differentiate_samples(w, "periodic") - (w * w - 1.0) / c + c * p))
+    return defect, rm._roundoff_floor(w.shape[0], max(1.0, np.max(np.abs(w))))
+
+
+@pytest.mark.parametrize("n", [64, 96, 100, 128, 256, 512, 2048])
+def test_polish_reaches_its_floor_from_the_default_shot(n):
+    # the rule's shot is coarse (two substeps from n = 128): the polish must still reach its floor
+    for seed in (1, 2, 3):
+        for strength in (0.35, 0.6, 0.9):
+            try:
+                p = cc.curvature(cc.lift(cc.random_projective(np.random.default_rng(seed), n, strength=strength)))
+            except OffUnity:  # three n = 64 curves are too rough for their grid
+                assert n == 64
+                continue
+            for c in (0.05, 0.2, 0.5, 1.0, 2.0):
+                for label in ("plus", "minus"):
+                    try:
+                        branch = rm.riccati_branch(p, c, label)
+                    except NoRealFixedPoints:
+                        continue
+                    defect, floor = shot_frame_defect(branch, p)
+                    assert defect <= floor, (seed, strength, c, label, defect / floor)
+
+
+@pytest.mark.parametrize("n", [64, 128, 512])
+def test_multiplier_of_the_polished_branch_on_the_circle(n):
+    # p = -1, c = 0.5: u'' = 3u, so the multipliers are exp(+-sqrt(3) pi); measured <= 2.7e-15
+    p = pf.constant(-1.0, n)
+    for label, sign in (("plus", 1.0), ("minus", -1.0)):
+        mu = rm.riccati_branch(p, 0.5, label).multiplier
+        assert abs(mu / np.exp(sign * np.sqrt(3.0) * np.pi) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [256, 512, 2048])
+def test_floquet_solve_reaches_the_nyquist_mode_on_fine_grids(n):
+    # the default shot's factor needs two step points per grid interval: at one,
+    # each pass shrinks near-Nyquist residual only ~36-fold and 8 passes stop above the floor
+    p = cc.curvature(cc.lift(cc.random_projective(np.random.default_rng(2), n)))
+    rhs = pf.PeriodicFn(pf.nyquist_mode(n).copy())
+    for label in ("plus", "minus"):
+        branch = rm.riccati_branch(p, 0.5, label)
+        g = branch.solve_linear(rhs)
+        kappa_g = (2.0 / branch.c_aff) * branch.solution.samples * g.samples
+        scale = max(1.0, np.max(np.abs(kappa_g)))
+        assert collocation_residual(branch, g, rhs) <= rm._roundoff_floor(n, scale)
