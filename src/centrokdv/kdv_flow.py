@@ -12,6 +12,12 @@ non-stiff and needs only p and p'.  The curve stepper takes the potential
 march's nodes as they are made, so one pass serves a whole trace, and it
 carries a batch of curves, each driven by its own potential, so one pass
 also serves several curves.
+
+Transform budget per step, each call over the whole batch: a potential
+step makes 8 FFT calls, one rfft and one irfft per ETDRK4 stage, the last
+irfft gating the step; a curve step makes 24, 12 of each: two half-step
+potential steps (16), whose gating irffts also carry the driving p and
+p', and four field evaluations of one rfft/irfft pair each (8).
 """
 
 import csv
@@ -64,7 +70,8 @@ def _etdrk4_coeffs(n: int, h: float):
     each h*L value; the mean-value property evaluates them exactly while
     dodging the removable singularity at 0.  The linear spectrum here is
     imaginary, so the contour points stay complex and so do the results.
-    Cached per (n, h): a flow pass and its repeats share one build.
+    Returned as (e^z, e^{z/2}, q, f1, 2 f2, f3), f2 doubled as the step
+    takes it.  Cached per (n, h): a flow pass and its repeats share one build.
     """
     linear = -0.5 * pf.rfft_derivative_factor(n, 3)
     z = h * linear.astype(complex)
@@ -75,7 +82,7 @@ def _etdrk4_coeffs(n: int, h: float):
     f1 = h * np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=1)
     f2 = h * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr**3, axis=1)
     f3 = h * np.mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1)
-    coeffs = (np.exp(z), np.exp(z / 2.0), q, f1, f2, f3)
+    coeffs = (np.exp(z), np.exp(z / 2.0), q, f1, 2.0 * f2, f3)
     for c in coeffs:
         c.flags.writeable = False
     return coeffs
@@ -87,23 +94,27 @@ def _checked_sup(sup: np.ndarray, vals: np.ndarray, h: float, what: str) -> np.n
     Raises StepUnstable if any member's norm is not finite or more than
     doubled its own previous one.
     """
-    new_sup = np.max(np.abs(vals), axis=tuple(range(vals.ndim - 1)))
-    jumped = ~np.isfinite(new_sup) | (new_sup > 2.0 * np.maximum(sup, 1e-12))
-    if jumped.any():
-        k = int(np.argmax(jumped))
+    new_sup = np.abs(vals).max(axis=tuple(range(vals.ndim - 1)))
+    held = new_sup <= 2.0 * np.maximum(sup, 1e-12)  # false for NaN and inf too
+    if not held.all():
+        k = int(np.argmin(held))
         raise StepUnstable(
             f"{what} jumped {float(sup[k])!r} -> {float(new_sup[k])!r} within one step of size {h!r}"
         )
     return new_sup
 
 
-def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int):
+def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int, cut: int | None = None):
     """Yield the rfft spectra of the potentials at s = 0, h, ..., nsteps * h.
 
-    v is (n//2+1, B), one potential's spectrum per column.
+    v is (n//2+1, B), one potential's spectrum per column.  Given a cut,
+    yield instead the driving rows, shape (2, n, B): each potential's p and
+    p' on the grid from its modes below cut, the band above zero-filled.
+    They ride the inverse transform that gates the step, stacked behind
+    its samples, so they cost no transform of their own.
     """
     # p_s = -1/2 p''' + 3/2 (p^2)': linear part -1/2 D^3, nonlinear part 3/2 D
-    e_full, e_half, q, f1, f2, f3 = (c[:, None] for c in _etdrk4_coeffs(n, h))
+    e_full, e_half, q, f1, f2x2, f3 = (c[:, None] for c in _etdrk4_coeffs(n, h))
     nonlin_mult = 1.5 * pf.rfft_derivative_factor(n, 1)[:, None]
 
     def nonlin(vals):
@@ -112,22 +123,37 @@ def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int):
     def samples(w):
         return np.fft.irfft(w, n, axis=0)
 
+    if cut is not None:
+        stacked = np.zeros((3,) + v.shape, complex)  # [v, v below cut, (i nu) v below cut]
+        slope = pf.rfft_derivative_factor(n, 1)[:cut, None]
+
+    def gate(w):
+        """The samples that gate a step, and what the step yields."""
+        if cut is None:
+            return samples(w), w
+        stacked[0] = w
+        stacked[1, :cut] = w[:cut]
+        np.multiply(slope, w[:cut], out=stacked[2, :cut])
+        rows = np.fft.irfft(stacked, n, axis=1)
+        return rows[0], rows[1:]
+
     # the samples that gate a step are the first stage's input to the next
-    vals = samples(v)
+    vals, out = gate(v)
     sup = np.max(np.abs(vals), axis=0)
-    yield v
+    yield out
     for _ in range(nsteps):
         nv = nonlin(vals)
-        a = e_half * v + q * nv
+        ev = e_half * v
+        a = ev + q * nv
         na = nonlin(samples(a))
-        b = e_half * v + q * na
+        b = ev + q * na
         nb = nonlin(samples(b))
         c = e_half * a + q * (2.0 * nb - nv)
         nc = nonlin(samples(c))
-        v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
-        vals = samples(v)
+        v = e_full * v + f1 * nv + f2x2 * (na + nb) + f3 * nc
+        vals, out = gate(v)
         sup = _checked_sup(sup, vals, h, "sup norm")
-        yield v
+        yield out
 
 
 def _step_count(s_end: float, ds: float) -> int:
@@ -181,15 +207,22 @@ def _transport(curves: tuple, s_end: float, ds: float, legs: int):
     v0 = np.fft.rfft(p0, axis=0)
     v0[cut:] = 0.0
 
+    # the antiperiodic extension [y, p y, -y, -p y] of the field's two
+    # products, refilled in place at each evaluation
+    ext = np.empty((2 * n, 4, len(curves)))
+    slope = pf._derivative_factor(n, 1)[:, None, None]
+
     def field(y, p, dp):
         # skew-symmetric split of p y' - 1/2 p' y: the advection part
         # 1/2 (p D + D p) cannot pump grid modes, so aliasing stays inert
-        d = pf.differentiate_samples(np.concatenate([y, p * y], axis=1), "antiperiodic")
+        ext[:n, :2] = y
+        np.multiply(p, y, out=ext[:n, 2:])
+        np.negative(ext[:n], out=ext[n:])
+        d = np.fft.irfft(slope * np.fft.rfft(ext, axis=0), 2 * n, axis=0)[:n]
         return 0.5 * (p * d[:, :2] + d[:, 2:]) - dp * y
 
     # each node is the driver's p and p' on the grid, the dropped band zero-filled
-    spectra = _advance_spectrum(v0, n, 0.5 * h, 2 * legs * per_leg)
-    nodes = (pf.interpolate_modes(w[:cut], n, n)[:, :, None] for w in spectra)
+    nodes = (rows[:, :, None] for rows in _advance_spectrum(v0, n, 0.5 * h, 2 * legs * per_leg, cut))
     end = next(nodes)
     x = np.stack([np.stack([G.gamma1.samples, G.gamma2.samples], axis=1) for G in curves], axis=2)
     sup = np.max(np.abs(x), axis=(0, 1))

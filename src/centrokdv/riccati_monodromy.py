@@ -242,6 +242,25 @@ def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, keep_trajectory: bo
     return _chunked_product(step_maps, coeffs[0][0].shape[0], batch, keep_trajectory)
 
 
+def _ranged_transfer(b_half: np.ndarray, h, keep_trajectory: bool = False, *, square, what):
+    """_rk4_transfer, refusing period maps beyond double range.
+
+    A final map that overflows, or has an entry above _LARGEST_ENTRY, where
+    the squares that tr2 and eigen_system take would overflow, raises
+    StepUnstable for the first batch entry k past range, naming what(k) (the
+    map and its RK4 step) and the entry.  Overflow inside the product is
+    silenced, since the map it reaches is refused here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _rk4_transfer(b_half, h, keep_trajectory, square=square)
+    largest = np.abs(out[-1] if keep_trajectory else out).max(axis=(-2, -1))
+    held = largest <= _LARGEST_ENTRY  # false for NaN too
+    if not held.all():
+        k = np.unravel_index(np.argmin(held), held.shape)
+        raise StepUnstable(f"{what(k)} is beyond double range (largest entry {float(largest[k])!r})")
+    return out
+
+
 @dataclass(frozen=True)
 class MonodromyMatrix:
     """Period map of a pi-periodic planar linear system."""
@@ -325,7 +344,8 @@ def hill_fundamental(
 
     With ``keep_trajectory`` also returns the matrix at every step point
     (substeps*N + 1 of them), which downstream code uses to follow
-    individual solutions across the period.
+    individual solutions across the period.  A map beyond double range
+    raises StepUnstable naming the RK4 step h (_ranged_transfer).
     """
     h = _step_size(substeps, potential.n)
     # coefficient matrices [[0, 1], [potential, 0]] at half-step resolution
@@ -333,10 +353,12 @@ def hill_fundamental(
     b = np.zeros((fine.shape[0], 2, 2))
     b[:, 0, 1] = 1.0
     b[:, 1, 0] = fine
+    out = _ranged_transfer(
+        b, h, keep_trajectory, square=fine[1::2], what=lambda k: f"Hill period map (RK4 step h = {h!r})"
+    )
     if keep_trajectory:
-        traj = _rk4_transfer(b, h, keep_trajectory=True, square=fine[1::2])
-        return MonodromyMatrix(traj[-1]), traj
-    return MonodromyMatrix(_rk4_transfer(b, h, square=fine[1::2]))
+        return MonodromyMatrix(out[-1]), out
+    return MonodromyMatrix(out)
 
 
 @dataclass(frozen=True)
@@ -461,7 +483,10 @@ def _plus_branch(potential: pf.PeriodicFn, c_aff: float, substeps: int):
     w = -c u'/u for the dominant Floquet solution u of
     u'' = (potential + 1/c^2) u, shot forward, the direction in which it grows.
     """
-    mono, traj = hill_fundamental(potential + 1.0 / c_aff**2, substeps=substeps, keep_trajectory=True)
+    try:
+        mono, traj = hill_fundamental(potential + 1.0 / c_aff**2, substeps=substeps, keep_trajectory=True)
+    except StepUnstable as exc:
+        raise StepUnstable(f"plane shot at c = {c_aff!r}: {exc}") from None
     (mu, v), _ = mono.eigen_system()
     sol = traj @ v
     u, du = sol[:, 0], sol[:, 1]
@@ -581,25 +606,22 @@ def moebius_monodromy(
     The generator is traceless, so the result is unimodular; its conjugacy
     class in PSL(2, R) is a spectral invariant of the curve.  With
     keep_trajectory, also return the fundamental matrix at every step.
-    A map beyond double range, one that overflows or has an entry above
-    _LARGEST_ENTRY, where the squares that tr2 and eigen_system take would
-    overflow, raises StepUnstable naming lambda (a transform's c_pr) and
-    the RK4 step lambda h, which at such a lambda the grid does not resolve.
+    A map beyond double range (_ranged_transfer) raises StepUnstable naming
+    lambda (a transform's c_pr) and the RK4 step lambda h, which at such a
+    lambda the grid does not resolve.
     """
     h = float(lam) * _step_size(substeps, gamma.n)  # lambda scales the step, not the field
     b = _angle_b_half(gamma, substeps)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map is refused below
-        out = _rk4_transfer(b, h, keep_trajectory=keep_trajectory, square=0.0)
-    final = out[-1] if keep_trajectory else out
-    largest = np.max(np.abs(final))
-    if not largest <= _LARGEST_ENTRY:  # NaN fails too
-        raise StepUnstable(
-            f"projective period map at lambda = c_pr = {lam!r} is beyond double range "
-            f"(largest entry {float(largest)!r}, RK4 step lambda h = {h!r})"
-        )
+    out = _ranged_transfer(
+        b,
+        h,
+        keep_trajectory,
+        square=0.0,
+        what=lambda k: f"projective period map at lambda = c_pr = {lam!r} (RK4 step lambda h = {h!r})",
+    )
     if keep_trajectory:
-        return MonodromyMatrix(final), out
-    return MonodromyMatrix(final)
+        return MonodromyMatrix(out[-1]), out
+    return MonodromyMatrix(out)
 
 
 @dataclass(frozen=True)
@@ -631,13 +653,19 @@ def spectral_scan(
     with step h is one of B with step lambda h, so the batch shares one
     lambda-free field, passed with batch shape (1,) so its step coefficients
     are built once, and lambda scales the step.  An empty or non-finite
-    grid raises ValueError.
+    grid raises ValueError; a map beyond double range raises StepUnstable
+    naming the first lambda past range and its step lambda h
+    (_ranged_transfer).
     """
     lam = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
     if lam.size == 0 or not np.all(np.isfinite(lam)):
         raise ValueError(f"lambda_grid must be a non-empty grid of finite numbers, got {lam!r}")
-    h = _step_size(substeps, gamma.n)
-    m = _rk4_transfer(_angle_b_half(gamma, substeps)[:, None], lam * h, square=0.0)
+    steps = lam * _step_size(substeps, gamma.n)
+
+    def what(k):
+        return f"projective period map at lambda = {float(lam[k])!r} (RK4 step lambda h = {float(steps[k])!r})"
+
+    m = _ranged_transfer(_angle_b_half(gamma, substeps)[:, None], steps, square=0.0, what=what)
     tr = m[:, 0, 0] + m[:, 1, 1]
     return SpectralScan(lambdas=lam, tr2=tr * tr)
 

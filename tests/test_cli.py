@@ -357,3 +357,19 @@ def test_scan_with_a_transform_beyond_double_range_exits_3(tmp_path, capsys):
     out, delta = tmp_path / "scan.csv", tmp_path / "delta.csv"
     assert run("scan", "--input", circle, "--output", out, "--c", 3e4, "--delta-output", delta) == 3
     assert capsys.readouterr().err.startswith("ERROR StepUnstable:")
+
+
+def test_scan_beyond_double_range_exits_3_and_writes_nothing(tmp_path, capsys):
+    circle = gen_circle(tmp_path, n=64)
+    out = tmp_path / "scan.csv"
+    assert run("scan", "--input", circle, "--output", out, "--lambda-max", 1e6) == 3
+    assert capsys.readouterr().err.startswith("ERROR StepUnstable: projective period map at lambda = ")
+    assert not out.exists()
+
+
+def test_backlund_at_a_constant_beyond_double_range_exits_3(tmp_path, capsys):
+    src = tmp_path / "trig1.json"
+    assert run("gen", "--preset", "trig", "--n", 128, "--seed", 1, "--output", src) == 0
+    assert run("backlund", "--input", src, "--output", tmp_path / "image.json", "--c", 0.007) == 3
+    assert capsys.readouterr().err.startswith("ERROR StepUnstable: plane shot at c = 0.007: ")
+    assert not (tmp_path / "image.json").exists()

@@ -117,7 +117,8 @@ def test_potential_flow_detects_blowup():
         kf.evolve_potential(steep, 0.1, ds=0.01)
 
 
-def test_potential_march_makes_eight_ffts_per_step(monkeypatch):
+def count_ffts(monkeypatch):
+    """Route np.fft.rfft and irfft through counters; returns the live counts."""
     counts = {"rfft": 0, "irfft": 0}
     for name in counts:
         fft = getattr(np.fft, name)
@@ -127,9 +128,53 @@ def test_potential_march_makes_eight_ffts_per_step(monkeypatch):
             return _fft(*args, **kw)
 
         monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+def test_potential_march_makes_eight_ffts_per_step(monkeypatch):
+    counts = count_ffts(monkeypatch)
     kf.evolve_potential(wave_potential(), 0.001, ds=1e-4)
     # ten steps of four stage pairs, plus the transforms in and out and the first gate
     assert counts == {"rfft": 1 + 40, "irfft": 40 + 2}
+
+
+def test_curve_transport_makes_24_ffts_per_step(monkeypatch):
+    G = gentle_curve()
+    counts = count_ffts(monkeypatch)
+    made = []
+    for s_end in (0.001, 0.002):  # 10 and 20 curve steps
+        before = dict(counts)
+        kf.evolve_curve(G, s_end, ds=1e-4)
+        made.append({k: counts[k] - before[k] for k in counts})
+    # per step: two half-step potential marches of four stage pairs, whose
+    # gating transforms carry the driving rows, and four field derivatives
+    assert {k: made[1][k] - made[0][k] for k in counts} == {"rfft": 10 * 12, "irfft": 10 * 12}
+
+
+def test_driving_rows_ride_the_gating_transform_bit_for_bit(monkeypatch):
+    n = 128
+    cut = 3 * (n // 2 + 1) // 4
+    # two columns with modes above the cut, so the driving rows differ from the full samples
+    p = np.stack([pf.random_band_limited(np.random.default_rng(s), n, max_mode=60).samples for s in (1, 2)], axis=1)
+    v0 = np.fft.rfft(p - 1.0, axis=0)
+    spectra = list(kf._advance_spectrum(v0, n, 1e-4, 3))
+    irfft, gated = np.fft.irfft, []
+
+    def recorded(a, *args, **kw):
+        out = irfft(a, *args, **kw)
+        if np.ndim(a) == 3:  # the stacked gating transform; the stages transform (modes, columns)
+            gated.append(out[0])
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", recorded)
+    rows = list(kf._advance_spectrum(v0, n, 1e-4, 3, cut))
+    monkeypatch.undo()
+    assert len(rows) == len(gated) == len(spectra) == 4
+    for v, r, g in zip(spectra, rows, gated):
+        assert r.shape == (2, n, 2)
+        assert np.array_equal(r, pf.interpolate_modes(v[:cut], n, n))
+        assert np.array_equal(g, np.fft.irfft(v, n, axis=0))
+        assert not np.array_equal(r[0], g)
 
 
 def test_potential_march_gates_each_column_on_its_own():

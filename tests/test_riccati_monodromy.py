@@ -1,5 +1,8 @@
 """Tests for Hill monodromy, Riccati branches, spectral scans, conjugator."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from centrokdv import backlund as bk
 from centrokdv import curve_core as cc
 from centrokdv import periodic_fn as pf
 from centrokdv import riccati_monodromy as rm
-from centrokdv.errors import BranchSingular, Degenerate, NoRealFixedPoints, OffUnity, ZeroParam
+from centrokdv.errors import BranchSingular, Degenerate, NoRealFixedPoints, OffUnity, StepUnstable, ZeroParam
 
 
 def circle_tr2(lam):
@@ -429,6 +432,26 @@ def test_scan_single_point_matches_monodromy():
 def test_scan_rejects_an_empty_or_non_finite_grid(grid):
     with pytest.raises(ValueError, match="lambda_grid must be a non-empty grid of finite numbers"):
         rm.spectral_scan(cc.make_circle(64), grid)
+
+
+def test_scan_refuses_a_map_beyond_double_range_naming_the_first_lambda():
+    step = 1e6 * (np.pi / (rm.DEFAULT_SUBSTEPS * 64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the refusal comes before numpy warns
+        with pytest.raises(StepUnstable, match=rf"lambda = 1000000\.0 \(RK4 step lambda h = {re.escape(repr(step))}\)"):
+            rm.spectral_scan(cc.make_circle(64), [1.0, 1e6, 2e6])
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+def test_plane_shot_refuses_a_period_map_beyond_double_range_naming_c(branch):
+    # mu = e^{pi/c} near 1e193 at c = 0.007: the eigenvector's squared rows would overflow
+    p = cc.curvature(cc.lift(cc.random_projective(np.random.default_rng(1), 128)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(StepUnstable, match=r"^plane shot at c = 0\.007: Hill period map .* beyond double range"):
+            rm.riccati_branch(p, 0.007, branch)
+        with pytest.raises(StepUnstable, match=r"^Hill period map \(RK4 step h = "):
+            rm.hill_fundamental(p + 1.0 / 0.007**2)
 
 
 @pytest.mark.parametrize("substeps", [0, -1])
