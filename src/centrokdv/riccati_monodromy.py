@@ -18,6 +18,16 @@ the projective field), and one rule builds every step map
 (_rk4_transfer): the RK4 step polynomial in h, whose coefficients are then
 closed forms built once per field, before any step size is applied; each
 step size, so each lambda of a scan, costs one Horner evaluation per step.
+
+The transfer works batch first, step last: the step coefficients and the
+step maps are components of shape batch + (K,), so every Horner and
+product pass runs along contiguous steps, not along the 21 lambdas of a
+scan, and with no batch axis the layout is the plain step stack.  The
+trajectory keeps its public layout, a C-contiguous (K+1,) + batch + (2, 2)
+array, written block by block through a transposed view: the shots read
+their Floquet solutions as traj @ v, which numpy sends to BLAS on a
+contiguous stack and to its own loop on a strided one, and the two differ
+at roundoff.
 Eigen-structure of the resulting 2x2 matrices drives everything else:
 branch labels, fixed points in RP^1, and spectral invariants.
 
@@ -92,8 +102,8 @@ def _roundoff_floor(n: int, scale: float) -> float:
 def _mul(a, b):
     """a @ b for stacks of 2x2 matrices held as component tuples (m00, m01, m10, m11).
 
-    Written out by component: np.matmul on a (256, 21) stack of 2x2 blocks
-    is several times slower.
+    Written out by component: np.matmul on a stack of 2x2 blocks is several
+    times slower than four contiguous multiply-adds over the stack.
     """
     a00, a01, a10, a11 = a
     b00, b01, b10, b11 = b
@@ -110,29 +120,30 @@ def _components(x: np.ndarray):
 
 
 def _tree_product(p):
-    """P_{C-1} ... P_1 P_0 along axis 1 of a component stack, by a pairwise tree of products.
+    """P_{C-1} ... P_1 P_0 along the last axis of a component stack, by a pairwise tree of products.
 
-    Axis 0 holds independent blocks, each reduced to its own product.
+    The leading axes hold independent products (batch entries, blocks), each
+    reduced to its own.
     """
-    while p[0].shape[1] > 1:
-        pairs = p[0].shape[1] // 2
-        q = _mul([x[:, 1 : 2 * pairs : 2] for x in p], [x[:, 0 : 2 * pairs : 2] for x in p])
-        if p[0].shape[1] % 2:  # the odd last step joins the last pair
-            for x, y in zip(q, _mul([x[:, -1:] for x in p], [x[:, -1:] for x in q])):
-                x[:, -1:] = y
+    while p[0].shape[-1] > 1:
+        pairs = p[0].shape[-1] // 2
+        q = _mul([x[..., 1 : 2 * pairs : 2] for x in p], [x[..., 0 : 2 * pairs : 2] for x in p])
+        if p[0].shape[-1] % 2:  # the odd last step joins the last pair
+            for x, y in zip(q, _mul([x[..., -1:] for x in p], [x[..., -1:] for x in q])):
+                x[..., -1:] = y
         p = q
-    return tuple(x[:, 0] for x in p)
+    return tuple(x[..., 0] for x in p)
 
 
 def _prefix_products(p):
-    """Inclusive prefix products S_k = P_k ... P_0 along axis 1, block by block on axis 0.
+    """Inclusive prefix products S_k = P_k ... P_0 along the last axis, independently over the leading axes.
 
     Hillis-Steele: log2 C doubling passes, in place on p's arrays.
     """
     d = 1
-    while d < p[0].shape[1]:
-        for x, y in zip(p, _mul([x[:, d:] for x in p], [x[:, :-d] for x in p])):
-            x[:, d:] = y
+    while d < p[0].shape[-1]:
+        for x, y in zip(p, _mul([x[..., d:] for x in p], [x[..., :-d] for x in p])):
+            x[..., d:] = y
         d *= 2
     return p
 
@@ -150,25 +161,38 @@ def _shot_substeps(n: int) -> int:
     return min(DEFAULT_SUBSTEPS, max(SHOT_MIN_SUBSTEPS, -(-SHOT_STEPS // n)))
 
 
+def _last_first(x: np.ndarray) -> np.ndarray:
+    """A view of x with its last axis moved to the front; iterating it yields the
+    entries along that axis in order, np.float64 scalars for a 1-d x.
+
+    A transpose, not np.moveaxis, whose axis checks cost several times more
+    per call, which the unbatched transfers would feel.
+    """
+    return x.transpose((x.ndim - 1,) + tuple(range(x.ndim - 1)))
+
+
 def _chunked_product(step_maps, steps: int, batch: tuple, keep_trajectory: bool):
     """X(t_k) = P_{k-1} ... P_0 from step maps reduced in blocks of TRANSFER_CHUNK steps.
 
-    step_maps(lo, hi) returns fresh arrays, the component stack of
-    P_lo, ..., P_{hi-1}, each component of shape (hi - lo,) + batch.  Each
-    block of TRANSFER_CHUNK steps is reduced by a pairwise tree product,
-    or, for the trajectory, by an inclusive prefix product.  A group of as
-    many whole blocks as fit TRANSFER_ELEMENTS elements (at least one) is
-    built and reduced in one set of calls, blocks on axis 0; the ragged
-    tail, steps % TRANSFER_CHUNK, is a last group of one short block.  The
-    running matrix folds over the blocks in order, so every product is the
-    one a block-at-a-time reduction takes and the result is bit for bit the
-    same, while memory stays flat in the step count.  Returns the final
-    matrix, or the whole (steps+1)-point trajectory.
+    step_maps(lo, hi) returns fresh C-contiguous arrays, the component stack
+    of P_lo, ..., P_{hi-1}, each component of shape batch + (hi - lo,): batch
+    first, steps last.  Each block of TRANSFER_CHUNK steps is reduced by a
+    pairwise tree product, or, for the trajectory, by an inclusive prefix
+    product.  A group of as many whole blocks as fit TRANSFER_ELEMENTS
+    elements (at least one) is built and reduced in one set of calls, as
+    components of shape batch + (blocks, TRANSFER_CHUNK); the ragged tail,
+    steps % TRANSFER_CHUNK, is a last group of one short block.  The running
+    matrix folds over the blocks in order, so every product is the one a
+    block-at-a-time reduction takes and the result is bit for bit the same,
+    while memory stays flat in the step count.  Returns the final matrix, of
+    shape batch + (2, 2), or the whole (steps+1)-point trajectory in its
+    C-contiguous layout (steps + 1,) + batch + (2, 2).
     """
     running = (np.ones(batch), np.zeros(batch), np.zeros(batch), np.ones(batch))
     traj = np.empty((steps + 1,) + batch + (2, 2)) if keep_trajectory else None
     if keep_trajectory:
         traj[0] = np.eye(2)
+        working = tuple(range(2, len(batch) + 2)) + (0, 1, -2, -1)
     group = TRANSFER_CHUNK * max(1, TRANSFER_ELEMENTS // (TRANSFER_CHUNK * math.prod(batch)))
     whole = steps - steps % TRANSFER_CHUNK
     bounds = [(lo, min(lo + group, whole)) for lo in range(0, whole, group)]
@@ -176,19 +200,20 @@ def _chunked_product(step_maps, steps: int, batch: tuple, keep_trajectory: bool)
         bounds.append((whole, steps))
     for lo, hi in bounds:
         size = min(hi - lo, TRANSFER_CHUNK)
-        p = tuple(x.reshape((-1, size) + batch) for x in step_maps(lo, hi))
+        p = tuple(x.reshape(batch + (-1, size)) for x in step_maps(lo, hi))
         if keep_trajectory:
             p = _prefix_products(p)
             starts = []  # the running matrix entering each block
-            for last in zip(*(x[:, -1] for x in p)):
+            for last in zip(*(_last_first(x[..., -1]) for x in p)):
                 starts.append(running)
                 running = _mul(last, running)
-            starts = [np.stack(x)[:, None] for x in zip(*starts)]
-            out = traj[lo + 1 : hi + 1].reshape((-1, size) + batch + (2, 2))
+            starts = [np.stack(x, axis=-1)[..., None] for x in zip(*starts)]
+            # traj's rows of this group, viewed in the working layout batch + (blocks, size, 2, 2)
+            out = traj[lo + 1 : hi + 1].reshape((-1, size) + batch + (2, 2)).transpose(working)
             for x, y in zip(_components(out), _mul(p, starts)):
                 x[...] = y
         else:
-            for block in zip(*_tree_product(p)):
+            for block in zip(*(_last_first(x) for x in _tree_product(p))):
                 running = _mul(block, running)
     if keep_trajectory:
         return traj
@@ -203,11 +228,11 @@ def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, keep_trajectory: bo
     midpoint, 2k+2 its end.  Batch axes between the time axis and the
     matrix block are carried along; h may be an array broadcast over them,
     one step size per batch entry.  ``square`` is the scalar q with
-    B^2 = q I (Cayley-Hamilton) at the K midpoints: Hill's p, or 0 for the
-    projective field.  The caller passes it because it knows q exactly;
-    read back from b_half, the projective field's zero square would carry
-    roundoff.  Returns the final matrix, or the whole (K+1)-point
-    trajectory.
+    B^2 = q I (Cayley-Hamilton) at the K midpoints, a scalar or an array
+    whose first axis is the step: Hill's p, or 0 for the projective field.
+    The caller passes it because it knows q exactly; read back from b_half,
+    the projective field's zero square would carry roundoff.  Returns the
+    final matrix, or the whole (K+1)-point trajectory.
 
     Expanding the RK4 stages in h gives the step map
     I + h C1 + h^2 C2 + h^3 C3 + h^4 C4 with C1 = (B0 + 4 Bm + B1)/6,
@@ -217,10 +242,19 @@ def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, keep_trajectory: bo
     they are built once, over all K steps, and each batch entry's step
     size costs one Horner evaluation per step.  Where q is identically
     zero, C3 and C4 vanish and the polynomial is the quadratic
-    I + h (C1 + h C2).  _chunked_product multiplies the step maps.
+    I + h (C1 + h C2).  The C and the step maps are held batch first, step
+    last (components of shape batch + (K,)), so every pass runs along
+    contiguous steps; _chunked_product multiplies the step maps.
     """
-    b0, bm, b1 = _components(b_half[:-1:2]), _components(b_half[1::2]), _components(b_half[2::2])
+    b = np.ascontiguousarray(b_half.transpose(tuple(range(1, b_half.ndim - 2)) + (0, -2, -1)))  # batch + (2K+1, 2, 2)
+    b0, bm, b1 = (
+        _components(b[..., :-1:2, :, :]),
+        _components(b[..., 1::2, :, :]),
+        _components(b[..., 2::2, :, :]),
+    )
     q = np.asarray(square, dtype=float)
+    if q.ndim:  # the step axis last
+        q = q.transpose(tuple(range(1, q.ndim)) + (0,))
     coeffs = [
         tuple((x0 + 4.0 * xm + x1) / 6.0 for x0, xm, x1 in zip(b0, bm, b1)),
         tuple((x + y + z) / 6.0 for x, y, z in zip(_mul(bm, b0), _mul(b1, bm), (q, 0.0, 0.0, q))),
@@ -229,17 +263,19 @@ def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, keep_trajectory: bo
         coeffs.append(tuple(q * (x0 + x1) / 12.0 for x0, x1 in zip(b0, b1)))
         coeffs.append(tuple(q * x / 24.0 for x in _mul(b1, b0)))
     batch = np.broadcast_shapes(b_half.shape[1:-2], np.shape(h))
+    if np.ndim(h):  # one step size per batch entry, broadcast along the steps
+        h = np.reshape(h, np.shape(h) + (1,))
 
     def step_maps(lo, hi):  # Horner: h (C1 + h (C2 + h (C3 + h C4)))
-        p = [c[lo:hi] for c in coeffs[-1]]
+        p = [c[..., lo:hi] for c in coeffs[-1]]
         for c in coeffs[-2::-1]:
-            p = [a[lo:hi] + h * x for a, x in zip(c, p)]
+            p = [a[..., lo:hi] + h * x for a, x in zip(c, p)]
         p = [h * x for x in p]
         p[0] += 1.0
         p[3] += 1.0
         return p
 
-    return _chunked_product(step_maps, coeffs[0][0].shape[0], batch, keep_trajectory)
+    return _chunked_product(step_maps, coeffs[0][0].shape[-1], batch, keep_trajectory)
 
 
 def _ranged_transfer(b_half: np.ndarray, h, keep_trajectory: bool = False, *, square, what):
@@ -281,8 +317,13 @@ class MonodromyMatrix:
 
     @property
     def tr2(self) -> float:
-        """Trace squared: invariant under conjugacy and under M -> -M."""
-        return self.trace**2
+        """Trace squared: invariant under conjugacy and under M -> -M.
+
+        t * t, the product spectral_scan takes, so a scan entry is bit for bit
+        its single-lambda map's tr2 (t**2 goes through libm pow).
+        """
+        t = self.trace
+        return t * t
 
     def eigen_system(self):
         """Real eigen-decomposition ((mu_plus, v_plus), (mu_minus, v_minus)).
@@ -588,11 +629,12 @@ def _angle_b_half(gamma: ProjectiveCurve, substeps: int) -> np.ndarray:
     dphi = 1.0 + dpsi
     s, c = np.sin(phi), np.cos(phi)
     b = np.empty((m + 1, 2, 2))
-    b[:, 0, 0] = -s * c
-    b[:, 0, 1] = s * s
-    b[:, 1, 0] = -c * c
-    b[:, 1, 1] = s * c
-    return b / dphi[:, None, None]
+    np.divide(-s * c, dphi, out=b[:, 0, 0])
+    np.divide(s * s, dphi, out=b[:, 0, 1])
+    np.divide(-c * c, dphi, out=b[:, 1, 0])
+    # (s c)/dphi, bit for bit: IEEE products and quotients are sign-symmetric
+    np.negative(b[:, 0, 0], out=b[:, 1, 1])
+    return b
 
 
 def moebius_monodromy(

@@ -126,28 +126,29 @@ def test_transfer_across_groups_matches_sequential_rk4(monkeypatch, batch):
 
 
 def per_block_product(step_maps, steps, batch, keep_trajectory):
-    """Reference for _chunked_product: one TRANSFER_CHUNK block per iteration, reduced along axis 0.
+    """Reference for _chunked_product: one TRANSFER_CHUNK block per iteration, reduced along the last axis.
 
-    The block-at-a-time loop, with its own tree and prefix products; the
-    grouped reduction must reproduce it bit for bit.
+    The block-at-a-time loop, with its own tree and prefix products over
+    step maps held batch first, steps last; the grouped reduction must
+    reproduce it bit for bit.
     """
 
     def tree(p):
-        while len(p[0]) > 1:
-            pairs = len(p[0]) // 2
-            q = rm._mul([x[1 : 2 * pairs : 2] for x in p], [x[0 : 2 * pairs : 2] for x in p])
-            if len(p[0]) % 2:
-                for x, y in zip(q, rm._mul([x[-1:] for x in p], [x[-1:] for x in q])):
-                    x[-1:] = y
+        while p[0].shape[-1] > 1:
+            pairs = p[0].shape[-1] // 2
+            q = rm._mul([x[..., 1 : 2 * pairs : 2] for x in p], [x[..., 0 : 2 * pairs : 2] for x in p])
+            if p[0].shape[-1] % 2:
+                for x, y in zip(q, rm._mul([x[..., -1:] for x in p], [x[..., -1:] for x in q])):
+                    x[..., -1:] = y
             p = q
-        return tuple(x[0] for x in p)
+        return tuple(x[..., 0] for x in p)
 
     def prefix(p):
         p = tuple(np.array(x) for x in p)
         d = 1
-        while d < len(p[0]):
-            for x, y in zip(p, rm._mul([x[d:] for x in p], [x[:-d] for x in p])):
-                x[d:] = y
+        while d < p[0].shape[-1]:
+            for x, y in zip(p, rm._mul([x[..., d:] for x in p], [x[..., :-d] for x in p])):
+                x[..., d:] = y
             d *= 2
         return p
 
@@ -158,10 +159,10 @@ def per_block_product(step_maps, steps, batch, keep_trajectory):
         hi = min(lo + rm.TRANSFER_CHUNK, steps)
         p = step_maps(lo, hi)
         if keep_trajectory:
-            chunk = rm._mul(prefix(p), running)
+            chunk = rm._mul(prefix(p), tuple(x[..., None] for x in running))
             for x, y in zip(rm._components(traj[lo + 1 : hi + 1]), chunk):
-                x[...] = y
-            running = tuple(x[-1] for x in chunk)
+                x[...] = np.moveaxis(y, -1, 0)
+            running = tuple(x[..., -1] for x in chunk)
         else:
             running = rm._mul(tree(p), running)
     return traj if keep_trajectory else np.stack(running, axis=-1).reshape(batch + (2, 2))
@@ -179,8 +180,8 @@ def test_grouped_product_is_the_block_at_a_time_product_bit_for_bit(monkeypatch,
     rng = np.random.default_rng(blocks)
     maps = np.eye(2) + 0.05 * rng.normal(size=(steps,) + batch + (2, 2))
 
-    def step_maps(lo, hi):
-        return [x[lo:hi].copy() for x in rm._components(maps)]
+    def step_maps(lo, hi):  # fresh components of shape batch + (hi - lo,)
+        return [np.moveaxis(x, 0, -1)[..., lo:hi].copy() for x in rm._components(maps)]
 
     got = rm._chunked_product(step_maps, steps, batch, keep_trajectory)
     assert np.array_equal(got, per_block_product(step_maps, steps, batch, keep_trajectory))
@@ -193,6 +194,31 @@ def test_callers_keep_their_transfer_shapes():
     mono, traj = rm.moebius_monodromy(gamma, 1.5, substeps=4, keep_trajectory=True)
     assert traj.shape == (4 * 64 + 1, 2, 2) and np.array_equal(mono.m, traj[-1])
     assert rm.spectral_scan(gamma, np.linspace(-1.0, 1.5, 21), substeps=4).tr2.shape == (21,)
+
+
+def test_trajectories_are_c_contiguous_in_their_public_layout():
+    # traj @ v goes to BLAS on a contiguous stack and to numpy's own loop on a
+    # strided view, which differ at roundoff; the shots read their solutions that way
+    gamma = cc.random_projective(np.random.default_rng(1), 128, strength=0.35)
+    _, traj = rm.hill_fundamental(cc.curvature(cc.lift(gamma)), substeps=2, keep_trajectory=True)
+    assert traj.shape == (2 * 128 + 1, 2, 2) and traj.flags.c_contiguous
+    _, traj = rm.moebius_monodromy(gamma, 4.0, keep_trajectory=True)
+    assert traj.shape == (rm.DEFAULT_SUBSTEPS * 128 + 1, 2, 2) and traj.flags.c_contiguous
+    steps = 2 * rm.TRANSFER_CHUNK + 3
+    for name, b, h, square in traceless_fields(steps, (21,)):
+        traj = rm._rk4_transfer(b, h, keep_trajectory=True, square=square)
+        assert traj.shape == (steps + 1, 21, 2, 2) and traj.flags.c_contiguous, name
+
+
+def test_angle_field_is_the_four_quotient_field_bit_for_bit():
+    # three divisions and b11 = -b00 give the quotients of all four products
+    gamma = cc.random_projective(np.random.default_rng(1), 128, strength=0.9)
+    m = 2 * 4 * 128
+    psi, dpsi = pf.values_and_slopes_with_wrap(gamma.psi.samples, m)
+    phi = np.arange(m + 1) * (np.pi / m) + psi
+    s, c = np.sin(phi), np.cos(phi)
+    ref = np.stack([-s * c, s * s, -c * c, s * c], axis=-1).reshape(-1, 2, 2) / (1.0 + dpsi)[:, None, None]
+    assert rm._angle_b_half(gamma, 4).tobytes() == ref.tobytes()
 
 
 def test_hill_free_particle_exact():
@@ -420,12 +446,14 @@ def test_scan_reparametrization_invariance():
 
 
 def test_scan_single_point_matches_monodromy():
-    lams = np.linspace(-2.0, 2.0, 21)  # negative values and 0 included
-    for n, strength, substeps in ((64, 0.9, rm.DEFAULT_SUBSTEPS), (512, 0.35, 16)):
-        gamma = cc.random_projective(np.random.default_rng(26), n, strength=strength)
+    # batched arithmetic is unbatched arithmetic: each scan entry is its single-lambda tr2 bit for bit.
+    # Negative values and 0, and the benchmark's grid, where t**2 and t * t part at lambda = 1.125 on the last curve
+    lams = np.concatenate([np.linspace(-2.0, 2.0, 21), np.linspace(-1.0, 1.5, 21)])
+    for seed, n, strength, substeps in ((26, 64, 0.9, rm.DEFAULT_SUBSTEPS), (26, 512, 0.35, 16), (1, 64, 0.6, 4)):
+        gamma = cc.random_projective(np.random.default_rng(seed), n, strength=strength)
         scan = rm.spectral_scan(gamma, lams, substeps=substeps)
         single = np.array([rm.moebius_monodromy(gamma, lam, substeps=substeps).tr2 for lam in lams])
-        assert np.all(np.abs(scan.tr2 - single) <= 1e-13 * np.abs(single))
+        assert np.array_equal(scan.tr2, single)
 
 
 @pytest.mark.parametrize("grid", [[], [0.5, np.inf], [np.nan, 1.0]])
