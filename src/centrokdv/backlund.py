@@ -131,12 +131,13 @@ def _reflect_curve(gamma: ProjectiveCurve) -> ProjectiveCurve:
 
 def _plus_image(gamma: ProjectiveCurve, c_pr: float, substeps: int) -> ProjectiveCurve:
     """apply_tc_projective's plus branch: chi(t) is the direction of F(t) v,
-    F the fundamental matrix trajectory and v its dominant fixed direction."""
+    F the fundamental matrix at the grid points and v its dominant fixed
+    direction; the closure bound counts the shot's substeps * n RK4 steps."""
     mono, traj = moebius_monodromy(gamma, c_pr, substeps=substeps, keep_trajectory=True)
     (_, v), _ = mono.eigen_system()
     w = traj @ v
     try:
-        return _from_angles(np.arctan2(w[:, 0], w[:, 1]), substeps)
+        return _from_angles(np.arctan2(w[:, 0], w[:, 1]), substeps * gamma.n)
     except NonMonotone as exc:
         raise BranchSingular(f"image angle: {exc}") from exc
 

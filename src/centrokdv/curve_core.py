@@ -135,19 +135,20 @@ def lift(gamma: ProjectiveCurve) -> CentroAffineCurve:
     return _gated(g1, g2, OffUnity, "lifted curve")
 
 
-def _from_angles(theta: np.ndarray, stride: int) -> ProjectiveCurve:
-    """Curve through raw angles theta at the K + 1 = stride*n + 1 points k*pi/K of [0, pi].
+def _from_angles(theta: np.ndarray, steps: int) -> ProjectiveCurve:
+    """Curve through raw angles theta at the n + 1 grid points k*pi/n of [0, pi].
 
-    The unwrapped angle must advance by pi within pi*K*eps, the roundoff of
-    K increments below pi; a winding curve, or a branch shot in its decaying
-    direction, misses by more and raises NonMonotone.  psi(0) is in (-pi/2, pi/2].
+    The angles come from a path of K = steps increments (K a multiple of n),
+    and the unwrapped angle must advance by pi within pi*K*eps, the roundoff
+    of K increments below pi; a winding curve, or a branch shot in its
+    decaying direction, misses by more and raises NonMonotone.  psi(0) is in
+    (-pi/2, pi/2].
     """
     theta = np.unwrap(theta)
-    intervals = len(theta) - 1
     defect = theta[-1] - theta[0] - np.pi
-    if not abs(defect) <= np.pi * intervals * np.finfo(float).eps:  # NaN misses too
+    if not abs(defect) <= np.pi * steps * np.finfo(float).eps:  # NaN misses too
         raise NonMonotone(f"rotation number {float(1.0 + defect / np.pi)!r} != 1")
-    psi = theta[:-1:stride] - pf.grid(intervals // stride)
+    psi = theta[:-1] - pf.grid(len(theta) - 1)
     psi += wrap_half_pi(psi[0]) - psi[0]
     return ProjectiveCurve(pf.PeriodicFn(psi, "periodic"))
 
@@ -158,7 +159,7 @@ def project(Gamma: CentroAffineCurve) -> ProjectiveCurve:
     Requires rotation number one; psi(0) is normalized into (-pi/2, pi/2].
     """
     v1, v2 = (pf.values_with_wrap(g, 2 * Gamma.n) for g in (Gamma.gamma1, Gamma.gamma2))
-    return _from_angles(np.arctan2(v2, v1), 2)
+    return _from_angles(np.arctan2(v2, v1)[::2], 2 * Gamma.n)
 
 
 def hill_potential(g1: pf.PeriodicFn, g2: pf.PeriodicFn) -> pf.PeriodicFn:

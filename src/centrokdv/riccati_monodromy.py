@@ -22,12 +22,23 @@ step size, so each lambda of a scan, costs one Horner evaluation per step.
 The transfer works batch first, step last: the step coefficients and the
 step maps are components of shape batch + (K,), so every Horner and
 product pass runs along contiguous steps, not along the 21 lambdas of a
-scan, and with no batch axis the layout is the plain step stack.  The
-trajectory keeps its public layout, a C-contiguous (K+1,) + batch + (2, 2)
-array, written block by block through a transposed view: the shots read
-their Floquet solutions as traj @ v, which numpy sends to BLAS on a
-contiguous stack and to its own loop on a strided one, and the two differ
-at roundoff.
+scan, and with no batch axis the layout is the plain step stack.  A
+trajectory keeps every s-th step point, a row stride: Hill's shot keeps
+every step (s = 1), since its Floquet factor integrates along them, and
+the projective shot keeps the grid points (s = substeps), all its image
+needs.  Each run of s step maps is reduced by the tree product and the run
+products by the prefix product.  For s = 2^j dividing TRANSFER_CHUNK this
+is the full prefix product's own arithmetic at the kept rows: Hillis and
+Steele's first j doubling passes, at the rows k = s - 1 (mod s) closing
+each run, multiply exactly the tree's pairs, and their later passes at
+those rows multiply only rows of the same kind, a prefix over the run
+products.  So every kept row is bit for bit the row s = 1 gives.  Other
+strides take blocks of s * (TRANSFER_CHUNK // s) steps, whole runs, and
+their rows move at roundoff.  The trajectory keeps its public layout, a
+C-contiguous (K/s + 1,) + batch + (2, 2) array, written block by block
+through a transposed view: the shots read their Floquet solutions as
+traj @ v, which numpy sends to BLAS on a contiguous stack and to its own
+loop on a strided one, and the two differ at roundoff.
 Eigen-structure of the resulting 2x2 matrices drives everything else:
 branch labels, fixed points in RP^1, and spectral invariants.
 
@@ -171,56 +182,62 @@ def _last_first(x: np.ndarray) -> np.ndarray:
     return x.transpose((x.ndim - 1,) + tuple(range(x.ndim - 1)))
 
 
-def _chunked_product(step_maps, steps: int, batch: tuple, keep_trajectory: bool):
+def _chunked_product(step_maps, steps: int, batch: tuple, stride: int | None):
     """X(t_k) = P_{k-1} ... P_0 from step maps reduced in blocks of TRANSFER_CHUNK steps.
 
     step_maps(lo, hi) returns fresh C-contiguous arrays, the component stack
     of P_lo, ..., P_{hi-1}, each component of shape batch + (hi - lo,): batch
-    first, steps last.  Each block of TRANSFER_CHUNK steps is reduced by a
-    pairwise tree product, or, for the trajectory, by an inclusive prefix
-    product.  A group of as many whole blocks as fit TRANSFER_ELEMENTS
-    elements (at least one) is built and reduced in one set of calls, as
-    components of shape batch + (blocks, TRANSFER_CHUNK); the ragged tail,
-    steps % TRANSFER_CHUNK, is a last group of one short block.  The running
-    matrix folds over the blocks in order, so every product is the one a
-    block-at-a-time reduction takes and the result is bit for bit the same,
-    while memory stays flat in the step count.  Returns the final matrix, of
-    shape batch + (2, 2), or the whole (steps+1)-point trajectory in its
-    C-contiguous layout (steps + 1,) + batch + (2, 2).
+    first, steps last.  With stride None each block of TRANSFER_CHUNK steps
+    is reduced by a pairwise tree product and only the final matrix is kept.
+    With a stride s the trajectory keeps every s-th step point: each run of s
+    step maps is reduced by the tree and the run products by an inclusive
+    prefix product, in blocks of s * (TRANSFER_CHUNK // s) steps (one run if
+    s > TRANSFER_CHUNK); steps must be a multiple of s.  A group of as many
+    whole blocks as fit TRANSFER_ELEMENTS elements (at least one) is built
+    and reduced in one set of calls, as components of shape
+    batch + (blocks, block steps); the ragged tail is a last group of one
+    short block.  The running matrix folds over the blocks in order, so every
+    product is the one a block-at-a-time reduction takes and the result is
+    bit for bit the same, while memory stays flat in the step count.
+    Returns the final matrix, of shape batch + (2, 2), or the trajectory at
+    every s-th step point, so at every grid point for s = substeps, in its
+    C-contiguous layout (steps // s + 1,) + batch + (2, 2).
     """
     running = (np.ones(batch), np.zeros(batch), np.zeros(batch), np.ones(batch))
-    traj = np.empty((steps + 1,) + batch + (2, 2)) if keep_trajectory else None
-    if keep_trajectory:
+    chunk = TRANSFER_CHUNK if stride is None else stride * max(1, TRANSFER_CHUNK // stride)
+    if stride is not None:
+        traj = np.empty((steps // stride + 1,) + batch + (2, 2))
         traj[0] = np.eye(2)
         working = tuple(range(2, len(batch) + 2)) + (0, 1, -2, -1)
-    group = TRANSFER_CHUNK * max(1, TRANSFER_ELEMENTS // (TRANSFER_CHUNK * math.prod(batch)))
-    whole = steps - steps % TRANSFER_CHUNK
+    group = chunk * max(1, TRANSFER_ELEMENTS // (chunk * math.prod(batch)))
+    whole = steps - steps % chunk
     bounds = [(lo, min(lo + group, whole)) for lo in range(0, whole, group)]
     if whole < steps:
         bounds.append((whole, steps))
     for lo, hi in bounds:
-        size = min(hi - lo, TRANSFER_CHUNK)
+        size = min(hi - lo, chunk)
         p = tuple(x.reshape(batch + (-1, size)) for x in step_maps(lo, hi))
-        if keep_trajectory:
-            p = _prefix_products(p)
-            starts = []  # the running matrix entering each block
-            for last in zip(*(_last_first(x[..., -1]) for x in p)):
-                starts.append(running)
-                running = _mul(last, running)
-            starts = [np.stack(x, axis=-1)[..., None] for x in zip(*starts)]
-            # traj's rows of this group, viewed in the working layout batch + (blocks, size, 2, 2)
-            out = traj[lo + 1 : hi + 1].reshape((-1, size) + batch + (2, 2)).transpose(working)
-            for x, y in zip(_components(out), _mul(p, starts)):
-                x[...] = y
-        else:
+        if stride is None:
             for block in zip(*(_last_first(x) for x in _tree_product(p))):
                 running = _mul(block, running)
-    if keep_trajectory:
+            continue
+        runs = size // stride
+        p = _prefix_products(_tree_product(tuple(x.reshape(x.shape[:-1] + (runs, stride)) for x in p)))
+        starts = []  # the running matrix entering each block
+        for last in zip(*(_last_first(x[..., -1]) for x in p)):
+            starts.append(running)
+            running = _mul(last, running)
+        starts = [np.stack(x, axis=-1)[..., None] for x in zip(*starts)]
+        # traj's rows of this group, viewed in the working layout batch + (blocks, runs, 2, 2)
+        out = traj[lo // stride + 1 : hi // stride + 1].reshape((-1, runs) + batch + (2, 2)).transpose(working)
+        for x, y in zip(_components(out), _mul(p, starts)):
+            x[...] = y
+    if stride is not None:
         return traj
     return np.stack(running, axis=-1).reshape(batch + (2, 2))
 
 
-def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, keep_trajectory: bool = False, *, square):
+def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, stride: int | None = None, *, square):
     """Integrate X' = B(t)X from X(0) = I across K classical RK4 steps of size h.
 
     ``b_half`` holds a traceless B at half-step resolution: shape
@@ -232,7 +249,8 @@ def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, keep_trajectory: bo
     whose first axis is the step: Hill's p, or 0 for the projective field.
     The caller passes it because it knows q exactly; read back from b_half,
     the projective field's zero square would carry roundoff.  Returns the
-    final matrix, or the whole (K+1)-point trajectory.
+    final matrix, or with a stride s the trajectory at every s-th of the
+    K + 1 step points (_chunked_product).
 
     Expanding the RK4 stages in h gives the step map
     I + h C1 + h^2 C2 + h^3 C3 + h^4 C4 with C1 = (B0 + 4 Bm + B1)/6,
@@ -275,10 +293,10 @@ def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, keep_trajectory: bo
         p[3] += 1.0
         return p
 
-    return _chunked_product(step_maps, coeffs[0][0].shape[-1], batch, keep_trajectory)
+    return _chunked_product(step_maps, coeffs[0][0].shape[-1], batch, stride)
 
 
-def _ranged_transfer(b_half: np.ndarray, h, keep_trajectory: bool = False, *, square, what):
+def _ranged_transfer(b_half: np.ndarray, h, stride: int | None = None, *, square, what):
     """_rk4_transfer, refusing period maps beyond double range.
 
     A final map that overflows, or has an entry above _LARGEST_ENTRY, where
@@ -288,8 +306,8 @@ def _ranged_transfer(b_half: np.ndarray, h, keep_trajectory: bool = False, *, sq
     silenced, since the map it reaches is refused here.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _rk4_transfer(b_half, h, keep_trajectory, square=square)
-    largest = np.abs(out[-1] if keep_trajectory else out).max(axis=(-2, -1))
+        out = _rk4_transfer(b_half, h, stride, square=square)
+    largest = np.abs(out if stride is None else out[-1]).max(axis=(-2, -1))
     held = largest <= _LARGEST_ENTRY  # false for NaN too
     if not held.all():
         k = np.unravel_index(np.argmin(held), held.shape)
@@ -395,7 +413,11 @@ def hill_fundamental(
     b[:, 0, 1] = 1.0
     b[:, 1, 0] = fine
     out = _ranged_transfer(
-        b, h, keep_trajectory, square=fine[1::2], what=lambda k: f"Hill period map (RK4 step h = {h!r})"
+        b,
+        h,
+        1 if keep_trajectory else None,
+        square=fine[1::2],
+        what=lambda k: f"Hill period map (RK4 step h = {h!r})",
     )
     if keep_trajectory:
         return MonodromyMatrix(out[-1]), out
@@ -647,7 +669,8 @@ def moebius_monodromy(
 
     The generator is traceless, so the result is unimodular; its conjugacy
     class in PSL(2, R) is a spectral invariant of the curve.  With
-    keep_trajectory, also return the fundamental matrix at every step.
+    keep_trajectory, also return the fundamental matrix at every grid point
+    (n + 1 of them, every substeps-th RK4 step point).
     A map beyond double range (_ranged_transfer) raises StepUnstable naming
     lambda (a transform's c_pr) and the RK4 step lambda h, which at such a
     lambda the grid does not resolve.
@@ -657,7 +680,7 @@ def moebius_monodromy(
     out = _ranged_transfer(
         b,
         h,
-        keep_trajectory,
+        substeps if keep_trajectory else None,
         square=0.0,
         what=lambda k: f"projective period map at lambda = c_pr = {lam!r} (RK4 step lambda h = {h!r})",
     )

@@ -72,6 +72,21 @@ def test_project_rejects_winding_curve():
         cc.project(wound_curve())
 
 
+def test_angle_closure_bound_counts_the_path_steps_not_the_grid_points():
+    # grid angles of a path of K = 8n increments: the bound is pi K eps, not pi n eps
+    n, steps = 128, 8 * 128
+    eps = np.finfo(float).eps
+    defect = 3e-13
+    assert np.pi * n * eps < defect < np.pi * steps * eps
+    t = np.arange(n + 1) * (np.pi / n)
+    theta = t + 0.1 * np.sin(2 * t) + 0.3
+    theta[-1] += defect
+    curve = cc._from_angles(theta, steps)
+    assert np.max(np.abs(curve.psi.samples - (0.1 * np.sin(2 * t[:-1]) + 0.3))) <= 1e-15
+    with pytest.raises(NonMonotone, match="rotation number"):
+        cc._from_angles(theta, n)
+
+
 @pytest.mark.parametrize(
     "build, error, prefix",
     [

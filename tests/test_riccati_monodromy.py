@@ -22,11 +22,13 @@ def circle_tr2(lam):
     return out
 
 
-def sequential_rk4(b_half, h, keep_trajectory=False, square=None):
+def sequential_rk4(b_half, h, stride=None, square=None):
     """Reference transfer: one classical RK4 step of X' = B(t) X per iteration.
 
-    square is accepted and ignored, so this can stand in for _rk4_transfer:
-    the stages use B itself, not the closed form of B^2.
+    With a stride s it returns every s-th step point of the trajectory, as
+    _rk4_transfer does, in a C-contiguous stack.  square is accepted and
+    ignored, so this can stand in for _rk4_transfer: the stages use B
+    itself, not the closed form of B^2.
     """
     steps = (b_half.shape[0] - 1) // 2
     m = np.broadcast_to(np.eye(2), b_half.shape[1:]).copy()
@@ -39,7 +41,7 @@ def sequential_rk4(b_half, h, keep_trajectory=False, square=None):
         k4 = b1 @ (m + h * k3)
         m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         traj.append(m)
-    return np.stack(traj) if keep_trajectory else m
+    return m if stride is None else np.stack(traj[::stride])
 
 
 def smooth_coefficients(steps, batch, seed):
@@ -94,8 +96,8 @@ def assert_matches_sequential_rk4(fields, steps, batch):
         ref = sequential_rk4(b_ref, h_ref)
         assert m.shape == batch + (2, 2), name
         assert np.max(np.abs(m - ref)) <= 1e-13 * np.max(np.abs(ref)), name
-        traj = rm._rk4_transfer(b, h, keep_trajectory=True, square=square)
-        ref = sequential_rk4(b_ref, h_ref, keep_trajectory=True)
+        traj = rm._rk4_transfer(b, h, 1, square=square)
+        ref = sequential_rk4(b_ref, h_ref, 1)
         assert traj.shape == (steps + 1,) + batch + (2, 2), name
         assert np.array_equal(traj[0], np.broadcast_to(np.eye(2), batch + (2, 2))), name
         assert np.max(np.abs(traj - ref)) <= 1e-13 * np.max(np.abs(ref)), name
@@ -125,12 +127,15 @@ def test_transfer_across_groups_matches_sequential_rk4(monkeypatch, batch):
     assert_matches_sequential_rk4(traceless_fields(steps, batch), steps, batch)
 
 
-def per_block_product(step_maps, steps, batch, keep_trajectory):
-    """Reference for _chunked_product: one TRANSFER_CHUNK block per iteration, reduced along the last axis.
+def per_block_product(step_maps, steps, batch, stride):
+    """Reference for _chunked_product: one block per iteration, reduced along the last axis.
 
     The block-at-a-time loop, with its own tree and prefix products over
     step maps held batch first, steps last; the grouped reduction must
-    reproduce it bit for bit.
+    reproduce it bit for bit.  With a stride s a block holds
+    s * (TRANSFER_CHUNK // s) steps, each run of s steps is reduced by the
+    tree, and the trajectory row closing each run is the prefix product of
+    the run products.
     """
 
     def tree(p):
@@ -152,39 +157,58 @@ def per_block_product(step_maps, steps, batch, keep_trajectory):
             d *= 2
         return p
 
+    chunk = rm.TRANSFER_CHUNK if stride is None else stride * max(1, rm.TRANSFER_CHUNK // stride)
     running = (np.ones(batch), np.zeros(batch), np.zeros(batch), np.ones(batch))
-    traj = np.empty((steps + 1,) + batch + (2, 2))
+    traj = np.empty((steps // (stride or 1) + 1,) + batch + (2, 2))
     traj[0] = np.eye(2)
-    for lo in range(0, steps, rm.TRANSFER_CHUNK):
-        hi = min(lo + rm.TRANSFER_CHUNK, steps)
+    for lo in range(0, steps, chunk):
+        hi = min(lo + chunk, steps)
         p = step_maps(lo, hi)
-        if keep_trajectory:
-            chunk = rm._mul(prefix(p), tuple(x[..., None] for x in running))
-            for x, y in zip(rm._components(traj[lo + 1 : hi + 1]), chunk):
-                x[...] = np.moveaxis(y, -1, 0)
-            running = tuple(x[..., -1] for x in chunk)
-        else:
+        if stride is None:
             running = rm._mul(tree(p), running)
-    return traj if keep_trajectory else np.stack(running, axis=-1).reshape(batch + (2, 2))
+            continue
+        runs = tree([x.reshape(batch + (-1, stride)) for x in p])
+        chunk_traj = rm._mul(prefix(runs), tuple(x[..., None] for x in running))
+        for x, y in zip(rm._components(traj[lo // stride + 1 : hi // stride + 1]), chunk_traj):
+            x[...] = np.moveaxis(y, -1, 0)
+        running = tuple(x[..., -1] for x in chunk_traj)
+    return np.stack(running, axis=-1).reshape(batch + (2, 2)) if stride is None else traj
 
 
-@pytest.mark.parametrize("keep_trajectory", [False, True])
+def random_step_maps(steps, batch, seed):
+    """step_maps(lo, hi) of random maps near I, fresh components of shape batch + (hi - lo,)."""
+    maps = np.eye(2) + 0.05 * np.random.default_rng(seed).normal(size=(steps,) + batch + (2, 2))
+    return lambda lo, hi: [np.moveaxis(x, 0, -1)[..., lo:hi].copy() for x in rm._components(maps)]
+
+
+@pytest.mark.parametrize("stride", [None, 1, 2, 3, 8, 16])
 @pytest.mark.parametrize("batch", [(), (21,)])
 @pytest.mark.parametrize("budget", ["stated", "two blocks"])
 @pytest.mark.parametrize("blocks", [0, 1, 5, 65])
-def test_grouped_product_is_the_block_at_a_time_product_bit_for_bit(monkeypatch, blocks, budget, batch, keep_trajectory):
-    # whole blocks plus a ragged tail of 3 steps; 65 blocks cross an unbatched group at the stated budget
+def test_grouped_product_is_the_block_at_a_time_product_bit_for_bit(monkeypatch, blocks, budget, batch, stride):
+    # whole blocks plus a ragged tail of 3 runs (of 1 step without a trajectory);
+    # 65 blocks cross an unbatched group at the stated budget; stride 3 takes blocks of 255 steps
     if budget == "two blocks":
         monkeypatch.setattr(rm, "TRANSFER_ELEMENTS", 2 * rm.TRANSFER_CHUNK)
-    steps = blocks * rm.TRANSFER_CHUNK + 3
-    rng = np.random.default_rng(blocks)
-    maps = np.eye(2) + 0.05 * rng.normal(size=(steps,) + batch + (2, 2))
+    run = stride or 1
+    steps = blocks * run * (rm.TRANSFER_CHUNK // run) + 3 * run
+    step_maps = random_step_maps(steps, batch, blocks)
+    got = rm._chunked_product(step_maps, steps, batch, stride)
+    assert np.array_equal(got, per_block_product(step_maps, steps, batch, stride))
 
-    def step_maps(lo, hi):  # fresh components of shape batch + (hi - lo,)
-        return [np.moveaxis(x, 0, -1)[..., lo:hi].copy() for x in rm._components(maps)]
 
-    got = rm._chunked_product(step_maps, steps, batch, keep_trajectory)
-    assert np.array_equal(got, per_block_product(step_maps, steps, batch, keep_trajectory))
+@pytest.mark.parametrize("batch", [(), (21,)])
+@pytest.mark.parametrize("stride", [2, 4, 8, 16, rm.TRANSFER_CHUNK])
+def test_strided_rows_are_every_stride_th_row_of_the_full_trajectory_bit_for_bit(stride, batch):
+    # for s = 2^j dividing TRANSFER_CHUNK, Hillis-Steele's first j passes at the rows
+    # closing each run are the run's tree and its later passes a prefix over the runs;
+    # 9 blocks and a ragged tail of 5 runs cross an unbatched group
+    steps = 9 * rm.TRANSFER_CHUNK + 5 * stride
+    step_maps = random_step_maps(steps, batch, stride)
+    full = rm._chunked_product(step_maps, steps, batch, 1)
+    strided = rm._chunked_product(step_maps, steps, batch, stride)
+    assert strided.shape == (steps // stride + 1,) + batch + (2, 2) and strided.flags.c_contiguous
+    assert strided.tobytes() == np.ascontiguousarray(full[::stride]).tobytes()
 
 
 def test_callers_keep_their_transfer_shapes():
@@ -192,7 +216,7 @@ def test_callers_keep_their_transfer_shapes():
     mono, traj = rm.hill_fundamental(cc.curvature(cc.lift(gamma)), substeps=4, keep_trajectory=True)
     assert traj.shape == (4 * 64 + 1, 2, 2) and np.array_equal(mono.m, traj[-1])
     mono, traj = rm.moebius_monodromy(gamma, 1.5, substeps=4, keep_trajectory=True)
-    assert traj.shape == (4 * 64 + 1, 2, 2) and np.array_equal(mono.m, traj[-1])
+    assert traj.shape == (64 + 1, 2, 2) and np.array_equal(mono.m, traj[-1])
     assert rm.spectral_scan(gamma, np.linspace(-1.0, 1.5, 21), substeps=4).tr2.shape == (21,)
 
 
@@ -203,10 +227,10 @@ def test_trajectories_are_c_contiguous_in_their_public_layout():
     _, traj = rm.hill_fundamental(cc.curvature(cc.lift(gamma)), substeps=2, keep_trajectory=True)
     assert traj.shape == (2 * 128 + 1, 2, 2) and traj.flags.c_contiguous
     _, traj = rm.moebius_monodromy(gamma, 4.0, keep_trajectory=True)
-    assert traj.shape == (rm.DEFAULT_SUBSTEPS * 128 + 1, 2, 2) and traj.flags.c_contiguous
+    assert traj.shape == (128 + 1, 2, 2) and traj.flags.c_contiguous
     steps = 2 * rm.TRANSFER_CHUNK + 3
     for name, b, h, square in traceless_fields(steps, (21,)):
-        traj = rm._rk4_transfer(b, h, keep_trajectory=True, square=square)
+        traj = rm._rk4_transfer(b, h, 1, square=square)
         assert traj.shape == (steps + 1, 21, 2, 2) and traj.flags.c_contiguous, name
 
 
@@ -390,6 +414,17 @@ def test_strongly_hyperbolic_branches_stay_accurate(n, monkeypatch):
     if far is not None:
         ref = bk.apply_tc_projective(gamma, 25.0, "minus")
         assert np.max(np.abs(far.psi.samples - ref.psi.samples)) <= 1e-9
+
+
+@pytest.mark.parametrize("substeps", [3, 16])
+def test_projective_images_off_power_of_two_and_fine_substeps_match_step_by_step_rk4(substeps, monkeypatch):
+    # substeps 3 take blocks of 255 steps, 16 keep every 16th step point; measured <= 1.8e-15
+    curves = [cc.random_projective(np.random.default_rng(seed), 128, strength=0.9) for seed in (1, 2, 3)]
+    images = [bk.apply_tc_projective(g, 4.0, label, substeps) for g in curves for label in ("plus", "minus")]
+    monkeypatch.setattr(rm, "_rk4_transfer", sequential_rk4)
+    refs = [bk.apply_tc_projective(g, 4.0, label, substeps) for g in curves for label in ("plus", "minus")]
+    for image, ref in zip(images, refs):
+        assert np.max(np.abs(image.psi.samples - ref.psi.samples)) <= 1e-14
 
 
 def test_moebius_zero_lambda_identity():
