@@ -158,8 +158,9 @@ def project(Gamma: CentroAffineCurve) -> ProjectiveCurve:
 
     Requires rotation number one; psi(0) is normalized into (-pi/2, pi/2].
     """
-    v1, v2 = (pf.values_with_wrap(g, 2 * Gamma.n) for g in (Gamma.gamma1, Gamma.gamma2))
-    return _from_angles(np.arctan2(v2, v1)[::2], 2 * Gamma.n)
+    # the samples at k*pi/n and the antiperiodic wrap Gamma(pi) = -Gamma(0)
+    v1, v2 = (np.append(g.samples, -g.samples[0]) for g in (Gamma.gamma1, Gamma.gamma2))
+    return _from_angles(np.arctan2(v2, v1), Gamma.n)
 
 
 def hill_potential(g1: pf.PeriodicFn, g2: pf.PeriodicFn) -> pf.PeriodicFn:

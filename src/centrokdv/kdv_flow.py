@@ -18,6 +18,13 @@ step makes 8 FFT calls, one rfft and one irfft per ETDRK4 stage, the last
 irfft gating the step; a curve step makes 24, 12 of each: two half-step
 potential steps (16), whose gating irffts also carry the driving p and
 p', and four field evaluations of one rfft/irfft pair each (8).
+
+Both steppers write every stage into work buffers allocated once per pass,
+the transforms through np.fft's out= (numpy 2.0 or later).  At n = 128 a
+step is bound by per-call overhead, not arithmetic, so the buffers save
+the allocations without changing the transform budget above, and each
+product keeps the operand order of the allocating formulas, so the
+results are the same bit for bit.
 """
 
 import csv
@@ -88,13 +95,13 @@ def _etdrk4_coeffs(n: int, h: float):
     return coeffs
 
 
-def _checked_sup(sup: np.ndarray, vals: np.ndarray, h: float, what: str) -> np.ndarray:
+def _checked_sup(sup: np.ndarray, vals: np.ndarray, h: float, what: str, work: np.ndarray) -> np.ndarray:
     """Per-member sup norms of vals after one step, the batch on the last axis.
 
-    Raises StepUnstable if any member's norm is not finite or more than
-    doubled its own previous one.
+    work is a buffer of vals' shape for |vals|.  Raises StepUnstable if any
+    member's norm is not finite or more than doubled its own previous one.
     """
-    new_sup = np.abs(vals).max(axis=tuple(range(vals.ndim - 1)))
+    new_sup = np.abs(vals, out=work).max(axis=tuple(range(vals.ndim - 1)))
     held = new_sup <= 2.0 * np.maximum(sup, 1e-12)  # false for NaN and inf too
     if not held.all():
         k = int(np.argmin(held))
@@ -111,17 +118,25 @@ def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int, cut: int | N
     yield instead the driving rows, shape (2, n, B): each potential's p and
     p' on the grid from its modes below cut, the band above zero-filled.
     They ride the inverse transform that gates the step, stacked behind
-    its samples, so they cost no transform of their own.
+    its samples, so they cost no transform of their own.  Every yield is a
+    fresh array; the stages write into buffers allocated once per pass.
     """
     # p_s = -1/2 p''' + 3/2 (p^2)': linear part -1/2 D^3, nonlinear part 3/2 D
     e_full, e_half, q, f1, f2x2, f3 = (c[:, None] for c in _etdrk4_coeffs(n, h))
     nonlin_mult = 1.5 * pf.rfft_derivative_factor(n, 1)[:, None]
+    # stage samples, their squares, |samples| for the gate; the four nonlinear
+    # spectra, the three stage inputs, e_half v and a scratch spectrum.  Every
+    # product keeps the operand order of the plain formulas: numpy's complex
+    # multiply is not operand-symmetric, so a swap moves the march at roundoff.
+    stage, sq, mag = np.empty((3, n) + v.shape[1:])
+    nv, na, nb, nc, a, b, c, ev, work = np.empty((9,) + v.shape, complex)
 
-    def nonlin(vals):
-        return nonlin_mult * np.fft.rfft(vals * vals, axis=0)
+    def nonlin(vals, spectrum):
+        np.fft.rfft(np.multiply(vals, vals, out=sq), axis=0, out=spectrum)
+        np.multiply(nonlin_mult, spectrum, out=spectrum)
 
     def samples(w):
-        return np.fft.irfft(w, n, axis=0)
+        return np.fft.irfft(w, n, axis=0, out=stage)
 
     if cut is not None:
         stacked = np.zeros((3,) + v.shape, complex)  # [v, v below cut, (i nu) v below cut]
@@ -134,25 +149,31 @@ def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int, cut: int | N
         stacked[0] = w
         stacked[1, :cut] = w[:cut]
         np.multiply(slope, w[:cut], out=stacked[2, :cut])
-        rows = np.fft.irfft(stacked, n, axis=1)
+        rows = np.fft.irfft(stacked, n, axis=1)  # fresh: the caller holds three nodes at once
         return rows[0], rows[1:]
 
     # the samples that gate a step are the first stage's input to the next
     vals, out = gate(v)
-    sup = np.max(np.abs(vals), axis=0)
+    sup = np.max(np.abs(vals, out=mag), axis=0)
     yield out
     for _ in range(nsteps):
-        nv = nonlin(vals)
-        ev = e_half * v
-        a = ev + q * nv
-        na = nonlin(samples(a))
-        b = ev + q * na
-        nb = nonlin(samples(b))
-        c = e_half * a + q * (2.0 * nb - nv)
-        nc = nonlin(samples(c))
-        v = e_full * v + f1 * nv + f2x2 * (na + nb) + f3 * nc
+        nonlin(vals, nv)
+        np.multiply(e_half, v, out=ev)
+        np.add(ev, np.multiply(q, nv, out=a), out=a)  # a = e_half v + q nv
+        nonlin(samples(a), na)
+        np.add(ev, np.multiply(q, na, out=b), out=b)  # b = e_half v + q na
+        nonlin(samples(b), nb)
+        np.subtract(np.multiply(2.0, nb, out=work), nv, out=work)
+        np.multiply(q, work, out=work)
+        np.add(np.multiply(e_half, a, out=c), work, out=c)  # c = e_half a + q (2 nb - nv)
+        nonlin(samples(c), nc)
+        # v = e_full v + f1 nv + f2x2 (na + nb) + f3 nc, fresh since it is yielded
+        v = e_full * v
+        v += np.multiply(f1, nv, out=work)
+        v += np.multiply(f2x2, np.add(na, nb, out=work), out=work)
+        v += np.multiply(f3, nc, out=work)
         vals, out = gate(v)
-        sup = _checked_sup(sup, vals, h, "sup norm")
+        sup = _checked_sup(sup, vals, h, "sup norm", mag)
         yield out
 
 
@@ -207,37 +228,55 @@ def _transport(curves: tuple, s_end: float, ds: float, legs: int):
     v0 = np.fft.rfft(p0, axis=0)
     v0[cut:] = 0.0
 
-    # the antiperiodic extension [y, p y, -y, -p y] of the field's two
-    # products, refilled in place at each evaluation
-    ext = np.empty((2 * n, 4, len(curves)))
+    # work buffers of the pass: the antiperiodic extension [y, p y, -y, -p y]
+    # of the field's two products, its spectrum and derivative; the four RK4
+    # slopes, the stage input, a product scratch and |x| for the gate
+    B = len(curves)
+    ext, deriv = np.empty((2, 2 * n, 4, B))
+    spec = np.empty((n + 1, 4, B), complex)
+    k1, k2, k3, k4, stage, work, mag = np.empty((7, n, 2, B))
     slope = pf._derivative_factor(n, 1)[:, None, None]
 
-    def field(y, p, dp):
+    def field(y, p, dp, k):
+        """Write the field at y into k."""
         # skew-symmetric split of p y' - 1/2 p' y: the advection part
         # 1/2 (p D + D p) cannot pump grid modes, so aliasing stays inert
         ext[:n, :2] = y
         np.multiply(p, y, out=ext[:n, 2:])
         np.negative(ext[:n], out=ext[n:])
-        d = np.fft.irfft(slope * np.fft.rfft(ext, axis=0), 2 * n, axis=0)[:n]
-        return 0.5 * (p * d[:, :2] + d[:, 2:]) - dp * y
+        np.fft.rfft(ext, axis=0, out=spec)
+        np.multiply(slope, spec, out=spec)
+        d = np.fft.irfft(spec, 2 * n, axis=0, out=deriv)[:n]
+        # k = 0.5 (p d_y + d_py) - dp y
+        np.add(np.multiply(p, d[:, :2], out=k), d[:, 2:], out=k)
+        np.multiply(0.5, k, out=k)
+        np.subtract(k, np.multiply(dp, y, out=work), out=k)
+
+    def shifted(c, k):
+        """The stage input x + c k, in the stage buffer."""
+        return np.add(x, np.multiply(c, k, out=stage), out=stage)
 
     # each node is the driver's p and p' on the grid, the dropped band zero-filled
     nodes = (rows[:, :, None] for rows in _advance_spectrum(v0, n, 0.5 * h, 2 * legs * per_leg, cut))
     end = next(nodes)
     x = np.stack([np.stack([G.gamma1.samples, G.gamma2.samples], axis=1) for G in curves], axis=2)
-    sup = np.max(np.abs(x), axis=(0, 1))
+    sup = np.max(np.abs(x, out=mag), axis=(0, 1))
     miss = "transported curve misses unit Wronskian; reduce ds or refine the grid"
     for _ in range(legs):
         for _ in range(per_leg):
             start, mid, end = end, next(nodes), next(nodes)
-            k1 = field(x, *start)
-            k2 = field(x + (0.5 * h) * k1, *mid)
-            k3 = field(x + (0.5 * h) * k2, *mid)
-            k4 = field(x + h * k3, *end)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            sup = _checked_sup(sup, x, h, "curve sup norm")
+            field(x, *start, k1)
+            field(shifted(0.5 * h, k1), *mid, k2)
+            field(shifted(0.5 * h, k2), *mid, k3)
+            field(shifted(h, k3), *end, k4)
+            # x += (h / 6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in k1
+            k1 += np.multiply(2.0, k2, out=k2)
+            k1 += np.multiply(2.0, k3, out=k3)
+            k1 += k4
+            x += np.multiply(h / 6.0, k1, out=k1)
+            sup = _checked_sup(sup, x, h, "curve sup norm", mag)
         moved = []
-        for b in range(len(curves)):
+        for b in range(B):
             g1 = pf.PeriodicFn(x[:, 0, b], "antiperiodic")
             g2 = pf.PeriodicFn(x[:, 1, b], "antiperiodic")
             moved.append(cc._gated(g1, g2, StepUnstable, miss))

@@ -118,12 +118,15 @@ def _mul(a, b):
     """
     a00, a01, a10, a11 = a
     b00, b01, b10, b11 = b
-    return (
-        a00 * b00 + a01 * b10,
-        a00 * b01 + a01 * b11,
-        a10 * b00 + a11 * b10,
-        a10 * b01 + a11 * b11,
-    )
+    r00 = a00 * b00
+    r00 += a01 * b10
+    r01 = a00 * b01
+    r01 += a01 * b11
+    r10 = a10 * b00
+    r10 += a11 * b10
+    r11 = a10 * b01
+    r11 += a11 * b11
+    return r00, r01, r10, r11
 
 
 def _components(x: np.ndarray):
@@ -284,11 +287,12 @@ def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, stride: int | None 
     if np.ndim(h):  # one step size per batch entry, broadcast along the steps
         h = np.reshape(h, np.shape(h) + (1,))
 
-    def step_maps(lo, hi):  # Horner: h (C1 + h (C2 + h (C3 + h C4)))
-        p = [c[..., lo:hi] for c in coeffs[-1]]
+    def step_maps(lo, hi):  # Horner: h (C1 + h (C2 + h (C3 + h C4))), each component built in one array
+        p = [h * c[..., lo:hi] for c in coeffs[-1]]
         for c in coeffs[-2::-1]:
-            p = [a[..., lo:hi] + h * x for a, x in zip(c, p)]
-        p = [h * x for x in p]
+            for x, a in zip(p, c):
+                x += a[..., lo:hi]
+                x *= h
         p[0] += 1.0
         p[3] += 1.0
         return p

@@ -177,6 +177,101 @@ def test_driving_rows_ride_the_gating_transform_bit_for_bit(monkeypatch):
         assert not np.array_equal(r[0], g)
 
 
+def test_driving_rows_and_spectra_outlive_later_steps():
+    # the march works in buffers it reuses; what it yields must not alias them
+    n = 128
+    cut = 3 * (n // 2 + 1) // 4
+    p = np.stack([pf.random_band_limited(np.random.default_rng(s), n, max_mode=60).samples for s in (1, 2)], axis=1)
+    v0 = np.fft.rfft(p - 1.0, axis=0)
+    for march in (kf._advance_spectrum(v0, n, 1e-4, 8, cut), kf._advance_spectrum(v0, n, 1e-4, 8)):
+        held = [next(march) for _ in range(3)]  # a curve step holds start, mid and end
+        kept = [x.copy() for x in held]
+        for _ in range(3):
+            next(march)
+        for x, y in zip(held, kept):
+            assert np.array_equal(x, y)
+
+
+def plain_march_step(v, n, h):
+    """One ETDRK4 step of the potential spectra v, written with allocating expressions."""
+    e_full, e_half, q, f1, f2x2, f3 = (c[:, None] for c in kf._etdrk4_coeffs(n, h))
+    mult = 1.5 * pf.rfft_derivative_factor(n, 1)[:, None]
+
+    def nonlin(w):
+        vals = np.fft.irfft(w, n, axis=0)
+        return mult * np.fft.rfft(vals * vals, axis=0)
+
+    nv = nonlin(v)
+    a = e_half * v + q * nv
+    na = nonlin(a)
+    b = e_half * v + q * na
+    nb = nonlin(b)
+    c = e_half * a + q * (2.0 * nb - nv)
+    nc = nonlin(c)
+    return e_full * v + f1 * nv + f2x2 * (na + nb) + f3 * nc
+
+
+def plain_field(y, p, dp):
+    """The transport field 1/2 (p y' + (p y)') - p' y, written with allocating expressions."""
+    n = y.shape[0]
+    both = np.concatenate([y, p * y], axis=1)
+    ext = np.concatenate([both, -both])
+    slope = pf._derivative_factor(n, 1)[:, None, None]
+    d = np.fft.irfft(slope * np.fft.rfft(ext, axis=0), 2 * n, axis=0)[:n]
+    return 0.5 * (p * d[:, :2] + d[:, 2:]) - dp * y
+
+
+def plain_transport(curves, h, steps):
+    """RK4 curve steps driven by half-step ETDRK4 potentials, cut as the stepper cuts them."""
+    n = curves[0].n
+    cut = 3 * (n // 2 + 1) // 4
+    v = np.fft.rfft(np.stack([cc.curvature(G).samples for G in curves], axis=1), axis=0)
+    v[cut:] = 0.0
+
+    def driver(v):
+        return tuple(row[:, None] for row in pf.interpolate_modes(v[:cut], n, n))
+
+    x = np.stack([np.stack([G.gamma1.samples, G.gamma2.samples], axis=1) for G in curves], axis=2)
+    end = driver(v)
+    for _ in range(steps):
+        start = end
+        v = plain_march_step(v, n, 0.5 * h)
+        mid = driver(v)
+        v = plain_march_step(v, n, 0.5 * h)
+        end = driver(v)
+        k1 = plain_field(x, *start)
+        k2 = plain_field(x + (0.5 * h) * k1, *mid)
+        k3 = plain_field(x + (0.5 * h) * k2, *mid)
+        k4 = plain_field(x + h * k3, *end)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_steppers_match_plain_allocating_steps_bit_for_bit(batch):
+    # the steppers work in buffers; any change of an operand order, which moves
+    # numpy's complex products at roundoff, shows here within 50 steps
+    s_end, ds = 0.005, 1e-4
+    steps = kf._step_count(s_end, ds)
+    assert steps == 50
+    h = s_end / steps
+    curves = tuple(
+        cc.lift(cc.random_projective(np.random.default_rng([1, i]), 128, strength=0.35)) for i in range(batch)
+    )
+    moved = kf.evolve_curve(curves, s_end, ds)
+    x = plain_transport(curves, h, steps)
+    for b, G in enumerate(moved):
+        assert np.array_equal(G.gamma1.samples, x[:, 0, b])
+        assert np.array_equal(G.gamma2.samples, x[:, 1, b])
+    pots = [pf.random_band_limited(np.random.default_rng([3, i]), 256, max_mode=6) for i in range(batch)]
+    v = np.fft.rfft(np.stack([p.samples for p in pots], axis=1), axis=0)
+    for _ in range(steps):
+        v = plain_march_step(v, 256, h)
+    plain = np.fft.irfft(v, 256, axis=0)
+    for b, p in enumerate(pots):
+        assert np.array_equal(kf.evolve_potential(p, s_end, ds).samples, plain[:, b])
+
+
 def test_potential_march_gates_each_column_on_its_own():
     t = pf.grid(128)
     steep = -1.0 + 20.0 * np.cos(2 * t)  # sup 21, jumps to about 45 in one step of 0.01
