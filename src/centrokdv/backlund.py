@@ -103,23 +103,18 @@ def plane_map(Gamma: CentroAffineCurve, potential: pf.PeriodicFn, w: pf.Periodic
     return g1, g2, potential + (2.0 / c_aff) * pf.differentiate(w)
 
 
-def apply_tc(
-    Gamma: CentroAffineCurve,
-    c_aff: float,
-    branch: str = "minus",
-    substeps: int | None = None,
-) -> BacklundResult:
+def apply_tc(Gamma: CentroAffineCurve, c_aff: float, branch: str = "minus") -> BacklundResult:
     """Plane transformation Delta = w Gamma + c Gamma' for one branch.
 
     w is the periodic Riccati solution of the chosen branch; it makes
     [Gamma, Delta] = c and keeps [Delta, Delta'] = 1, and the image Hill
     potential is p + 2 w'/c.  Applying the opposite branch to the image
     returns -Gamma.  An image off unit Wronskian raises OffUnity.  w is
-    shot with riccati_branch's step count unless substeps overrides it.
+    riccati_branch's, shot with the module's step rule and Newton-polished.
     """
     param = param_convert(c_aff, "affine")
     pot = curvature(Gamma)
-    sol = riccati_branch(pot, c_aff, branch, substeps=substeps)
+    sol = riccati_branch(pot, c_aff, branch)
     g1, g2, image_curvature = plane_map(Gamma, pot, sol.solution, c_aff)
     return BacklundResult(_gated(g1, g2, OffUnity, "image"), sol, image_curvature, param)
 
@@ -183,7 +178,7 @@ def pushforward_tangent(
     (RiccatiBranch.solve_linear).  Pass riccati to reuse an already
     computed branch; it must carry the same label and constant, else
     ValueError.  Otherwise the branch named by the label is computed alone
-    (riccati_branch, at its default step count).  A bad label fails before any
+    (riccati_branch, shot with its step rule).  A bad label fails before any
     integration or solve.
     """
     _check_branch(branch)

@@ -1,8 +1,9 @@
 """Command-line front end: curve generation, transforms, scans, flows, checks.
 
-Exit codes: 0 success, 2 precondition violation, 3 numerical failure.  Failed
-runs name the error on stderr as `ERROR <Name>: <detail>`.  All artifacts are
-deterministic functions of the inputs and the recorded seed.
+Exit codes: 0 success, 1 a selfcheck suite failed, 2 precondition violation,
+3 numerical failure.  Failed runs name the error on stderr as
+`ERROR <Name>: <detail>`.  All artifacts are deterministic functions of the
+inputs and the recorded seed.
 """
 
 import argparse
@@ -77,7 +78,7 @@ def _cmd_project(args) -> int:
 def _cmd_backlund(args) -> int:
     param = bk.param_convert(args.c, args.c_kind)  # a bad constant is refused before the curve is lifted
     G = _load_plane(args.input)
-    res = bk.apply_tc(G, param.c_aff, args.branch, substeps=args.substeps)
+    res = bk.apply_tc(G, param.c_aff, args.branch)
     cc.save_curve(res.image, args.output)
     report = {
         "c_aff": param.c_aff,
@@ -179,7 +180,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--c-kind", choices=("affine", "projective"), default="affine")
     p.add_argument("--branch", choices=("plus", "minus"), default="minus")
-    p.add_argument("--substeps", type=int, default=None)  # None: apply_tc's step rule
     p.add_argument("--output", required=True)
     p.add_argument("--report", default=None)
 

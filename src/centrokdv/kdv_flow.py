@@ -400,8 +400,7 @@ def commutation_check(
     The KdV flow is isospectral for the Hill operator, so the Floquet
     multipliers that label the two Riccati branches do not move along it:
     the flowed curve takes the branch with the same label.  Both transforms
-    shoot with riccati_branch's default step count and the flow steps by
-    DEFAULT_DS.
+    shoot with riccati_branch's step rule and the flow steps by DEFAULT_DS.
     """
     first = apply_tc(Gamma, c_aff, branch)
     transformed_then_flowed, flowed = evolve_curve((first.image, Gamma), s)

@@ -19,14 +19,15 @@ the projective field), and one rule builds every step map
 closed forms built once per field, before any step size is applied; each
 step size, so each lambda of a scan, costs one Horner evaluation per step.
 
-The transfer works batch first, step last: the step coefficients and the
-step maps are components of shape batch + (K,), so every Horner and
-product pass runs along contiguous steps, not along the 21 lambdas of a
-scan, and with no batch axis the layout is the plain step stack.  A
-trajectory keeps every s-th step point, a row stride: Hill's shot keeps
-every step (s = 1), since its Floquet factor integrates along them, and
-the projective shot keeps the grid points (s = substeps), all its image
-needs.  Each run of s step maps is reduced by the tree product and the run
+The transfer takes one field, and its batch is the step sizes alone (a
+scan's lambdas scale the step).  It works batch first, step last: the
+step coefficients are components of shape (K,) and the step maps of shape
+batch + (K,), so every Horner and product pass runs along contiguous
+steps, not along the 21 lambdas of a scan, and with no batch axis the
+layout is the plain step stack.  A trajectory keeps every s-th step
+point, a row stride: Hill's shot keeps every step (s = 1), since its
+Floquet factor integrates along them, and the projective shot keeps the
+grid points (s = substeps), all its image needs.  Each run of s step maps is reduced by the tree product and the run
 products by the prefix product.  For s = 2^j dividing TRANSFER_CHUNK this
 is the full prefix product's own arithmetic at the kept rows: Hillis and
 Steele's first j doubling passes, at the rows k = s - 1 (mod s) closing
@@ -45,9 +46,10 @@ branch labels, fixed points in RP^1, and spectral invariants.
 The plane picture's Riccati shot is Newton-polished to its roundoff floor,
 so its step count comes from what the polish needs, not from the grid: at
 least SHOT_STEPS steps per period and at least SHOT_MIN_SUBSTEPS per grid
-interval (_shot_substeps), 2 substeps from n = 128 on.  The unpolished maps
-(hill_fundamental, moebius_monodromy, spectral_scan) keep
-DEFAULT_SUBSTEPS unless told otherwise.
+interval (_shot_substeps), 2 substeps from n = 128 on; no caller sets
+the shot's substeps.  The unpolished maps (hill_fundamental,
+moebius_monodromy, spectral_scan) keep DEFAULT_SUBSTEPS unless told
+otherwise.
 
 Tracelessness also puts every period map in SL(2, R), so no determinant is
 computed: the trace, Hill's discriminant (Magnus & Winkler, 1966, ch. 2),
@@ -243,17 +245,17 @@ def _chunked_product(step_maps, steps: int, batch: tuple, stride: int | None):
 def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, stride: int | None = None, *, square):
     """Integrate X' = B(t)X from X(0) = I across K classical RK4 steps of size h.
 
-    ``b_half`` holds a traceless B at half-step resolution: shape
-    (2K+1, ..., 2, 2), where index 2k is the start of step k, 2k+1 its
-    midpoint, 2k+2 its end.  Batch axes between the time axis and the
-    matrix block are carried along; h may be an array broadcast over them,
-    one step size per batch entry.  ``square`` is the scalar q with
-    B^2 = q I (Cayley-Hamilton) at the K midpoints, a scalar or an array
-    whose first axis is the step: Hill's p, or 0 for the projective field.
-    The caller passes it because it knows q exactly; read back from b_half,
-    the projective field's zero square would carry roundoff.  Returns the
-    final matrix, or with a stride s the trajectory at every s-th of the
-    K + 1 step points (_chunked_product).
+    ``b_half`` holds one traceless B at half-step resolution: shape
+    (2K+1, 2, 2), where index 2k is the start of step k, 2k+1 its midpoint,
+    2k+2 its end.  h is a scalar or a 1-d array, one step size per batch
+    entry: the batch is the step sizes alone, as the lambdas of a scan.
+    ``square`` is the scalar q with B^2 = q I (Cayley-Hamilton) at the K
+    midpoints, a scalar or a (K,) array: Hill's p, or 0 for the projective
+    field.  The caller passes it because it knows q exactly; read back from
+    b_half, the projective field's zero square would carry roundoff.
+    Returns the final matrix, of shape batch + (2, 2), or with a stride s
+    the trajectory at every s-th of the K + 1 step points
+    (_chunked_product).
 
     Expanding the RK4 stages in h gives the step map
     I + h C1 + h^2 C2 + h^3 C3 + h^4 C4 with C1 = (B0 + 4 Bm + B1)/6,
@@ -263,19 +265,12 @@ def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, stride: int | None 
     they are built once, over all K steps, and each batch entry's step
     size costs one Horner evaluation per step.  Where q is identically
     zero, C3 and C4 vanish and the polynomial is the quadratic
-    I + h (C1 + h C2).  The C and the step maps are held batch first, step
-    last (components of shape batch + (K,)), so every pass runs along
-    contiguous steps; _chunked_product multiplies the step maps.
+    I + h (C1 + h C2).  The step maps are held batch first, step last
+    (components of shape batch + (K,)), so every pass runs along
+    contiguous steps; _chunked_product multiplies them.
     """
-    b = np.ascontiguousarray(b_half.transpose(tuple(range(1, b_half.ndim - 2)) + (0, -2, -1)))  # batch + (2K+1, 2, 2)
-    b0, bm, b1 = (
-        _components(b[..., :-1:2, :, :]),
-        _components(b[..., 1::2, :, :]),
-        _components(b[..., 2::2, :, :]),
-    )
+    b0, bm, b1 = _components(b_half[:-1:2]), _components(b_half[1::2]), _components(b_half[2::2])
     q = np.asarray(square, dtype=float)
-    if q.ndim:  # the step axis last
-        q = q.transpose(tuple(range(1, q.ndim)) + (0,))
     coeffs = [
         tuple((x0 + 4.0 * xm + x1) / 6.0 for x0, xm, x1 in zip(b0, bm, b1)),
         tuple((x + y + z) / 6.0 for x, y, z in zip(_mul(bm, b0), _mul(b1, bm), (q, 0.0, 0.0, q))),
@@ -283,9 +278,9 @@ def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, stride: int | None 
     if np.any(q):  # else C3 and C4 vanish
         coeffs.append(tuple(q * (x0 + x1) / 12.0 for x0, x1 in zip(b0, b1)))
         coeffs.append(tuple(q * x / 24.0 for x in _mul(b1, b0)))
-    batch = np.broadcast_shapes(b_half.shape[1:-2], np.shape(h))
-    if np.ndim(h):  # one step size per batch entry, broadcast along the steps
-        h = np.reshape(h, np.shape(h) + (1,))
+    batch = np.shape(h)
+    if batch:  # one step size per batch entry, broadcast along the steps
+        h = np.reshape(h, batch + (1,))
 
     def step_maps(lo, hi):  # Horner: h (C1 + h (C2 + h (C3 + h C4))), each component built in one array
         p = [h * c[..., lo:hi] for c in coeffs[-1]]
@@ -544,12 +539,14 @@ def _floquet_solve(factor: _FloquetFactor, kappa: np.ndarray, rhs: np.ndarray) -
     return g - (np.mean((rhs + kappa * g) * alternating) / np.mean(kappa)) * alternating
 
 
-def _plus_branch(potential: pf.PeriodicFn, c_aff: float, substeps: int):
+def _plus_branch(potential: pf.PeriodicFn, c_aff: float):
     """Polished node values of the plus branch's w, and its Floquet factor.
 
     w = -c u'/u for the dominant Floquet solution u of
-    u'' = (potential + 1/c^2) u, shot forward, the direction in which it grows.
+    u'' = (potential + 1/c^2) u, shot forward, the direction in which it
+    grows, with _shot_substeps(n) substeps.
     """
+    substeps = _shot_substeps(potential.n)
     try:
         mono, traj = hill_fundamental(potential + 1.0 / c_aff**2, substeps=substeps, keep_trajectory=True)
     except StepUnstable as exc:
@@ -565,9 +562,7 @@ def _plus_branch(potential: pf.PeriodicFn, c_aff: float, substeps: int):
     return w, factor
 
 
-def riccati_branch(
-    potential: pf.PeriodicFn, c_aff: float, branch: str, substeps: int | None = None
-) -> RiccatiBranch:
+def riccati_branch(potential: pf.PeriodicFn, c_aff: float, branch: str) -> RiccatiBranch:
     """The periodic Riccati solution of one branch, "plus" or "minus".
 
     Each branch is computed in the direction in which its Floquet solution
@@ -576,10 +571,9 @@ def riccati_branch(
     branch (_plus_branch) of the reflected potential p(pi - t), reflected
     back: w(t) = -w~(pi - t), Floquet solution u~(pi - t).  The shot takes
     _shot_substeps(n) substeps (the module's step rule: 4 at n = 64, 2 from
-    n = 128) unless substeps overrides it; the Newton polish then owns the
-    accuracy of w.  The multiplier is read off the polished w: w = -c u'/u, so
-    int_0^pi w = -c ln mu, and u does not vanish on a branch, so
-    mu = exp(-pi mean(w)/c) > 0.  The returned branch keeps the polish's
+    n = 128); the Newton polish then owns the accuracy of w.  The multiplier
+    is read off the polished w: w = -c u'/u, so int_0^pi w = -c ln mu, and
+    u does not vanish on a branch, so mu = exp(-pi mean(w)/c) > 0.  The returned branch keeps the polish's
     O(n log n) solve as RiccatiBranch.solve_linear.  A bad label raises
     ValueError before any integration.  Raises NoRealFixedPoints for an
     elliptic (or near-parabolic) period matrix, and BranchSingular when
@@ -588,12 +582,10 @@ def riccati_branch(
     _check_branch(branch)
     if c_aff == 0.0:
         raise ZeroParam("c must be nonzero")
-    if substeps is None:
-        substeps = _shot_substeps(potential.n)
     if branch == "plus":
-        w, factor = _plus_branch(potential, c_aff, substeps)
+        w, factor = _plus_branch(potential, c_aff)
     else:
-        w, f = _plus_branch(pf.PeriodicFn(_reflect(potential.samples), "periodic"), c_aff, substeps)
+        w, f = _plus_branch(pf.PeriodicFn(_reflect(potential.samples), "periodic"), c_aff)
         w = -_reflect(w)
         factor = _FloquetFactor(f.u2[::-1], -f.du2[::-1], 1.0 / f.mu)
     multiplier = float(np.exp(-np.pi * np.mean(w) / c_aff))
@@ -610,7 +602,7 @@ def riccati_periodic_solutions(potential: pf.PeriodicFn, c_aff: float):
     BranchSingular when either branch's u vanishes somewhere (that
     periodic solution has a pole there).  Callers that need one branch
     should use riccati_branch, which shoots and polishes only that one.
-    Both are shot with riccati_branch's default step count.
+    Both are shot with the step rule, _shot_substeps(n).
     """
     return tuple(riccati_branch(potential, c_aff, name) for name in _BRANCHES)
 
@@ -720,8 +712,8 @@ def spectral_scan(
 
     All grid points ride one batched integration.  An RK4 step of lambda B
     with step h is one of B with step lambda h, so the batch shares one
-    lambda-free field, passed with batch shape (1,) so its step coefficients
-    are built once, and lambda scales the step.  An empty or non-finite
+    lambda-free field of shape (2K+1, 2, 2), whose step coefficients are
+    built once, and the batch is the steps lambda h, one per grid point.  An empty or non-finite
     grid raises ValueError; a map beyond double range raises StepUnstable
     naming the first lambda past range and its step lambda h
     (_ranged_transfer).
@@ -734,7 +726,7 @@ def spectral_scan(
     def what(k):
         return f"projective period map at lambda = {float(lam[k])!r} (RK4 step lambda h = {float(steps[k])!r})"
 
-    m = _ranged_transfer(_angle_b_half(gamma, substeps)[:, None], steps, square=0.0, what=what)
+    m = _ranged_transfer(_angle_b_half(gamma, substeps), steps, square=0.0, what=what)
     tr = m[:, 0, 0] + m[:, 1, 1]
     return SpectralScan(lambdas=lam, tr2=tr * tr)
 

@@ -449,25 +449,33 @@ def test_projective_map_within_double_range_still_closes():
     assert np.max(np.abs(image.psi.samples - np.arcsin(1e-2))) <= 1e-8
 
 
-def test_default_shot_moves_apply_tc_images_only_at_roundoff():
-    # the transform pool: the rule's coarser shot against 8 substeps, the same outcome for every curve
-    outcomes, worst = [], 0.0
+def pool_images():
+    """apply_tc's minus images at c = 0.5 over the transform pool, None where a gate raises OffUnity."""
+    images = []
     for seed in (1, 2, 3):
         for i in range(24):
             for n in (128, 512):
                 gamma = cc.random_projective(np.random.default_rng([seed, i]), n, strength=(0.35, 0.6, 0.9)[i % 3])
                 try:
-                    G = cc.lift(gamma)
-                    default = bk.apply_tc(G, 0.5, "minus").image
+                    image = bk.apply_tc(cc.lift(gamma), 0.5, "minus").image
                 except OffUnity:
-                    outcomes.append("OffUnity")
-                    with pytest.raises(OffUnity):
-                        bk.apply_tc(cc.lift(gamma), 0.5, "minus", substeps=8)
-                    continue
-                eight = bk.apply_tc(G, 0.5, "minus", substeps=8).image
-                outcomes.append("ok")
-                a = np.stack([default.gamma1.samples, default.gamma2.samples])
-                b = np.stack([eight.gamma1.samples, eight.gamma2.samples])
-                worst = max(worst, np.max(np.abs(a - b)) / np.max(np.abs(b)))
-    assert (outcomes.count("ok"), outcomes.count("OffUnity")) == (141, 3)
-    assert worst <= 1e-13  # measured 7.8e-15
+                    image = None
+                images.append(image)
+    return images
+
+
+@pytest.mark.parametrize("substeps", [1, 8, 16])
+def test_default_shot_moves_apply_tc_images_only_at_roundoff(monkeypatch, substeps):
+    # the rule's shot against shots of 1, 8 and 16 substeps: the Newton polish
+    # owns the image, so every curve keeps its outcome and moves at roundoff
+    rule = pool_images()
+    monkeypatch.setattr(rm, "_shot_substeps", lambda n: substeps)
+    shot = pool_images()
+    assert [x is None for x in shot] == [x is None for x in rule]
+    assert (len(rule) - rule.count(None), rule.count(None)) == (141, 3)
+    worst = 0.0
+    for a, b in zip(rule, shot):
+        if a is not None:
+            a, b = (np.stack([x.gamma1.samples, x.gamma2.samples]) for x in (a, b))
+            worst = max(worst, np.max(np.abs(a - b)) / np.max(np.abs(b)))
+    assert worst <= 1e-13  # measured 8.0e-15 at 1 substep, 7.8e-15 at 8 and 1.5e-14 at 16

@@ -274,7 +274,7 @@ def test_permutability_equal_constants_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("backlund", "--c", 0.5), ("scan",), ("permutability", "--c", 5.0, "--c2", 3.0)],
+    [("scan",), ("permutability", "--c", 5.0, "--c2", 3.0)],
 )
 def test_zero_substeps_exits_2(tmp_path, capsys, argv):
     trig = gen_trig(tmp_path)
@@ -341,15 +341,17 @@ def test_selfcheck_reports_every_suite_when_one_misses_a_gate(capsys):
     assert suites[0].startswith("spectral_calculus ") and suites[0].endswith("PASS")
 
 
-def test_backlund_substeps_default_to_apply_tc_and_override_it(tmp_path, capsys):
+def test_backlund_shoots_with_apply_tc_step_rule_and_takes_no_substeps(tmp_path, capsys):
     trig = gen_trig(tmp_path)
-    G = cc.lift(cc.load_curve(trig))
-    for flag, substeps in (((), None), (("--substeps", 8), 8)):
-        out = tmp_path / "image.json"
-        assert run("backlund", "--input", trig, "--c", 0.5, "--output", out, *flag) == 0
-        image, want = cc.load_curve(out), bk.apply_tc(G, 0.5, "minus", substeps=substeps).image
-        assert np.array_equal(image.gamma1.samples, want.gamma1.samples)
-        assert np.array_equal(image.gamma2.samples, want.gamma2.samples)
+    out = tmp_path / "image.json"
+    with pytest.raises(SystemExit) as exc:  # argparse refuses the unknown option
+        run("backlund", "--input", trig, "--c", 0.5, "--output", out, "--substeps", 8)
+    assert exc.value.code == 2 and not out.exists()
+    assert "unrecognized arguments: --substeps 8" in capsys.readouterr().err
+    assert run("backlund", "--input", trig, "--c", 0.5, "--output", out) == 0
+    image, want = cc.load_curve(out), bk.apply_tc(cc.lift(cc.load_curve(trig)), 0.5, "minus").image
+    assert np.array_equal(image.gamma1.samples, want.gamma1.samples)
+    assert np.array_equal(image.gamma2.samples, want.gamma2.samples)
 
 
 def test_scan_with_a_transform_beyond_double_range_exits_3(tmp_path, capsys):

@@ -44,14 +44,13 @@ def sequential_rk4(b_half, h, stride=None, square=None):
     return m if stride is None else np.stack(traj[::stride])
 
 
-def smooth_coefficients(steps, batch, seed):
+def smooth_coefficients(steps, seed):
     """A pi-periodic 2x2 field of three Fourier modes per entry, at the half steps of [0, pi]."""
     rng = np.random.default_rng(seed)
-    t = np.arange(2 * steps + 1) * (np.pi / (2 * steps))
-    t = t.reshape((-1,) + (1,) * (len(batch) + 2))
-    b = np.zeros((2 * steps + 1,) + batch + (2, 2))
+    t = np.arange(2 * steps + 1)[:, None, None] * (np.pi / (2 * steps))
+    b = np.zeros((2 * steps + 1, 2, 2))
     for k in range(3):
-        a, c = rng.normal(size=(2,) + batch + (2, 2))
+        a, c = rng.normal(size=(2, 2, 2))
         b += a * np.cos(2 * k * t) + c * np.sin(2 * k * t)
     return b
 
@@ -59,10 +58,10 @@ def smooth_coefficients(steps, batch, seed):
 def traceless_fields(steps, batch):
     """(name, b_half, h, square) of three traceless fields over `steps` RK4 steps, B^2 = square I.
 
-    Hill's field of a curve (square p) and its projective field (square 0)
-    are cut to their first `steps` steps; with a batch they take batch
-    shape (1,) and the batch rides on per-entry step sizes, as in
-    spectral_scan.  The generic field carries the batch in its entries.
+    Hill's field of a curve (square p), its projective field (square 0) and
+    a generic smooth field, the first two cut to their first `steps` steps.
+    Every field is one (2 steps + 1, 2, 2) stack, as _rk4_transfer takes it;
+    with a batch the batch is the 21 per-lambda step sizes of a scan.
     """
     gamma = cc.random_projective(np.random.default_rng(steps), 128)
     fine = pf.values_with_wrap(cc.curvature(cc.lift(gamma)), 2 * 8 * 128)[: 2 * steps + 1]
@@ -70,18 +69,14 @@ def traceless_fields(steps, batch):
     hill[:, 0, 1] = 1.0
     hill[:, 1, 0] = fine
     projective = rm._angle_b_half(gamma, substeps=8)[: 2 * steps + 1]
-    generic = smooth_coefficients(steps, batch, seed=steps)
-    generic[..., 1, 1] = -generic[..., 0, 0]
+    generic = smooth_coefficients(steps, seed=steps)
+    generic[:, 1, 1] = -generic[:, 0, 0]
     mid = generic[1::2]
-
-    def batched(x):
-        return x[:, None] if batch else x
-
     lam_h = (np.linspace(-1.0, 1.5, 21) if batch else 1.5) * (np.pi / steps)
     return [
-        ("hill", batched(hill), lam_h, batched(fine[1::2])),
-        ("projective", batched(projective), lam_h, 0.0),
-        ("generic", generic, np.pi / steps, mid[..., 0, 0] ** 2 + mid[..., 0, 1] * mid[..., 1, 0]),
+        ("hill", hill, lam_h, fine[1::2]),
+        ("projective", projective, lam_h, 0.0),
+        ("generic", generic, lam_h, mid[:, 0, 0] ** 2 + mid[:, 0, 1] * mid[:, 1, 0]),
     ]
 
 
@@ -90,7 +85,7 @@ def assert_matches_sequential_rk4(fields, steps, batch):
         mid = b[1::2]
         gap = np.max(np.abs(mid @ mid - np.multiply.outer(square, np.eye(2))))
         assert gap <= 4.0 * np.finfo(float).eps * np.max(np.abs(b)) ** 2, name
-        b_ref = np.broadcast_to(b, (b.shape[0],) + batch + (2, 2))
+        b_ref = np.broadcast_to(b[:, None] if batch else b, (b.shape[0],) + batch + (2, 2))
         h_ref = np.reshape(h, np.shape(h) + (1, 1))
         m = rm._rk4_transfer(b, h, square=square)
         ref = sequential_rk4(b_ref, h_ref)
@@ -330,15 +325,16 @@ def test_riccati_branch_equals_its_member_of_the_pair(n):
 
 
 def test_polish_floor_keeps_a_needed_second_step(monkeypatch):
-    # one RK4 substep leaves a defect that one Newton step does not bring
-    # to the floor: the polish must still take a second step
+    # a shot of one RK4 substep leaves a defect that one Newton step does
+    # not bring to the floor: the polish must still take a second step
     p = cc.curvature(cc.lift(cc.random_projective(np.random.default_rng(1), 128, strength=0.9)))
     solves = []
     solve = rm._floquet_solve
     monkeypatch.setattr(rm, "_floquet_solve", lambda *a: solves.append(1) or solve(*a))
+    monkeypatch.setattr(rm, "_shot_substeps", lambda n: 1)
     for label in ("plus", "minus"):
         del solves[:]
-        branch = rm.riccati_branch(p, 0.5, label, substeps=1)
+        branch = rm.riccati_branch(p, 0.5, label)
         assert len(solves) >= 2
         assert riccati_residual(branch, p) <= 1e-13
 
@@ -582,13 +578,17 @@ def test_conjugator_degenerate():
         rm.conjugator(gamma, gamma, 0.5, 0.9)
 
 
-def test_shot_takes_the_fewest_substeps_that_give_256_steps_per_period():
+def test_shot_takes_the_fewest_substeps_that_give_256_steps_per_period(monkeypatch):
     assert [rm._shot_substeps(n) for n in (16, 32, 64, 96, 100, 128, 256, 512, 2048)] == [8, 8, 4, 3, 3, 2, 2, 2, 2]
-    p = cc.curvature(cc.lift(cc.random_projective(np.random.default_rng(1), 128)))
-    for label in ("plus", "minus"):
-        default, explicit = rm.riccati_branch(p, 0.5, label), rm.riccati_branch(p, 0.5, label, substeps=2)
-        assert np.array_equal(default.solution.samples, explicit.solution.samples)
-        assert default.multiplier == explicit.multiplier
+    # the shot's Hill map takes the rule's substeps, whatever the label
+    seen = []
+    hill = rm.hill_fundamental
+    monkeypatch.setattr(rm, "hill_fundamental", lambda p, **kw: seen.append((p.n, kw)) or hill(p, **kw))
+    for n in (64, 128, 512):
+        for label in ("plus", "minus"):
+            del seen[:]
+            rm.riccati_branch(pf.constant(-1.0, n), 0.5, label)
+            assert seen == [(n, {"substeps": rm._shot_substeps(n), "keep_trajectory": True})]
 
 
 def shot_frame_defect(branch, potential):
