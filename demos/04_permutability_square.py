@@ -4,8 +4,10 @@ Two transformations close a square
 
 Transforming with constant c1 and then c2 lands on the same fourth curve
 as transforming with c2 and then c1, provided the second leg takes the
-branch predicted by a fixed conjugating matrix.  The package closes the
-square in the angle picture and reports how well both orders agree.
+branch of the first leg with the same constant.  That fourth curve is a
+fixed conjugating matrix applied to a single transform at every point, so
+the package builds it in closed form, shoots one second leg as the check
+and reports how well the shot leg meets the closed-form corner.
 """
 
 import numpy as np
@@ -24,14 +26,14 @@ print("circle corners (constant angles):")
 print("  after c1:", float(sq.gamma1.psi.samples.mean()), "=~ pi/6")
 print("  after c2:", float(sq.gamma2.psi.samples.mean()), "=~ pi/4")
 print("  after both:", float(sq.gamma12.psi.samples.mean()), "=~ 5 pi/12 =", 5 * np.pi / 12)
-print("  both orders agree to", sq.both_orders_distance)
+print("  the shot leg meets the closed-form corner to", sq.both_orders_distance)
 
 # On a generic curve the same machinery works; the weights mu and nu of
 # the conjugating matrices satisfy 1/mu + 1/nu = 1.
 gamma = cc.ProjectiveCurve(pf.PeriodicFn(0.1 * np.sin(2 * t), "periodic"))
 sq = bk.permutability_square(gamma, 5.0, 3.0)
 print("generic curve: mu =", sq.mu, "nu =", sq.nu, "1/mu + 1/nu =", 1 / sq.mu + 1 / sq.nu)
-print("closure distance:", sq.both_orders_distance)
+print("shot leg to closed-form corner:", sq.both_orders_distance)
 print("prediction residual:", sq.prediction_residual)
 
 # The period maps of a curve and its transform are conjugate inside the

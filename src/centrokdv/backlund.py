@@ -5,9 +5,9 @@ periodic solution of a quadratic first-order relation combines a curve
 with its derivative into a new unit-Wronskian curve; in the projective
 picture each point slides along the circle to a fixed point of a scaled
 Moebius period map.  The two commute with each other in the Bianchi
-sense, and the meeting point of a double transformation is predicted by
-an explicit conjugating matrix; both facts are exposed here as checkable
-operations.
+sense, and the double transformation is an explicit conjugating matrix
+applied to a single one at every point (superpose); both facts are
+exposed here as checkable operations.
 """
 
 from dataclasses import dataclass
@@ -35,9 +35,14 @@ from .errors import (
 )
 from .riccati_monodromy import (
     DEFAULT_SUBSTEPS,
+    MonodromyMatrix,
     RiccatiBranch,
+    _angle_b_half,
     _check_branch,
+    _fixing_matrix,
+    _ranged_transfer,
     _reflect,
+    _step_size,
     conjugator,
     conjugator_affine,
     moebius_apply_angle,
@@ -124,17 +129,41 @@ def _reflect_curve(gamma: ProjectiveCurve) -> ProjectiveCurve:
     return ProjectiveCurve(pf.PeriodicFn(-_reflect(gamma.psi.samples), "periodic"))
 
 
-def _plus_image(gamma: ProjectiveCurve, c_pr: float, substeps: int) -> ProjectiveCurve:
-    """apply_tc_projective's plus branch: chi(t) is the direction of F(t) v,
-    F the fundamental matrix at the grid points and v its dominant fixed
-    direction; the closure bound counts the shot's substeps * n RK4 steps."""
-    mono, traj = moebius_monodromy(gamma, c_pr, substeps=substeps, keep_trajectory=True)
-    (_, v), _ = mono.eigen_system()
-    w = traj @ v
-    try:
-        return _from_angles(np.arctan2(w[:, 0], w[:, 1]), substeps * gamma.n)
-    except NonMonotone as exc:
-        raise BranchSingular(f"image angle: {exc}") from exc
+def _shots(gamma: ProjectiveCurve, c_prs: tuple, branch: str, substeps: int) -> list:
+    """apply_tc_projective's images of one curve for each constant in c_prs, one shot for all.
+
+    The plus branch: chi(t) is the direction of F(t) v, F the fundamental
+    matrix at the grid points and v its dominant fixed direction; the
+    closure bound counts the shot's substeps * n RK4 steps.  The minus
+    branch is the plus image of the reflected curve, reflected back.  One
+    constant takes moebius_monodromy's trajectory.  Several ride the
+    transfer's step batch, one step c_pr h each, over one field, and each
+    image reads its own C-contiguous trajectory, so it is bit for bit the
+    image of its constant's single shot (numpy's matmul can round a
+    non-contiguous stack differently); a map beyond double range raises
+    StepUnstable naming the first such constant, as moebius_monodromy does.
+    """
+    base = gamma if branch == "plus" else _reflect_curve(gamma)
+    if len(c_prs) == 1:
+        trajectories = [moebius_monodromy(base, c_prs[0], substeps=substeps, keep_trajectory=True)[1]]
+    else:
+        steps = [float(c_pr) * _step_size(substeps, gamma.n) for c_pr in c_prs]
+
+        def what(k):
+            return f"projective period map at lambda = c_pr = {c_prs[k[0]]!r} (RK4 step lambda h = {steps[k[0]]!r})"
+
+        batch = _ranged_transfer(_angle_b_half(base, substeps), np.array(steps), substeps, square=0.0, what=what)
+        trajectories = np.ascontiguousarray(batch.swapaxes(0, 1))
+    images = []
+    for traj in trajectories:
+        (_, v), _ = MonodromyMatrix(traj[-1]).eigen_system()
+        w = traj @ v
+        try:
+            image = _from_angles(np.arctan2(w[:, 0], w[:, 1]), substeps * gamma.n)
+        except NonMonotone as exc:
+            raise BranchSingular(f"image angle: {exc}") from exc
+        images.append(image if branch == "plus" else _reflect_curve(image))
+    return images
 
 
 def apply_tc_projective(
@@ -149,7 +178,7 @@ def apply_tc_projective(
     the fixed point of the scaled Moebius period map chosen by branch
     label.  As in the plane picture, each branch is computed where it
     dominates: the plus branch forward along the homogeneous form
-    (_plus_image), which closes without cancellation, and the minus branch,
+    (_shots), which closes without cancellation, and the minus branch,
     which repels forward, as R(plus image of R(gamma)), with R the
     involution psi(t) -> -psi(pi - t) that leaves the angle equation
     invariant.  An image that does not advance by exactly pi over one
@@ -157,9 +186,7 @@ def apply_tc_projective(
     """
     param_convert(c_pr, "projective")
     _check_branch(branch)  # a bad label fails before the integration
-    if branch == "plus":
-        return _plus_image(gamma, c_pr, substeps)
-    return _reflect_curve(_plus_image(_reflect_curve(gamma), c_pr, substeps))
+    return _shots(gamma, (c_pr,), branch, substeps)[0]
 
 
 def pushforward_tangent(
@@ -225,9 +252,53 @@ def matching_identity_residual(base, first, second, mu) -> float:
     return float(abs(cross) / (np.hypot(va[0], va[1]) * np.hypot(vb[0], vb[1])))
 
 
+def _square_weight(c1_pr: float, c2_pr: float) -> float:
+    """The weight mu = 1 - c1/c2 of a square over two projective constants; equal ones raise Degenerate."""
+    param_convert(c1_pr, "projective")
+    param_convert(c2_pr, "projective")
+    if c1_pr == c2_pr:
+        raise Degenerate("equal constants: weight mu = 0 collapses the square")
+    return 1.0 - c1_pr / c2_pr
+
+
+def superpose(
+    gamma: ProjectiveCurve, gamma1: ProjectiveCurve, gamma2: ProjectiveCurve, c1_pr: float, c2_pr: float
+) -> ProjectiveCurve:
+    """The Bianchi square's fourth corner from its base and two first legs, with no shot.
+
+    gamma1 and gamma2 are transforms of gamma with constants c1_pr and
+    c2_pr.  The cross-ratio correspondence is 3D-consistent (Adler, Bobenko
+    and Suris 2003; Nijhoff and Capel 1995), and on the continuous square
+    this puts the double transform at A(t) gamma1(t), with A(t) the
+    conjugator that fixes gamma(t) and scales gamma2(t) by mu = 1 - c1/c2,
+    at every t.  It is built at the n + 1 grid points at once and closed
+    by the angle builder with the roundoff bound of n points.  By the
+    matching identity (matching_identity_residual) the corner is the same
+    with the legs swapped and weight nu = 1 - c2/c1.  Curves on different
+    grids raise ValueError; equal constants, or points of gamma and gamma2
+    that meet, raise Degenerate, as conjugator does.
+    """
+    mu = _square_weight(c1_pr, c2_pr)
+    if not gamma.n == gamma1.n == gamma2.n:
+        raise ValueError(f"the corners lie on grids of {gamma.n}, {gamma1.n} and {gamma2.n} points")
+    t = pf.grid(gamma.n)
+    phi, phi1, phi2 = (t + curve.psi.samples for curve in (gamma, gamma1, gamma2))
+    meet = np.abs(np.sin(phi - phi2)) < 1e-12
+    if meet.any():
+        raise Degenerate(f"curves meet at t = {float(t[np.argmax(meet)])!r}: no conjugator")
+    fix = _fixing_matrix((np.sin(phi), np.cos(phi)), (np.sin(phi2), np.cos(phi2)), mu)
+    theta = moebius_apply_angle(fix, phi1)
+    return _from_angles(np.append(theta, theta[0] + np.pi), gamma.n)
+
+
 @dataclass(frozen=True)
 class PermutabilitySquare:
-    """All four corners of a Bianchi square plus closure diagnostics."""
+    """All four corners of a Bianchi square plus closure diagnostics.
+
+    gamma12 is the shot second leg and gamma21 the closed-form corner
+    (superpose); both_orders_distance is their sup distance over all t and
+    prediction_residual their gap at t = 0.
+    """
 
     gamma1: ProjectiveCurve
     gamma2: ProjectiveCurve
@@ -237,15 +308,6 @@ class PermutabilitySquare:
     nu: float
     both_orders_distance: float
     prediction_residual: float
-
-
-def _matched_step(curve, c_pr, branch, predicted, substeps, match_tol):
-    """Second Bianchi leg on the given branch, and its start's gap to the predicted angle."""
-    leg = apply_tc_projective(curve, c_pr, branch, substeps=substeps)
-    gap = abs(wrap_half_pi(float(leg.psi.samples[0]) - predicted))
-    if gap > match_tol:
-        raise MatchFailure(f"branch {branch!r} starts {float(gap)!r} from the predicted angle > {match_tol!r}")
-    return leg, gap
 
 
 def permutability_square(
@@ -258,38 +320,40 @@ def permutability_square(
 ) -> PermutabilitySquare:
     """Close the Bianchi square over two transformation constants.
 
-    gamma1 and gamma2 are single transforms with the given branch labels.
-    The double transform's starting angle is predicted by conjugating
-    matrices with weights mu = 1 - c1/c2 and nu = 1 - c2/c1.  The period
-    maps intertwine (moebius_conjugacy_residual), so each second step's
-    meeting point has the eigenvalue, and so the label, of the first step
-    with the same constant: gamma12 takes branches[1], gamma21 branches[0].
-    A start more than match_tol from its prediction raises MatchFailure;
-    a match_tol that is not a positive number raises ValueError before any
-    integration.  Both composition orders are returned so the caller can
-    verify they agree.
+    gamma1 and gamma2 are single transforms with the given branch labels,
+    shot together when the labels match (one batched transfer, _shots).
+    The fourth corner gamma21 is their closed-form superposition with
+    weight mu = 1 - c1/c2 (superpose); nu = 1 - c2/c1 is the other order's
+    weight.  One second leg is shot as the check: the period maps intertwine
+    (moebius_conjugacy_residual), so its meeting point has the eigenvalue,
+    and so the label, of the first leg with the same constant, and gamma12
+    = T(gamma1, c2) takes branches[1].  A shot leg that starts more than
+    match_tol from the corner raises MatchFailure; a match_tol that is not
+    a positive number, or a bad label, raises ValueError before any
+    integration.  Both corners are returned so the caller can verify they
+    agree at every t.
     """
-    param_convert(c1_pr, "projective")
-    param_convert(c2_pr, "projective")
+    mu = _square_weight(c1_pr, c2_pr)
     if not match_tol > 0.0:  # NaN compares false, so it cannot switch the gate off
         raise ValueError(f"match_tol must be a positive number, got {match_tol!r}")
-    if c1_pr == c2_pr:
-        raise Degenerate("equal constants: weight mu = 0 collapses the square")
-    g1 = apply_tc_projective(gamma, c1_pr, branches[0], substeps=substeps)
-    g2 = apply_tc_projective(gamma, c2_pr, branches[1], substeps=substeps)
-    mu = 1.0 - c1_pr / c2_pr
-    nu = 1.0 - c2_pr / c1_pr
-    pred12 = moebius_apply_angle(conjugator(gamma, g2, mu, 0.0), g1.phi(0.0))
-    pred21 = moebius_apply_angle(conjugator(gamma, g1, nu, 0.0), g2.phi(0.0))
-    g12, r12 = _matched_step(g1, c2_pr, branches[1], float(pred12), substeps, match_tol)
-    g21, r21 = _matched_step(g2, c1_pr, branches[0], float(pred21), substeps, match_tol)
+    for branch in branches:
+        _check_branch(branch)
+    if branches[0] == branches[1]:
+        g1, g2 = _shots(gamma, (c1_pr, c2_pr), branches[0], substeps)
+    else:
+        g1, g2 = (_shots(gamma, (c,), b, substeps)[0] for c, b in zip((c1_pr, c2_pr), branches))
+    g21 = superpose(gamma, g1, g2, c1_pr, c2_pr)
+    g12 = apply_tc_projective(g1, c2_pr, branches[1], substeps=substeps)
+    gap = abs(float(wrap_half_pi(g12.psi.samples[0] - g21.psi.samples[0])))
+    if gap > match_tol:
+        raise MatchFailure(f"branch {branches[1]!r} starts {gap!r} from the predicted angle > {match_tol!r}")
     return PermutabilitySquare(
         gamma1=g1,
         gamma2=g2,
         gamma12=g12,
         gamma21=g21,
         mu=mu,
-        nu=nu,
+        nu=1.0 - c2_pr / c1_pr,
         both_orders_distance=projective_distance(g12, g21),
-        prediction_residual=max(r12, r21),
+        prediction_residual=gap,
     )

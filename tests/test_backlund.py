@@ -274,27 +274,113 @@ def test_permutability_closes_at_strongly_hyperbolic_constants():
     assert sq.both_orders_distance <= 1e-6
 
 
-@pytest.mark.parametrize("branches", [(a, b) for a in ("plus", "minus") for b in ("plus", "minus")])
+LABEL_PAIRS = [(a, b) for a in ("plus", "minus") for b in ("plus", "minus")]
+
+
+@pytest.mark.parametrize("branches", LABEL_PAIRS)
 def test_permutability_second_legs_keep_the_first_legs_labels(branches):
     sq = bk.permutability_square(bump_curve(128), 5.0, 3.0, branches=branches)
     gamma12 = bk.apply_tc_projective(sq.gamma1, 3.0, branches[1])
     gamma21 = bk.apply_tc_projective(sq.gamma2, 5.0, branches[0])
     assert np.array_equal(sq.gamma12.psi.samples, gamma12.psi.samples)
-    assert np.array_equal(sq.gamma21.psi.samples, gamma21.psi.samples)
+    # the closed-form corner is the other order's shot, to the shots' own error
+    assert cc.projective_distance(sq.gamma21, gamma21) <= 1e-9
+    assert sq.both_orders_distance == cc.projective_distance(sq.gamma12, sq.gamma21)
+    assert sq.prediction_residual == abs(cc.wrap_half_pi(sq.gamma12.psi.samples[0] - sq.gamma21.psi.samples[0]))
 
 
-def test_permutability_square_integrates_four_legs(monkeypatch):
-    legs = []
-    monodromy = bk.moebius_monodromy
+@pytest.mark.parametrize("branches", [("minus", "minus"), ("plus", "minus")])
+def test_permutability_square_shoots_three_legs(branches, monkeypatch):
+    steps = []
+    transfer = rm._rk4_transfer
 
-    def counted(*args, **kw):
-        if kw.get("keep_trajectory"):
-            legs.append(args[1])
-        return monodromy(*args, **kw)
+    def counted(b_half, h, *args, **kw):
+        steps.append(h)
+        return transfer(b_half, h, *args, **kw)
 
-    monkeypatch.setattr(bk, "moebius_monodromy", counted)
-    bk.permutability_square(bump_curve(128), 5.0, 3.0)
-    assert legs == [5.0, 3.0, 3.0, 5.0]
+    monkeypatch.setattr(rm, "_rk4_transfer", counted)
+    bk.permutability_square(bump_curve(128), 5.0, 3.0, branches=branches)
+    h = rm._step_size(rm.DEFAULT_SUBSTEPS, 128)
+    # both first legs ride one batched transfer when their labels match; the second leg is the check
+    first = [np.array([5.0 * h, 3.0 * h])] if branches[0] == branches[1] else [5.0 * h, 3.0 * h]
+    assert len(steps) == len(first) + 1
+    for got, want in zip(steps, first + [3.0 * h]):
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("label", ["plus", "minus"])
+@pytest.mark.parametrize("substeps", [1, 3, 8])
+@pytest.mark.parametrize("n", [64, 128, 2048])
+def test_batched_shot_is_each_constants_single_shot_bit_for_bit(n, substeps, label):
+    # each constant's column of the batched transfer, read contiguous, is its own shot;
+    # where a single shot fails its closure gate the batch fails the same way
+    gamma = cc.random_projective(np.random.default_rng(1), n, 0.35)
+    base = gamma if label == "plus" else bk._reflect_curve(gamma)
+    b_half = rm._angle_b_half(base, substeps)
+    h = rm._step_size(substeps, n)
+    batched = rm._rk4_transfer(b_half, np.array([5.0 * h, 3.0 * h]), substeps, square=0.0)
+    for j, c_pr in enumerate((5.0, 3.0)):
+        assert np.array_equal(batched[:, j], rm._rk4_transfer(b_half, c_pr * h, substeps, square=0.0))
+    singles = []
+    for c_pr in (5.0, 3.0):
+        try:
+            singles.append(bk.apply_tc_projective(gamma, c_pr, label, substeps=substeps).psi.samples)
+        except NumericalFailure as exc:
+            singles.append(exc)
+    failed = [x for x in singles if isinstance(x, NumericalFailure)]
+    if failed:
+        with pytest.raises(type(failed[0]), match=re.escape(str(failed[0]))):
+            bk._shots(gamma, (5.0, 3.0), label, substeps)
+    else:
+        images = bk._shots(gamma, (5.0, 3.0), label, substeps)
+        assert all(np.array_equal(a.psi.samples, b) for a, b in zip(images, singles))
+
+
+def square_base(curve):
+    """The circle, or random_projective(default_rng(k), 128, 0.6) for curve "seed<k>"."""
+    if curve == "circle":
+        return cc.make_circle(128)
+    return cc.random_projective(np.random.default_rng(int(curve.removeprefix("seed"))), 128, 0.6)
+
+
+@pytest.mark.parametrize("branches", LABEL_PAIRS)
+@pytest.mark.parametrize("curve", ["circle", "seed1", "seed2"])
+def test_superposed_corner_is_the_shots_limit(curve, branches):
+    # both shot second legs converge on the closed-form corner: at least 100-fold
+    # from 8 to 32 substeps, where RK4's fourth order gives 256
+    gamma = square_base(curve)
+    gaps = []
+    for substeps in (8, 32):
+        sq = bk.permutability_square(gamma, 5.0, 3.0, branches=branches, substeps=substeps)
+        gamma21 = bk.apply_tc_projective(sq.gamma2, 5.0, branches[0], substeps=substeps)
+        gaps.append([sq.both_orders_distance, cc.projective_distance(gamma21, sq.gamma21)])
+    assert all(fine <= coarse / 100.0 for coarse, fine in zip(*gaps)), gaps
+
+
+@pytest.mark.parametrize("curve", ["circle", "seed1", "seed2"])
+def test_three_constant_cube_closes(curve):
+    # 3D consistency: each face's superposition builds the same far vertex, with no shot past the first legs
+    gamma = square_base(curve)
+    c = (5.0, 3.0, 2.0)
+    legs = bk._shots(gamma, c, "minus", rm.DEFAULT_SUBSTEPS)
+    face = {(i, j): bk.superpose(gamma, legs[i], legs[j], c[i], c[j]) for i, j in ((0, 1), (0, 2), (1, 2))}
+    far = [
+        bk.superpose(legs[0], face[0, 1], face[0, 2], c[1], c[2]),
+        bk.superpose(legs[1], face[0, 1], face[1, 2], c[0], c[2]),
+        bk.superpose(legs[2], face[0, 2], face[1, 2], c[0], c[1]),
+    ]
+    assert max(cc.projective_distance(a, b) for a, b in ((far[0], far[1]), (far[0], far[2]), (far[1], far[2]))) <= 1e-12
+
+
+def test_superpose_refuses_meeting_points_and_mixed_grids():
+    gamma = bump_curve(128)
+    leg = bk.apply_tc_projective(gamma, 5.0)
+    with pytest.raises(Degenerate, match=r"curves meet at t = 0\.0: no conjugator"):
+        bk.superpose(gamma, leg, gamma, 5.0, 3.0)
+    with pytest.raises(Degenerate, match="equal constants"):
+        bk.superpose(gamma, leg, leg, 5.0, 5.0)
+    with pytest.raises(ValueError, match="grids of 128, 64 and 128 points"):
+        bk.superpose(gamma, bump_curve(64), leg, 5.0, 3.0)
 
 
 def test_projective_bad_label_fails_before_integrating(monkeypatch):
@@ -403,7 +489,7 @@ def test_closure_gate_catches_a_branch_shot_in_its_decaying_direction(curve, c_p
 @pytest.mark.parametrize("match_tol", [np.nan, -1.0, 0.0])
 def test_permutability_rejects_a_bad_match_tolerance_before_integrating(match_tol, monkeypatch):
     legs = []
-    monkeypatch.setattr(bk, "apply_tc_projective", lambda *a, **kw: legs.append(1))
+    monkeypatch.setattr(rm, "_rk4_transfer", lambda *a, **kw: legs.append(1))
     with pytest.raises(ValueError, match="match_tol must be a positive number"):
         bk.permutability_square(cc.make_circle(64), 4.0, 9.0, match_tol=match_tol)
     assert legs == []
