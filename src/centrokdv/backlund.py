@@ -37,12 +37,9 @@ from .riccati_monodromy import (
     DEFAULT_SUBSTEPS,
     MonodromyMatrix,
     RiccatiBranch,
-    _angle_b_half,
     _check_branch,
     _fixing_matrix,
-    _ranged_transfer,
     _reflect,
-    _step_size,
     conjugator,
     conjugator_affine,
     moebius_apply_angle,
@@ -135,27 +132,17 @@ def _shots(gamma: ProjectiveCurve, c_prs: tuple, branch: str, substeps: int) -> 
     The plus branch: chi(t) is the direction of F(t) v, F the fundamental
     matrix at the grid points and v its dominant fixed direction; the
     closure bound counts the shot's substeps * n RK4 steps.  The minus
-    branch is the plus image of the reflected curve, reflected back.  One
-    constant takes moebius_monodromy's trajectory.  Several ride the
-    transfer's step batch, one step c_pr h each, over one field, and each
-    image reads its own C-contiguous trajectory, so it is bit for bit the
-    image of its constant's single shot (numpy's matmul can round a
-    non-contiguous stack differently); a map beyond double range raises
-    StepUnstable naming the first such constant, as moebius_monodromy does.
+    branch is the plus image of the reflected curve, reflected back.  All
+    constants are one moebius_monodromy call at lambda = c_prs, one step
+    c_pr h each over one field, and each image reads its own C-contiguous
+    trajectory, so it is bit for bit the image of its constant's shot alone
+    (numpy's matmul can round a non-contiguous stack differently); a map
+    beyond double range raises StepUnstable naming the first such constant.
     """
     base = gamma if branch == "plus" else _reflect_curve(gamma)
-    if len(c_prs) == 1:
-        trajectories = [moebius_monodromy(base, c_prs[0], substeps=substeps, keep_trajectory=True)[1]]
-    else:
-        steps = [float(c_pr) * _step_size(substeps, gamma.n) for c_pr in c_prs]
-
-        def what(k):
-            return f"projective period map at lambda = c_pr = {c_prs[k[0]]!r} (RK4 step lambda h = {steps[k[0]]!r})"
-
-        batch = _ranged_transfer(_angle_b_half(base, substeps), np.array(steps), substeps, square=0.0, what=what)
-        trajectories = np.ascontiguousarray(batch.swapaxes(0, 1))
+    _, trajectories = moebius_monodromy(base, np.asarray(c_prs), substeps, keep_trajectory=True)
     images = []
-    for traj in trajectories:
+    for traj in np.ascontiguousarray(trajectories.swapaxes(0, 1)):
         (_, v), _ = MonodromyMatrix(traj[-1]).eigen_system()
         w = traj @ v
         try:

@@ -6,22 +6,26 @@ All period maps are classical RK4 on [0, pi] with step h = pi/(substeps*N);
 coefficient values at half steps come from exact trigonometric resampling,
 so step-halving exhibits clean order-4 decay.  The systems are linear, so
 each RK4 step is a fixed 2x2 step map, and the maps are multiplied in
-pairing blocks of TRANSFER_CHUNK = 256 steps (_chunked_product) by a
-pairwise tree (period map) or an inclusive prefix product
-(fundamental-matrix trajectory), with no loop over steps.  As many whole
-blocks as fit TRANSFER_ELEMENTS step-map elements are built and reduced
-together, and the running matrix folds over the blocks in order, so the
-result is bit for bit that of reducing one block at a time.  Both
-generators, Hill's [[0, 1], [p, 0]] and the projective field, are
-traceless, so each squares to a scalar, B^2 = q I (q = p for Hill, 0 for
+pairing blocks of TRANSFER_CHUNK = 256 steps (_chunked_product), with no
+loop over steps: a pairwise tree reduces each run of steps and an
+inclusive prefix product the runs, where a period map's block is one run.
+As many whole blocks as fit TRANSFER_ELEMENTS step-map elements are built
+and reduced together, and one running matrix folds over the blocks in
+order, so the result is bit for bit that of reducing one block at a
+time.  Both generators, Hill's [[0, 1], [p, 0]] and the projective field,
+are traceless, so each squares to a scalar, B^2 = q I (q = p for Hill, 0 for
 the projective field), and one rule builds every step map
 (_rk4_transfer): the RK4 step polynomial in h, whose coefficients are then
 closed forms built once per field, before any step size is applied; each
 step size, so each lambda of a scan, costs one Horner evaluation per step.
 
 The transfer takes one field, and its batch is the step sizes alone (a
-scan's lambdas scale the step).  It works batch first, step last: the
-step coefficients are components of shape (K,) and the step maps of shape
+scan's lambdas scale the step).  So the projective period map has one
+door, moebius_monodromy, at one lambda or an array of them: the scan
+(its trace over a lambda grid) and every projective shot (its fixed point
+at lambda = c_pr, at two constants at once for the Bianchi square) call
+it.  The transfer works batch first, step last: the step coefficients
+are components of shape (K,) and the step maps of shape
 batch + (K,), so every Horner and product pass runs along contiguous
 steps, not along the 21 lambdas of a scan, and with no batch axis the
 layout is the plain step stack.  A trajectory keeps every s-th step
@@ -192,21 +196,23 @@ def _chunked_product(step_maps, steps: int, batch: tuple, stride: int | None):
 
     step_maps(lo, hi) returns fresh C-contiguous arrays, the component stack
     of P_lo, ..., P_{hi-1}, each component of shape batch + (hi - lo,): batch
-    first, steps last.  With stride None each block of TRANSFER_CHUNK steps
-    is reduced by a pairwise tree product and only the final matrix is kept.
-    With a stride s the trajectory keeps every s-th step point: each run of s
-    step maps is reduced by the tree and the run products by an inclusive
-    prefix product, in blocks of s * (TRANSFER_CHUNK // s) steps (one run if
-    s > TRANSFER_CHUNK); steps must be a multiple of s.  A group of as many
-    whole blocks as fit TRANSFER_ELEMENTS elements (at least one) is built
-    and reduced in one set of calls, as components of shape
-    batch + (blocks, block steps); the ragged tail is a last group of one
-    short block.  The running matrix folds over the blocks in order, so every
-    product is the one a block-at-a-time reduction takes and the result is
-    bit for bit the same, while memory stays flat in the step count.
-    Returns the final matrix, of shape batch + (2, 2), or the trajectory at
-    every s-th step point, so at every grid point for s = substeps, in its
-    C-contiguous layout (steps // s + 1,) + batch + (2, 2).
+    first, steps last.  Each block is cut into runs: each run of step maps
+    is reduced by a pairwise tree product and the run products by an
+    inclusive prefix product.  With a stride s the trajectory keeps every
+    s-th step point: runs of s steps, in blocks of s * (TRANSFER_CHUNK // s)
+    steps (one run if s > TRANSFER_CHUNK); steps must be a multiple of s.
+    With stride None only the final matrix is kept: a block of
+    TRANSFER_CHUNK steps is one run, so its prefix pass does nothing and
+    the block is reduced by the tree alone.  A group of as many whole
+    blocks as fit TRANSFER_ELEMENTS elements (at least one) is built and
+    reduced in one set of calls, as components of shape
+    batch + (blocks, runs, run steps); the ragged tail is a last group of
+    one short block.  The running matrix folds over the blocks in order, so
+    every product is the one a block-at-a-time reduction takes and the
+    result is bit for bit the same, while memory stays flat in the step
+    count.  Returns the final matrix, of shape batch + (2, 2), or the
+    trajectory at every s-th step point, so at every grid point for
+    s = substeps, in its C-contiguous layout (steps // s + 1,) + batch + (2, 2).
     """
     running = (np.ones(batch), np.zeros(batch), np.zeros(batch), np.ones(batch))
     chunk = TRANSFER_CHUNK if stride is None else stride * max(1, TRANSFER_CHUNK // stride)
@@ -221,22 +227,19 @@ def _chunked_product(step_maps, steps: int, batch: tuple, stride: int | None):
         bounds.append((whole, steps))
     for lo, hi in bounds:
         size = min(hi - lo, chunk)
-        p = tuple(x.reshape(batch + (-1, size)) for x in step_maps(lo, hi))
-        if stride is None:
-            for block in zip(*(_last_first(x) for x in _tree_product(p))):
-                running = _mul(block, running)
-            continue
-        runs = size // stride
-        p = _prefix_products(_tree_product(tuple(x.reshape(x.shape[:-1] + (runs, stride)) for x in p)))
+        runs = 1 if stride is None else size // stride
+        p = tuple(x.reshape(batch + (-1, runs, size // runs)) for x in step_maps(lo, hi))
+        p = _prefix_products(_tree_product(p))
         starts = []  # the running matrix entering each block
         for last in zip(*(_last_first(x[..., -1]) for x in p)):
             starts.append(running)
             running = _mul(last, running)
-        starts = [np.stack(x, axis=-1)[..., None] for x in zip(*starts)]
-        # traj's rows of this group, viewed in the working layout batch + (blocks, runs, 2, 2)
-        out = traj[lo // stride + 1 : hi // stride + 1].reshape((-1, runs) + batch + (2, 2)).transpose(working)
-        for x, y in zip(_components(out), _mul(p, starts)):
-            x[...] = y
+        if stride is not None:
+            starts = [np.stack(x, axis=-1)[..., None] for x in zip(*starts)]
+            # traj's rows of this group, viewed in the working layout batch + (blocks, runs, 2, 2)
+            out = traj[lo // stride + 1 : hi // stride + 1].reshape((-1, runs) + batch + (2, 2)).transpose(working)
+            for x, y in zip(_components(out), _mul(p, starts)):
+                x[...] = y
     if stride is not None:
         return traj
     return np.stack(running, axis=-1).reshape(batch + (2, 2))
@@ -402,9 +405,12 @@ def hill_fundamental(
 
     With ``keep_trajectory`` also returns the matrix at every step point
     (substeps*N + 1 of them), which downstream code uses to follow
-    individual solutions across the period.  A map beyond double range
-    raises StepUnstable naming the RK4 step h (_ranged_transfer).
+    individual solutions across the period.  A potential that is not
+    periodic raises ValueError before any integration; a map beyond double
+    range raises StepUnstable naming the RK4 step h (_ranged_transfer).
     """
+    if potential.parity != "periodic":
+        raise ValueError("potential must be periodic")
     h = _step_size(substeps, potential.n)
     # coefficient matrices [[0, 1], [potential, 0]] at half-step resolution
     fine = pf.values_with_wrap(potential, 2 * substeps * potential.n)
@@ -657,29 +663,42 @@ def _angle_b_half(gamma: ProjectiveCurve, substeps: int) -> np.ndarray:
 
 def moebius_monodromy(
     gamma: ProjectiveCurve,
-    lam: float,
+    lam,
     substeps: int = DEFAULT_SUBSTEPS,
     keep_trajectory: bool = False,
 ):
-    """Period map of the lambda-scaled projective vector field along gamma.
+    """Period map of the lambda-scaled projective vector field along gamma,
+    at one lambda or at each of a 1-d array of them.
 
     The generator is traceless, so the result is unimodular; its conjugacy
-    class in PSL(2, R) is a spectral invariant of the curve.  With
-    keep_trajectory, also return the fundamental matrix at every grid point
-    (n + 1 of them, every substeps-th RK4 step point).
+    class in PSL(2, R) is a spectral invariant of the curve (spectral_scan),
+    and at lambda = c_pr its fixed point starts a transform
+    (apply_tc_projective).  An RK4 step of lambda B with step h is one of B
+    with step lambda h, so every lambda rides one transfer over one
+    lambda-free field (_angle_b_half), whose step coefficients are built
+    once, and the batch is the steps lambda h.  A number returns a
+    MonodromyMatrix, an array the stacked maps, of shape lam.shape + (2, 2).
+    With keep_trajectory, also return the fundamental matrix at every grid
+    point (n + 1 of them, every substeps-th RK4 step point), of shape
+    (n + 1,) + lam.shape + (2, 2).  A lambda that is not finite, or an array
+    that is empty or not 1-d, raises ValueError before any field is built.
     A map beyond double range (_ranged_transfer) raises StepUnstable naming
-    lambda (a transform's c_pr) and the RK4 step lambda h, which at such a
+    the first lambda past range and its RK4 step lambda h, which at such a
     lambda the grid does not resolve.
     """
-    h = float(lam) * _step_size(substeps, gamma.n)  # lambda scales the step, not the field
-    b = _angle_b_half(gamma, substeps)
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim > 1 or lam.size == 0 or not np.all(np.isfinite(lam)):
+        raise ValueError(f"lambda must be a finite number or a non-empty 1-d array of them, got {lam!r}")
+    steps = lam * _step_size(substeps, gamma.n)  # lambda scales the step, not the field
+
+    def what(k):
+        return f"projective period map at lambda = {float(lam[k])!r} (RK4 step lambda h = {float(steps[k])!r})"
+
     out = _ranged_transfer(
-        b,
-        h,
-        substeps if keep_trajectory else None,
-        square=0.0,
-        what=lambda k: f"projective period map at lambda = c_pr = {lam!r} (RK4 step lambda h = {h!r})",
+        _angle_b_half(gamma, substeps), steps, substeps if keep_trajectory else None, square=0.0, what=what
     )
+    if lam.ndim:
+        return (out[-1], out) if keep_trajectory else out
     if keep_trajectory:
         return MonodromyMatrix(out[-1]), out
     return MonodromyMatrix(out)
@@ -710,23 +729,13 @@ def spectral_scan(
 ) -> SpectralScan:
     """Scan the spectral invariant over a grid of lambda values.
 
-    All grid points ride one batched integration.  An RK4 step of lambda B
-    with step h is one of B with step lambda h, so the batch shares one
-    lambda-free field of shape (2K+1, 2, 2), whose step coefficients are
-    built once, and the batch is the steps lambda h, one per grid point.  An empty or non-finite
-    grid raises ValueError; a map beyond double range raises StepUnstable
-    naming the first lambda past range and its step lambda h
-    (_ranged_transfer).
+    The trace squared of the period maps at every grid point, all of them
+    one moebius_monodromy call, which refuses a grid that is empty, not
+    1-d or not finite (ValueError) and a map beyond double range
+    (StepUnstable).
     """
     lam = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
-    if lam.size == 0 or not np.all(np.isfinite(lam)):
-        raise ValueError(f"lambda_grid must be a non-empty grid of finite numbers, got {lam!r}")
-    steps = lam * _step_size(substeps, gamma.n)
-
-    def what(k):
-        return f"projective period map at lambda = {float(lam[k])!r} (RK4 step lambda h = {float(steps[k])!r})"
-
-    m = _ranged_transfer(_angle_b_half(gamma, substeps), steps, square=0.0, what=what)
+    m = moebius_monodromy(gamma, lam, substeps)
     tr = m[:, 0, 0] + m[:, 1, 1]
     return SpectralScan(lambdas=lam, tr2=tr * tr)
 

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -301,10 +302,11 @@ def test_permutability_square_shoots_three_legs(branches, monkeypatch):
     monkeypatch.setattr(rm, "_rk4_transfer", counted)
     bk.permutability_square(bump_curve(128), 5.0, 3.0, branches=branches)
     h = rm._step_size(rm.DEFAULT_SUBSTEPS, 128)
-    # both first legs ride one batched transfer when their labels match; the second leg is the check
-    first = [np.array([5.0 * h, 3.0 * h])] if branches[0] == branches[1] else [5.0 * h, 3.0 * h]
+    # both first legs ride one batched transfer when their labels match; the second leg is the check.
+    # Every shot is a moebius_monodromy call at an array of constants, so a single shot's steps have shape (1,)
+    first = [np.array([5.0 * h, 3.0 * h])] if branches[0] == branches[1] else [np.array([5.0 * h]), np.array([3.0 * h])]
     assert len(steps) == len(first) + 1
-    for got, want in zip(steps, first + [3.0 * h]):
+    for got, want in zip(steps, first + [np.array([3.0 * h])]):
         assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
 
 
@@ -319,8 +321,13 @@ def test_batched_shot_is_each_constants_single_shot_bit_for_bit(n, substeps, lab
     b_half = rm._angle_b_half(base, substeps)
     h = rm._step_size(substeps, n)
     batched = rm._rk4_transfer(b_half, np.array([5.0 * h, 3.0 * h]), substeps, square=0.0)
+    maps, trajectories = rm.moebius_monodromy(base, [5.0, 3.0], substeps, keep_trajectory=True)
+    assert trajectories.shape == (n + 1, 2, 2, 2) and np.array_equal(maps, trajectories[-1])
     for j, c_pr in enumerate((5.0, 3.0)):
         assert np.array_equal(batched[:, j], rm._rk4_transfer(b_half, c_pr * h, substeps, square=0.0))
+        # the columns of the batched period map are the single-constant maps and trajectories
+        single, traj = rm.moebius_monodromy(base, c_pr, substeps, keep_trajectory=True)
+        assert np.array_equal(maps[j], single.m) and np.array_equal(trajectories[:, j], traj)
     singles = []
     for c_pr in (5.0, 3.0):
         try:
@@ -525,8 +532,17 @@ def test_apply_tc_meets_its_gate_over_strengths_and_constants(n, seed):
 @pytest.mark.parametrize("c_pr", [3e4, 1e6])
 def test_projective_map_beyond_double_range_raises_step_unstable(c_pr):
     # RuntimeWarnings are errors under this suite's filter, so none may escape either
-    with pytest.raises(StepUnstable, match=rf"c_pr = {c_pr!r} .*lambda h = "):
+    with pytest.raises(StepUnstable, match=rf"lambda = {re.escape(repr(c_pr))} \(RK4 step lambda h = "):
         bk.apply_tc_projective(cc.make_circle(64), c_pr, "minus")
+
+
+@pytest.mark.parametrize("branches", [("minus", "minus"), ("plus", "plus"), ("minus", "plus")])
+def test_square_refuses_a_first_leg_beyond_double_range_naming_its_constant(branches):
+    # matched labels shoot both first legs in one batch, mixed ones one at a time; each names the constant past range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(StepUnstable, match=r"lambda = 30000\.0 \(RK4 step lambda h = "):
+            bk.permutability_square(cc.make_circle(64), 4.0, 3e4, branches=branches)
 
 
 def test_projective_map_within_double_range_still_closes():

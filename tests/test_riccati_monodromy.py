@@ -25,13 +25,16 @@ def circle_tr2(lam):
 def sequential_rk4(b_half, h, stride=None, square=None):
     """Reference transfer: one classical RK4 step of X' = B(t) X per iteration.
 
-    With a stride s it returns every s-th step point of the trajectory, as
-    _rk4_transfer does, in a C-contiguous stack.  square is accepted and
-    ignored, so this can stand in for _rk4_transfer: the stages use B
-    itself, not the closed form of B^2.
+    Takes what _rk4_transfer takes: one field of shape (2K+1, 2, 2) and a
+    step size h, a scalar or a 1-d batch of them.  With a stride s it
+    returns every s-th step point of the trajectory, as _rk4_transfer
+    does, in a C-contiguous stack.  square is accepted and ignored, so this
+    can stand in for _rk4_transfer: the stages use B itself, not the closed
+    form of B^2.
     """
     steps = (b_half.shape[0] - 1) // 2
-    m = np.broadcast_to(np.eye(2), b_half.shape[1:]).copy()
+    h = np.reshape(h, np.shape(h) + (1, 1))  # one step size per batch entry
+    m = np.broadcast_to(np.eye(2), h.shape[:-2] + (2, 2)).copy()
     traj = [m]
     for k in range(steps):
         b0, bm, b1 = b_half[2 * k], b_half[2 * k + 1], b_half[2 * k + 2]
@@ -85,14 +88,12 @@ def assert_matches_sequential_rk4(fields, steps, batch):
         mid = b[1::2]
         gap = np.max(np.abs(mid @ mid - np.multiply.outer(square, np.eye(2))))
         assert gap <= 4.0 * np.finfo(float).eps * np.max(np.abs(b)) ** 2, name
-        b_ref = np.broadcast_to(b[:, None] if batch else b, (b.shape[0],) + batch + (2, 2))
-        h_ref = np.reshape(h, np.shape(h) + (1, 1))
         m = rm._rk4_transfer(b, h, square=square)
-        ref = sequential_rk4(b_ref, h_ref)
+        ref = sequential_rk4(b, h)
         assert m.shape == batch + (2, 2), name
         assert np.max(np.abs(m - ref)) <= 1e-13 * np.max(np.abs(ref)), name
         traj = rm._rk4_transfer(b, h, 1, square=square)
-        ref = sequential_rk4(b_ref, h_ref, 1)
+        ref = sequential_rk4(b, h, 1)
         assert traj.shape == (steps + 1,) + batch + (2, 2), name
         assert np.array_equal(traj[0], np.broadcast_to(np.eye(2), batch + (2, 2))), name
         assert np.max(np.abs(traj - ref)) <= 1e-13 * np.max(np.abs(ref)), name
@@ -485,12 +486,24 @@ def test_scan_single_point_matches_monodromy():
         scan = rm.spectral_scan(gamma, lams, substeps=substeps)
         single = np.array([rm.moebius_monodromy(gamma, lam, substeps=substeps).tr2 for lam in lams])
         assert np.array_equal(scan.tr2, single)
+        # the scan is the stacked maps' tr2, t * t as MonodromyMatrix.tr2 takes it
+        maps = rm.moebius_monodromy(gamma, lams, substeps=substeps)
+        assert maps.shape == lams.shape + (2, 2)
+        trace = maps[:, 0, 0] + maps[:, 1, 1]
+        assert np.array_equal(trace * trace, scan.tr2)
 
 
-@pytest.mark.parametrize("grid", [[], [0.5, np.inf], [np.nan, 1.0]])
-def test_scan_rejects_an_empty_or_non_finite_grid(grid):
-    with pytest.raises(ValueError, match="lambda_grid must be a non-empty grid of finite numbers"):
-        rm.spectral_scan(cc.make_circle(64), grid)
+@pytest.mark.parametrize("grid", [[], [0.5, np.inf], [np.nan, 1.0], np.zeros((2, 3)), np.nan, np.inf])
+def test_scan_rejects_an_empty_or_non_finite_grid(grid, monkeypatch):
+    # moebius_monodromy is the one check: a bad lambda is caller input (ValueError), refused before any field is built
+    built = []
+    monkeypatch.setattr(rm, "_angle_b_half", lambda *a, **kw: built.append("field"))
+    monkeypatch.setattr(rm, "_rk4_transfer", lambda *a, **kw: built.append("transfer"))
+    message = "lambda must be a finite number or a non-empty 1-d array of them"
+    for run in (rm.spectral_scan, rm.moebius_monodromy):
+        with pytest.raises(ValueError, match=message):
+            run(cc.make_circle(64), grid)
+    assert built == []
 
 
 def test_scan_refuses_a_map_beyond_double_range_naming_the_first_lambda():
@@ -523,6 +536,15 @@ def test_period_maps_reject_a_substep_count_below_one(substeps):
     ):
         with pytest.raises(ValueError, match="substeps must be at least 1"):
             run()
+
+
+def test_hill_fundamental_rejects_an_antiperiodic_potential(monkeypatch):
+    # a coordinate of a lifted curve is antiperiodic: it has no period map over [0, pi]
+    potential = cc.lift(cc.make_circle(64)).gamma1
+    assert potential.parity == "antiperiodic"
+    monkeypatch.setattr(rm, "_rk4_transfer", lambda *a, **kw: pytest.fail("integrated an antiperiodic potential"))
+    with pytest.raises(ValueError, match="potential must be periodic"):
+        rm.hill_fundamental(potential)
 
 
 def test_scan_csv_round_trip(tmp_path):
