@@ -24,7 +24,10 @@ the transforms through np.fft's out= (numpy 2.0 or later).  At n = 128 a
 step is bound by per-call overhead, not arithmetic, so the buffers save
 the allocations without changing the transform budget above, and each
 product keeps the operand order of the allocating formulas, so the
-results are the same bit for bit.
+results are the same bit for bit.  Every array puts the batch first and
+the grid last, and every transform runs along the last axis, so numpy's
+elementwise loops run along the n grid points, not along a batch of one
+to three.
 """
 
 import csv
@@ -96,12 +99,12 @@ def _etdrk4_coeffs(n: int, h: float):
 
 
 def _checked_sup(sup: np.ndarray, vals: np.ndarray, h: float, what: str, work: np.ndarray) -> np.ndarray:
-    """Per-member sup norms of vals after one step, the batch on the last axis.
+    """Per-member sup norms of vals after one step, the batch on the first axis.
 
     work is a buffer of vals' shape for |vals|.  Raises StepUnstable if any
     member's norm is not finite or more than doubled its own previous one.
     """
-    new_sup = np.abs(vals, out=work).max(axis=tuple(range(vals.ndim - 1)))
+    new_sup = np.abs(vals, out=work).max(axis=tuple(range(1, vals.ndim)))
     held = new_sup <= 2.0 * np.maximum(sup, 1e-12)  # false for NaN and inf too
     if not held.all():
         k = int(np.argmin(held))
@@ -114,47 +117,50 @@ def _checked_sup(sup: np.ndarray, vals: np.ndarray, h: float, what: str, work: n
 def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int, cut: int | None = None):
     """Yield the rfft spectra of the potentials at s = 0, h, ..., nsteps * h.
 
-    v is (n//2+1, B), one potential's spectrum per column.  Given a cut,
-    yield instead the driving rows, shape (2, n, B): each potential's p and
-    p' on the grid from its modes below cut, the band above zero-filled.
-    They ride the inverse transform that gates the step, stacked behind
-    its samples, so they cost no transform of their own.  Every yield is a
-    fresh array; the stages write into buffers allocated once per pass.
+    v is (B, n//2+1), one potential's spectrum per row, and every transform
+    runs along the last axis.  Given a cut, yield instead the driving rows,
+    shape (2, B, n): each potential's p and p' on the grid from its modes
+    below cut, the band above zero-filled.  They ride the inverse transform
+    that gates the step, stacked behind its samples, so they cost no
+    transform of their own.  Every yield is a fresh array; the stages write
+    into buffers allocated once per pass.
     """
     # p_s = -1/2 p''' + 3/2 (p^2)': linear part -1/2 D^3, nonlinear part 3/2 D
-    e_full, e_half, q, f1, f2x2, f3 = (c[:, None] for c in _etdrk4_coeffs(n, h))
-    nonlin_mult = 1.5 * pf.rfft_derivative_factor(n, 1)[:, None]
+    # coefficient rows stay 2-d, (1, modes), so that one potential takes
+    # numpy's same-shape loop rather than a broadcast
+    e_full, e_half, q, f1, f2x2, f3 = (c[None] for c in _etdrk4_coeffs(n, h))
+    nonlin_mult = 1.5 * pf.rfft_derivative_factor(n, 1)[None]
     # stage samples, their squares, |samples| for the gate; the four nonlinear
     # spectra, the three stage inputs, e_half v and a scratch spectrum.  Every
     # product keeps the operand order of the plain formulas: numpy's complex
     # multiply is not operand-symmetric, so a swap moves the march at roundoff.
-    stage, sq, mag = np.empty((3, n) + v.shape[1:])
+    stage, sq, mag = np.empty((3,) + v.shape[:-1] + (n,))
     nv, na, nb, nc, a, b, c, ev, work = np.empty((9,) + v.shape, complex)
 
     def nonlin(vals, spectrum):
-        np.fft.rfft(np.multiply(vals, vals, out=sq), axis=0, out=spectrum)
+        np.fft.rfft(np.multiply(vals, vals, out=sq), out=spectrum)
         np.multiply(nonlin_mult, spectrum, out=spectrum)
 
     def samples(w):
-        return np.fft.irfft(w, n, axis=0, out=stage)
+        return np.fft.irfft(w, n, out=stage)
 
     if cut is not None:
         stacked = np.zeros((3,) + v.shape, complex)  # [v, v below cut, (i nu) v below cut]
-        slope = pf.rfft_derivative_factor(n, 1)[:cut, None]
+        slope = pf.rfft_derivative_factor(n, 1)[:cut]
 
     def gate(w):
         """The samples that gate a step, and what the step yields."""
         if cut is None:
             return samples(w), w
         stacked[0] = w
-        stacked[1, :cut] = w[:cut]
-        np.multiply(slope, w[:cut], out=stacked[2, :cut])
-        rows = np.fft.irfft(stacked, n, axis=1)  # fresh: the caller holds three nodes at once
+        stacked[1, :, :cut] = w[:, :cut]
+        np.multiply(slope, w[:, :cut], out=stacked[2, :, :cut])
+        rows = np.fft.irfft(stacked, n)  # fresh: the caller holds three nodes at once
         return rows[0], rows[1:]
 
     # the samples that gate a step are the first stage's input to the next
     vals, out = gate(v)
-    sup = np.max(np.abs(vals, out=mag), axis=0)
+    sup = np.max(np.abs(vals, out=mag), axis=-1)
     yield out
     for _ in range(nsteps):
         nonlin(vals, nv)
@@ -177,12 +183,20 @@ def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int, cut: int | N
         yield out
 
 
-def _step_count(s_end: float, ds: float) -> int:
+def _step_count(s_end: float, ds: float, legs: int = 1) -> int:
+    """Steps in each of legs equal legs of a flow to s_end with target step ds.
+
+    Raises ValueError, naming the argument as the caller gave it, if s_end
+    or ds is not finite, ds is not positive, or the step count overflows.
+    """
     if not isfinite(s_end):
         raise ValueError(f"s_end must be finite, got {s_end!r}")
     if not (isfinite(ds) and ds > 0.0):
         raise ValueError(f"ds must be a positive finite number, got {ds!r}")
-    return max(1, ceil(abs(s_end) / ds))
+    steps = abs(s_end / legs) / ds
+    if not isfinite(steps):
+        raise ValueError(f"s_end / ds must be finite, got s_end = {s_end!r}, ds = {ds!r}")
+    return max(1, ceil(steps))
 
 
 def evolve_potential(potential: pf.PeriodicFn, s_end: float, ds: float = DEFAULT_DS) -> pf.PeriodicFn:
@@ -199,24 +213,24 @@ def evolve_potential(potential: pf.PeriodicFn, s_end: float, ds: float = DEFAULT
         return potential
     n = potential.n
     nsteps = _step_count(s_end, ds)
-    for v in _advance_spectrum(np.fft.rfft(potential.samples)[:, None], n, s_end / nsteps, nsteps):
+    for v in _advance_spectrum(np.fft.rfft(potential.samples)[None], n, s_end / nsteps, nsteps):
         pass
-    return pf.PeriodicFn(np.fft.irfft(v[:, 0], n), "periodic")
+    return pf.PeriodicFn(np.fft.irfft(v[0], n), "periodic")
 
 
 def _transport(curves: tuple, s_end: float, ds: float, legs: int):
     """Yield the curves carried to s_end * k / legs for k = 1..legs, all from one pass.
 
-    The curves share a grid and each is driven by its own potential; the
-    batch rides on the last axis of every array.  Each leg takes
-    _step_count(s_end / legs, ds) steps of evolve_curve's scheme, and every
+    The curves share a grid and each is driven by its own potential; every
+    array holds the batch first and the grid last.  Each leg takes
+    _step_count(s_end, ds, legs) steps of evolve_curve's scheme, and every
     yielded curve has passed its own Wronskian gate; a miss raises StepUnstable.
     """
     if len({G.gamma1.n for G in curves}) != 1:
         raise ValueError("need one or more curves on one grid")
-    p0 = np.stack([curvature(G).samples for G in curves], axis=1)
-    n = p0.shape[0]
-    per_leg = _step_count(s_end / legs, ds)
+    p0 = np.stack([curvature(G).samples for G in curves])
+    n = p0.shape[-1]
+    per_leg = _step_count(s_end, ds, legs)
     h = s_end / legs / per_leg
 
     # curvature holds two spectral derivatives of the input samples, which
@@ -225,28 +239,28 @@ def _transport(curves: tuple, s_end: float, ds: float, legs: int):
     # grid-scale modes on the curve.  Inputs are band-limited at the working
     # grid, so the top quarter of the driver band carries no signal: drop it.
     cut = 3 * (n // 2 + 1) // 4
-    v0 = np.fft.rfft(p0, axis=0)
-    v0[cut:] = 0.0
+    v0 = np.fft.rfft(p0)
+    v0[:, cut:] = 0.0
 
     # work buffers of the pass: the antiperiodic extension [y, p y, -y, -p y]
     # of the field's two products, its spectrum and derivative; the four RK4
     # slopes, the stage input, a product scratch and |x| for the gate
     B = len(curves)
-    ext, deriv = np.empty((2, 2 * n, 4, B))
-    spec = np.empty((n + 1, 4, B), complex)
-    k1, k2, k3, k4, stage, work, mag = np.empty((7, n, 2, B))
-    slope = pf._derivative_factor(n, 1)[:, None, None]
+    ext, deriv = np.empty((2, B, 4, 2 * n))
+    spec = np.empty((B, 4, n + 1), complex)
+    k1, k2, k3, k4, stage, work, mag = np.empty((7, B, 2, n))
+    slope = pf._derivative_factor(n, 1)
 
     def field(y, p, dp, k):
         """Write the field at y into k."""
         # skew-symmetric split of p y' - 1/2 p' y: the advection part
         # 1/2 (p D + D p) cannot pump grid modes, so aliasing stays inert
-        ext[:n, :2] = y
-        np.multiply(p, y, out=ext[:n, 2:])
-        np.negative(ext[:n], out=ext[n:])
-        np.fft.rfft(ext, axis=0, out=spec)
+        ext[:, :2, :n] = y
+        np.multiply(p, y, out=ext[:, 2:, :n])
+        np.negative(ext[..., :n], out=ext[..., n:])
+        np.fft.rfft(ext, out=spec)
         np.multiply(slope, spec, out=spec)
-        d = np.fft.irfft(spec, 2 * n, axis=0, out=deriv)[:n]
+        d = np.fft.irfft(spec, 2 * n, out=deriv)[..., :n]
         # k = 0.5 (p d_y + d_py) - dp y
         np.add(np.multiply(p, d[:, :2], out=k), d[:, 2:], out=k)
         np.multiply(0.5, k, out=k)
@@ -256,11 +270,11 @@ def _transport(curves: tuple, s_end: float, ds: float, legs: int):
         """The stage input x + c k, in the stage buffer."""
         return np.add(x, np.multiply(c, k, out=stage), out=stage)
 
-    # each node is the driver's p and p' on the grid, the dropped band zero-filled
+    # each node is the driver's p and p' on the grid, (B, 1, n) each, the dropped band zero-filled
     nodes = (rows[:, :, None] for rows in _advance_spectrum(v0, n, 0.5 * h, 2 * legs * per_leg, cut))
     end = next(nodes)
-    x = np.stack([np.stack([G.gamma1.samples, G.gamma2.samples], axis=1) for G in curves], axis=2)
-    sup = np.max(np.abs(x, out=mag), axis=(0, 1))
+    x = np.stack([np.stack([G.gamma1.samples, G.gamma2.samples]) for G in curves])
+    sup = np.max(np.abs(x, out=mag), axis=(1, 2))
     miss = "transported curve misses unit Wronskian; reduce ds or refine the grid"
     for _ in range(legs):
         for _ in range(per_leg):
@@ -275,12 +289,10 @@ def _transport(curves: tuple, s_end: float, ds: float, legs: int):
             k1 += k4
             x += np.multiply(h / 6.0, k1, out=k1)
             sup = _checked_sup(sup, x, h, "curve sup norm", mag)
-        moved = []
-        for b in range(B):
-            g1 = pf.PeriodicFn(x[:, 0, b], "antiperiodic")
-            g2 = pf.PeriodicFn(x[:, 1, b], "antiperiodic")
-            moved.append(cc._gated(g1, g2, StepUnstable, miss))
-        yield tuple(moved)
+        yield tuple(
+            cc._gated(pf.PeriodicFn(y1, "antiperiodic"), pf.PeriodicFn(y2, "antiperiodic"), StepUnstable, miss)
+            for y1, y2 in x
+        )
 
 
 def evolve_curve(

@@ -292,6 +292,7 @@ def test_zero_substeps_exits_2(tmp_path, capsys, argv):
         (("scan", "--lambda-min", "nan"), "--lambda-min"),
         (("scan", "--lambda-steps", 0), "--lambda-steps"),
         (("kdv", "--s-end", 0.01, "--ds", "nan"), "ds must be"),
+        (("kdv", "--s-end", "1e308", "--ds", "1e-10"), "s_end / ds must be"),
         (("backlund", "--c", "1e300"), "affine parameter 1e+300"),
         (("backlund", "--c", "1e-300"), "affine parameter 1e-300"),
     ],

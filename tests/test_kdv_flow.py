@@ -77,13 +77,23 @@ def test_potential_flow_rejects_bad_inputs():
 
 @pytest.mark.parametrize(
     "s_end, ds, name",
-    [(np.inf, 1e-4, "s_end"), (np.nan, 1e-4, "s_end"), (0.01, np.nan, "ds"), (0.01, np.inf, "ds")],
+    [
+        (np.inf, 1e-4, "s_end"),
+        (np.nan, 1e-4, "s_end"),
+        (0.01, np.nan, "ds"),
+        (0.01, np.inf, "ds"),
+        # finite arguments whose step count overflows a float
+        (1e308, 1e-10, "s_end / ds"),
+        (-1e308, 1e-10, "s_end / ds"),
+        (0.01, 5e-324, "s_end / ds"),
+    ],
 )
 def test_flows_reject_a_non_finite_time_naming_the_argument(s_end, ds, name):
     curve = cc.lift(cc.make_circle(64))
     for flow in (
         lambda: kf.evolve_potential(wave_potential(), s_end, ds),
         lambda: kf.evolve_curve(curve, s_end, ds),
+        lambda: kf.flow_trace(curve, s_end, ds),
     ):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             flow()
@@ -141,28 +151,30 @@ def test_potential_march_makes_eight_ffts_per_step(monkeypatch):
 def test_curve_transport_makes_24_ffts_per_step(monkeypatch):
     G = gentle_curve()
     counts = count_ffts(monkeypatch)
-    made = []
-    for s_end in (0.001, 0.002):  # 10 and 20 curve steps
-        before = dict(counts)
-        kf.evolve_curve(G, s_end, ds=1e-4)
-        made.append({k: counts[k] - before[k] for k in counts})
-    # per step: two half-step potential marches of four stage pairs, whose
-    # gating transforms carry the driving rows, and four field derivatives
-    assert {k: made[1][k] - made[0][k] for k in counts} == {"rfft": 10 * 12, "irfft": 10 * 12}
+    # one curve or two: each transform serves the whole batch
+    for curves in ((G,), (G, seeded_curve(5))):
+        made = []
+        for s_end in (0.001, 0.002):  # 10 and 20 curve steps
+            before = dict(counts)
+            kf.evolve_curve(curves, s_end, ds=1e-4)
+            made.append({k: counts[k] - before[k] for k in counts})
+        # per step: two half-step potential marches of four stage pairs, whose
+        # gating transforms carry the driving rows, and four field derivatives
+        assert {k: made[1][k] - made[0][k] for k in counts} == {"rfft": 10 * 12, "irfft": 10 * 12}
 
 
 def test_driving_rows_ride_the_gating_transform_bit_for_bit(monkeypatch):
     n = 128
     cut = 3 * (n // 2 + 1) // 4
-    # two columns with modes above the cut, so the driving rows differ from the full samples
-    p = np.stack([pf.random_band_limited(np.random.default_rng(s), n, max_mode=60).samples for s in (1, 2)], axis=1)
-    v0 = np.fft.rfft(p - 1.0, axis=0)
+    # three potentials with modes above the cut, so the driving rows differ from the full samples
+    p = np.stack([pf.random_band_limited(np.random.default_rng(s), n, max_mode=60).samples for s in (1, 2, 3)])
+    v0 = np.fft.rfft(p - 1.0)
     spectra = list(kf._advance_spectrum(v0, n, 1e-4, 3))
     irfft, gated = np.fft.irfft, []
 
     def recorded(a, *args, **kw):
         out = irfft(a, *args, **kw)
-        if np.ndim(a) == 3:  # the stacked gating transform; the stages transform (modes, columns)
+        if np.ndim(a) == 3:  # the stacked gating transform; the stages transform (batch, modes)
             gated.append(out[0])
         return out
 
@@ -171,9 +183,10 @@ def test_driving_rows_ride_the_gating_transform_bit_for_bit(monkeypatch):
     monkeypatch.undo()
     assert len(rows) == len(gated) == len(spectra) == 4
     for v, r, g in zip(spectra, rows, gated):
-        assert r.shape == (2, n, 2)
-        assert np.array_equal(r, pf.interpolate_modes(v[:cut], n, n))
-        assert np.array_equal(g, np.fft.irfft(v, n, axis=0))
+        assert r.shape == (2, 3, n)
+        # interpolate_modes takes the modes on axis 0 and returns (2, n, batch)
+        assert np.array_equal(r, pf.interpolate_modes(v[:, :cut].T, n, n).transpose(0, 2, 1))
+        assert np.array_equal(g, np.fft.irfft(v, n))
         assert not np.array_equal(r[0], g)
 
 
@@ -181,8 +194,8 @@ def test_driving_rows_and_spectra_outlive_later_steps():
     # the march works in buffers it reuses; what it yields must not alias them
     n = 128
     cut = 3 * (n // 2 + 1) // 4
-    p = np.stack([pf.random_band_limited(np.random.default_rng(s), n, max_mode=60).samples for s in (1, 2)], axis=1)
-    v0 = np.fft.rfft(p - 1.0, axis=0)
+    p = np.stack([pf.random_band_limited(np.random.default_rng(s), n, max_mode=60).samples for s in (1, 2)])
+    v0 = np.fft.rfft(p - 1.0)
     for march in (kf._advance_spectrum(v0, n, 1e-4, 8, cut), kf._advance_spectrum(v0, n, 1e-4, 8)):
         held = [next(march) for _ in range(3)]  # a curve step holds start, mid and end
         kept = [x.copy() for x in held]
@@ -193,7 +206,12 @@ def test_driving_rows_and_spectra_outlive_later_steps():
 
 
 def plain_march_step(v, n, h):
-    """One ETDRK4 step of the potential spectra v, written with allocating expressions."""
+    """One ETDRK4 step of the potential spectra v, written with allocating expressions.
+
+    The reference holds the batch on the last axis, (modes, B), and the
+    steppers hold it on the first: their bit-for-bit match also pins that
+    the layout moves no bit.
+    """
     e_full, e_half, q, f1, f2x2, f3 = (c[:, None] for c in kf._etdrk4_coeffs(n, h))
     mult = 1.5 * pf.rfft_derivative_factor(n, 1)[:, None]
 
@@ -247,7 +265,7 @@ def plain_transport(curves, h, steps):
     return x
 
 
-@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("batch", [1, 2, 3])
 def test_steppers_match_plain_allocating_steps_bit_for_bit(batch):
     # the steppers work in buffers; any change of an operand order, which moves
     # numpy's complex products at roundoff, shows here within 50 steps
@@ -275,8 +293,8 @@ def test_steppers_match_plain_allocating_steps_bit_for_bit(batch):
 def test_potential_march_gates_each_column_on_its_own():
     t = pf.grid(128)
     steep = -1.0 + 20.0 * np.cos(2 * t)  # sup 21, jumps to about 45 in one step of 0.01
-    flat = np.full(128, -100.0)  # a static column whose sup stays above that jump
-    v = np.fft.rfft(np.stack([flat, steep], axis=1), axis=0)
+    flat = np.full(128, -100.0)  # a static potential whose sup stays above that jump
+    v = np.fft.rfft(np.stack([flat, steep]))
     with pytest.raises(StepUnstable, match=r"jumped 21\.0 -> 44\.9"):
         for _ in kf._advance_spectrum(v, 128, 0.01, 10):
             pass
@@ -298,14 +316,17 @@ def test_curve_flow_zero_time_returns_input():
     assert kf.evolve_curve(pair, 0.0) is pair
 
 
-@pytest.mark.parametrize("strength", [0.35, 0.6])
-def test_curve_batch_equals_curves_moved_alone(strength):
+# three curves tell the batch axis from the (gamma1, gamma2) axis, which two would not
+@pytest.mark.parametrize(
+    "strengths", [(0.35, 0.35), (0.6, 0.6), (0.35, 0.6, 0.35)], ids=["0.35", "0.6", "0.35-0.6-0.35"]
+)
+def test_curve_batch_equals_curves_moved_alone(strengths):
     curves = tuple(
         cc.lift(cc.random_projective(np.random.default_rng([1, i]), 128, strength=strength))
-        for i in (0, 2)
+        for i, strength in zip((0, 2, 4), strengths)
     )
     moved = kf.evolve_curve(curves, 0.02)
-    assert isinstance(moved, tuple) and len(moved) == 2
+    assert isinstance(moved, tuple) and len(moved) == len(curves)
     for G, together in zip(curves, moved):
         alone = kf.evolve_curve(G, 0.02)
         assert np.array_equal(together.gamma1.samples, alone.gamma1.samples)
