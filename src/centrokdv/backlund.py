@@ -35,9 +35,10 @@ from .errors import (
 )
 from .riccati_monodromy import (
     DEFAULT_SUBSTEPS,
-    MonodromyMatrix,
+    MEET_TOL,
     RiccatiBranch,
     _check_branch,
+    _dominant_solution,
     _fixing_matrix,
     _reflect,
     conjugator,
@@ -134,17 +135,15 @@ def _shots(gamma: ProjectiveCurve, c_prs: tuple, branch: str, substeps: int) -> 
     closure bound counts the shot's substeps * n RK4 steps.  The minus
     branch is the plus image of the reflected curve, reflected back.  All
     constants are one moebius_monodromy call at lambda = c_prs, one step
-    c_pr h each over one field, and each image reads its own C-contiguous
-    trajectory, so it is bit for bit the image of its constant's shot alone
-    (numpy's matmul can round a non-contiguous stack differently); a map
-    beyond double range raises StepUnstable naming the first such constant.
+    c_pr h each over one field, and each image reads its own trajectory, so
+    it is bit for bit the image of its constant's shot alone; a map beyond
+    double range raises StepUnstable naming the first such constant.
     """
     base = gamma if branch == "plus" else _reflect_curve(gamma)
     _, trajectories = moebius_monodromy(base, np.asarray(c_prs), substeps, keep_trajectory=True)
     images = []
-    for traj in np.ascontiguousarray(trajectories.swapaxes(0, 1)):
-        (_, v), _ = MonodromyMatrix(traj[-1]).eigen_system()
-        w = traj @ v
+    for traj in trajectories:
+        _, w = _dominant_solution(traj)
         try:
             image = _from_angles(np.arctan2(w[:, 0], w[:, 1]), substeps * gamma.n)
         except NonMonotone as exc:
@@ -270,7 +269,7 @@ def superpose(
         raise ValueError(f"the corners lie on grids of {gamma.n}, {gamma1.n} and {gamma2.n} points")
     t = pf.grid(gamma.n)
     phi, phi1, phi2 = (t + curve.psi.samples for curve in (gamma, gamma1, gamma2))
-    meet = np.abs(np.sin(phi - phi2)) < 1e-12
+    meet = np.abs(np.sin(phi - phi2)) < MEET_TOL
     if meet.any():
         raise Degenerate(f"curves meet at t = {float(t[np.argmax(meet)])!r}: no conjugator")
     fix = _fixing_matrix((np.sin(phi), np.cos(phi)), (np.sin(phi2), np.cos(phi2)), mu)
@@ -317,12 +316,14 @@ def permutability_square(
     = T(gamma1, c2) takes branches[1].  A shot leg that starts more than
     match_tol from the corner raises MatchFailure; a match_tol that is not
     a positive number, or a bad label, raises ValueError before any
-    integration.  Both corners are returned so the caller can verify they
-    agree at every t.
+    integration, as does a branches that is not a pair of labels.  Both
+    corners are returned so the caller can verify they agree at every t.
     """
     mu = _square_weight(c1_pr, c2_pr)
     if not match_tol > 0.0:  # NaN compares false, so it cannot switch the gate off
         raise ValueError(f"match_tol must be a positive number, got {match_tol!r}")
+    if len(branches) != 2:
+        raise ValueError(f"branches must be a pair of labels, got {branches!r}")
     for branch in branches:
         _check_branch(branch)
     if branches[0] == branches[1]:

@@ -9,7 +9,8 @@ antiperiodic data, and the unpaired Nyquist mode cos(Nt) last.  The
 derivative multiplier (ij)^k is the same for both parities.  Periodic
 interpolation reads the extension's even modes from the N-point rfft.
 All operations act on the trigonometric interpolant and are exact for
-band-limited data up to roundoff.
+band-limited data up to roundoff.  Kernels on raw arrays transform along
+the last axis, the grid or the modes; any leading axes are a batch.
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ def constant(value: float, n: int) -> PeriodicFn:
 
 
 def _extension_modes(samples: np.ndarray, parity: str) -> np.ndarray:
-    """rfft along axis 0 of the 2pi-periodic extension [f, +-f] on 2n points; mode j is e^{ijt}."""
-    return np.fft.rfft(np.concatenate([samples, _WRAP_SIGN[parity] * samples]), axis=0)
+    """rfft of the 2pi-periodic extension [f, +-f] on 2n points along the last axis; mode j is e^{ijt}."""
+    return np.fft.rfft(np.concatenate([samples, _WRAP_SIGN[parity] * samples], axis=-1))
 
 
 def _coefficients(f: PeriodicFn) -> np.ndarray:
@@ -204,14 +205,13 @@ def _check_derivative(order: int, parity: str) -> None:
 
 
 def _derivative_from_modes(modes: np.ndarray, order: int) -> np.ndarray:
-    """The order-th derivative's n samples from the n + 1 extension modes along axis 0."""
-    n = modes.shape[0] - 1
-    mult = _derivative_factor(n, order).reshape((-1,) + (1,) * (modes.ndim - 1))
-    return np.fft.irfft(mult * modes, 2 * n, axis=0)[:n]
+    """The order-th derivative's n samples from the n + 1 extension modes along the last axis."""
+    n = modes.shape[-1] - 1
+    return np.fft.irfft(_derivative_factor(n, order) * modes, 2 * n)[..., :n]
 
 
 def differentiate_samples(samples: np.ndarray, parity: str, order: int = 1) -> np.ndarray:
-    """Spectral derivative of raw samples along axis 0 (trailing axes are columns); order 1, 2 or 3."""
+    """Spectral derivative of raw samples along the last axis (leading axes are a batch); order 1, 2 or 3."""
     _check_derivative(order, parity)
     return _derivative_from_modes(_extension_modes(samples, parity), order)
 
@@ -267,16 +267,15 @@ def interpolate_modes(modes: np.ndarray, n: int, m: int, parity: str = "periodic
     """Rows f and f' on the m-point grid from the leading modes of n samples.
 
     Periodic modes are the n-point rfft (the extension's even modes),
-    antiperiodic ones the extension's; modes runs along axis 0, scaled by
-    m / n with the Nyquist mode split if m > n, and trailing axes are
-    columns; the missing modes are zero.  One irfft returns shape (2, m) +
-    columns; the slope zeroes the Nyquist mode.
+    antiperiodic ones the extension's; modes runs along the last axis,
+    scaled by m / n with the Nyquist mode split if m > n, and leading axes
+    are a batch; the missing modes are zero.  One irfft returns shape
+    (2,) + batch + (m,); the slope zeroes the Nyquist mode.
     """
     factor, size = _derivative_factor(n, 1), 2 * m
     if parity == "periodic":
         factor, size = factor[::2], m
-    slope = factor[: modes.shape[0]].reshape((-1,) + (1,) * (modes.ndim - 1))
-    return np.fft.irfft(np.stack([modes, slope * modes]), size, axis=1)[:, :m]
+    return np.fft.irfft(np.stack([modes, factor[: modes.shape[-1]] * modes]), size)[..., :m]
 
 
 def _resampling_modes(samples: np.ndarray, m: int, parity: str) -> np.ndarray:
@@ -287,7 +286,7 @@ def _resampling_modes(samples: np.ndarray, m: int, parity: str) -> np.ndarray:
     self-conjugate Nyquist coefficient cos(n t) is split between
     frequencies +-n.
     """
-    n = samples.shape[0]
+    n = samples.shape[-1]
     if m < n or m % 2 or parity not in _WRAP_SIGN:
         raise ValueError("target sample count must be even and >= current, and parity known")
     if parity == "periodic":
@@ -295,7 +294,7 @@ def _resampling_modes(samples: np.ndarray, m: int, parity: str) -> np.ndarray:
     else:
         c = _extension_modes(samples, parity) * (m / n)
     if m > n:
-        c[-1] *= 0.5
+        c[..., -1] *= 0.5
     return c
 
 
@@ -305,8 +304,8 @@ def values_and_slopes_with_wrap(samples: np.ndarray, m: int, parity: str = "peri
     The one interpolation of samples of either parity; upsample synthesizes
     its value row alone from the same modes.
     """
-    vals = interpolate_modes(_resampling_modes(samples, m, parity), samples.shape[0], m, parity)
-    return np.concatenate([vals, _WRAP_SIGN[parity] * vals[:, :1]], axis=1)
+    vals = interpolate_modes(_resampling_modes(samples, m, parity), samples.shape[-1], m, parity)
+    return np.concatenate([vals, _WRAP_SIGN[parity] * vals[..., :1]], axis=-1)
 
 
 def shift(f: PeriodicFn, s: float) -> PeriodicFn:
@@ -317,9 +316,9 @@ def shift(f: PeriodicFn, s: float) -> PeriodicFn:
 
 @lru_cache(maxsize=None)
 def _diff_matrix(n: int) -> np.ndarray:
-    # an owned copy: the derivative is the first half of the 2n x n extension,
-    # which the cache would otherwise keep alive at twice the matrix's size
-    d = differentiate_samples(np.eye(n), "periodic").copy()
+    # D transposes the derivative of the identity's rows; an owned copy, since that view
+    # holds the n x 2n extension, which the cache would otherwise keep alive at twice D's size
+    d = differentiate_samples(np.eye(n), "periodic").T.copy()
     d.flags.writeable = False
     return d
 

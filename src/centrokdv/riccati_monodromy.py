@@ -39,11 +39,9 @@ each run, multiply exactly the tree's pairs, and their later passes at
 those rows multiply only rows of the same kind, a prefix over the run
 products.  So every kept row is bit for bit the row s = 1 gives.  Other
 strides take blocks of s * (TRANSFER_CHUNK // s) steps, whole runs, and
-their rows move at roundoff.  The trajectory keeps its public layout, a
-C-contiguous (K/s + 1,) + batch + (2, 2) array, written block by block
-through a transposed view: the shots read their Floquet solutions as
-traj @ v, which numpy sends to BLAS on a contiguous stack and to its own
-loop on a strided one, and the two differ at roundoff.
+their rows move at roundoff.  A trajectory is batch first too, batch +
+(K/s + 1, 2, 2): each batch entry is a C-contiguous stack, off which every
+shot reads its Floquet solution (_dominant_solution).
 Eigen-structure of the resulting 2x2 matrices drives everything else:
 branch labels, fixed points in RP^1, and spectral invariants.
 
@@ -103,6 +101,7 @@ DEFAULT_SUBSTEPS = 8
 SHOT_STEPS = 256
 SHOT_MIN_SUBSTEPS = 2
 PARABOLIC_TOL = 1e-9
+MEET_TOL = 1e-12  # |sin(chi_g - chi_d)| below which two points of RP^1 meet: no conjugator separates them
 _BRANCHES = ("plus", "minus")
 TRANSFER_CHUNK = 256  # RK4 steps per pairing block of the tree and prefix products
 TRANSFER_ELEMENTS = 2**14  # budget of step-map elements (blocks x TRANSFER_CHUNK x batch) reduced at once; at least one block
@@ -181,16 +180,6 @@ def _shot_substeps(n: int) -> int:
     return min(DEFAULT_SUBSTEPS, max(SHOT_MIN_SUBSTEPS, -(-SHOT_STEPS // n)))
 
 
-def _last_first(x: np.ndarray) -> np.ndarray:
-    """A view of x with its last axis moved to the front; iterating it yields the
-    entries along that axis in order, np.float64 scalars for a 1-d x.
-
-    A transpose, not np.moveaxis, whose axis checks cost several times more
-    per call, which the unbatched transfers would feel.
-    """
-    return x.transpose((x.ndim - 1,) + tuple(range(x.ndim - 1)))
-
-
 def _chunked_product(step_maps, steps: int, batch: tuple, stride: int | None):
     """X(t_k) = P_{k-1} ... P_0 from step maps reduced in blocks of TRANSFER_CHUNK steps.
 
@@ -212,14 +201,13 @@ def _chunked_product(step_maps, steps: int, batch: tuple, stride: int | None):
     result is bit for bit the same, while memory stays flat in the step
     count.  Returns the final matrix, of shape batch + (2, 2), or the
     trajectory at every s-th step point, so at every grid point for
-    s = substeps, in its C-contiguous layout (steps // s + 1,) + batch + (2, 2).
+    s = substeps, of shape batch + (steps // s + 1, 2, 2).
     """
     running = (np.ones(batch), np.zeros(batch), np.zeros(batch), np.ones(batch))
     chunk = TRANSFER_CHUNK if stride is None else stride * max(1, TRANSFER_CHUNK // stride)
     if stride is not None:
-        traj = np.empty((steps // stride + 1,) + batch + (2, 2))
-        traj[0] = np.eye(2)
-        working = tuple(range(2, len(batch) + 2)) + (0, 1, -2, -1)
+        traj = np.empty(batch + (steps // stride + 1, 2, 2))
+        traj[..., 0, :, :] = np.eye(2)
     group = chunk * max(1, TRANSFER_ELEMENTS // (chunk * math.prod(batch)))
     whole = steps - steps % chunk
     bounds = [(lo, min(lo + group, whole)) for lo in range(0, whole, group)]
@@ -230,14 +218,14 @@ def _chunked_product(step_maps, steps: int, batch: tuple, stride: int | None):
         runs = 1 if stride is None else size // stride
         p = tuple(x.reshape(batch + (-1, runs, size // runs)) for x in step_maps(lo, hi))
         p = _prefix_products(_tree_product(p))
-        starts = []  # the running matrix entering each block
-        for last in zip(*(_last_first(x[..., -1]) for x in p)):
+        # the running matrix entering each block; .T puts the blocks first, the batch being at most 1-d
+        starts = []
+        for last in zip(*(x[..., -1].T for x in p)):
             starts.append(running)
             running = _mul(last, running)
         if stride is not None:
             starts = [np.stack(x, axis=-1)[..., None] for x in zip(*starts)]
-            # traj's rows of this group, viewed in the working layout batch + (blocks, runs, 2, 2)
-            out = traj[lo // stride + 1 : hi // stride + 1].reshape((-1, runs) + batch + (2, 2)).transpose(working)
+            out = traj[..., lo // stride + 1 : hi // stride + 1, :, :].reshape(batch + (-1, runs, 2, 2))
             for x, y in zip(_components(out), _mul(p, starts)):
                 x[...] = y
     if stride is not None:
@@ -268,9 +256,8 @@ def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, stride: int | None 
     they are built once, over all K steps, and each batch entry's step
     size costs one Horner evaluation per step.  Where q is identically
     zero, C3 and C4 vanish and the polynomial is the quadratic
-    I + h (C1 + h C2).  The step maps are held batch first, step last
-    (components of shape batch + (K,)), so every pass runs along
-    contiguous steps; _chunked_product multiplies them.
+    I + h (C1 + h C2).  _chunked_product multiplies the step maps, held
+    batch first, step last.
     """
     b0, bm, b1 = _components(b_half[:-1:2]), _components(b_half[1::2]), _components(b_half[2::2])
     q = np.asarray(square, dtype=float)
@@ -309,7 +296,7 @@ def _ranged_transfer(b_half: np.ndarray, h, stride: int | None = None, *, square
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = _rk4_transfer(b_half, h, stride, square=square)
-    largest = np.abs(out if stride is None else out[-1]).max(axis=(-2, -1))
+    largest = np.abs(out if stride is None else out[..., -1, :, :]).max(axis=(-2, -1))
     held = largest <= _LARGEST_ENTRY  # false for NaN too
     if not held.all():
         k = np.unravel_index(np.argmin(held), held.shape)
@@ -545,6 +532,13 @@ def _floquet_solve(factor: _FloquetFactor, kappa: np.ndarray, rhs: np.ndarray) -
     return g - (np.mean((rhs + kappa * g) * alternating) / np.mean(kappa)) * alternating
 
 
+def _dominant_solution(traj: np.ndarray):
+    """(mu, traj @ v): the dominant Floquet solution along one trajectory, v and mu
+    the larger eigenvalue's direction and value of its period map traj[-1]."""
+    (mu, v), _ = MonodromyMatrix(traj[-1]).eigen_system()
+    return mu, traj @ v
+
+
 def _plus_branch(potential: pf.PeriodicFn, c_aff: float):
     """Polished node values of the plus branch's w, and its Floquet factor.
 
@@ -554,11 +548,10 @@ def _plus_branch(potential: pf.PeriodicFn, c_aff: float):
     """
     substeps = _shot_substeps(potential.n)
     try:
-        mono, traj = hill_fundamental(potential + 1.0 / c_aff**2, substeps=substeps, keep_trajectory=True)
+        _, traj = hill_fundamental(potential + 1.0 / c_aff**2, substeps=substeps, keep_trajectory=True)
     except StepUnstable as exc:
         raise StepUnstable(f"plane shot at c = {c_aff!r}: {exc}") from None
-    (mu, v), _ = mono.eigen_system()
-    sol = traj @ v
+    mu, sol = _dominant_solution(traj)
     u, du = sol[:, 0], sol[:, 1]
     if np.any(u[:-1] * u[1:] <= 0.0):
         raise BranchSingular("u vanishes on [0, pi], the solution w has a pole")
@@ -680,7 +673,7 @@ def moebius_monodromy(
     MonodromyMatrix, an array the stacked maps, of shape lam.shape + (2, 2).
     With keep_trajectory, also return the fundamental matrix at every grid
     point (n + 1 of them, every substeps-th RK4 step point), of shape
-    (n + 1,) + lam.shape + (2, 2).  A lambda that is not finite, or an array
+    lam.shape + (n + 1, 2, 2).  A lambda that is not finite, or an array
     that is empty or not 1-d, raises ValueError before any field is built.
     A map beyond double range (_ranged_transfer) raises StepUnstable naming
     the first lambda past range and its RK4 step lambda h, which at such a
@@ -697,11 +690,10 @@ def moebius_monodromy(
     out = _ranged_transfer(
         _angle_b_half(gamma, substeps), steps, substeps if keep_trajectory else None, square=0.0, what=what
     )
-    if lam.ndim:
-        return (out[-1], out) if keep_trajectory else out
-    if keep_trajectory:
-        return MonodromyMatrix(out[-1]), out
-    return MonodromyMatrix(out)
+    maps = out[..., -1, :, :] if keep_trajectory else out
+    if not lam.ndim:
+        maps = MonodromyMatrix(maps)
+    return (maps, out) if keep_trajectory else maps
 
 
 @dataclass(frozen=True)
@@ -786,6 +778,6 @@ def conjugator(
     """
     chi_g = float(gamma.phi(t))
     chi_d = float(delta.phi(t))
-    if abs(np.sin(chi_g - chi_d)) < 1e-12:
+    if abs(np.sin(chi_g - chi_d)) < MEET_TOL:
         raise Degenerate(f"curves meet at t = {t!r}: no conjugator")
     return _fixing_matrix((np.sin(chi_g), np.cos(chi_g)), (np.sin(chi_d), np.cos(chi_d)), mu)

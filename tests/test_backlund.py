@@ -314,7 +314,7 @@ def test_permutability_square_shoots_three_legs(branches, monkeypatch):
 @pytest.mark.parametrize("substeps", [1, 3, 8])
 @pytest.mark.parametrize("n", [64, 128, 2048])
 def test_batched_shot_is_each_constants_single_shot_bit_for_bit(n, substeps, label):
-    # each constant's column of the batched transfer, read contiguous, is its own shot;
+    # each constant's entry of the batched transfer is its own shot;
     # where a single shot fails its closure gate the batch fails the same way
     gamma = cc.random_projective(np.random.default_rng(1), n, 0.35)
     base = gamma if label == "plus" else bk._reflect_curve(gamma)
@@ -322,12 +322,12 @@ def test_batched_shot_is_each_constants_single_shot_bit_for_bit(n, substeps, lab
     h = rm._step_size(substeps, n)
     batched = rm._rk4_transfer(b_half, np.array([5.0 * h, 3.0 * h]), substeps, square=0.0)
     maps, trajectories = rm.moebius_monodromy(base, [5.0, 3.0], substeps, keep_trajectory=True)
-    assert trajectories.shape == (n + 1, 2, 2, 2) and np.array_equal(maps, trajectories[-1])
+    assert trajectories.shape == (2, n + 1, 2, 2) and np.array_equal(maps, trajectories[:, -1])
     for j, c_pr in enumerate((5.0, 3.0)):
-        assert np.array_equal(batched[:, j], rm._rk4_transfer(b_half, c_pr * h, substeps, square=0.0))
-        # the columns of the batched period map are the single-constant maps and trajectories
+        assert np.array_equal(batched[j], rm._rk4_transfer(b_half, c_pr * h, substeps, square=0.0))
+        # the entries of the batched period map are the single-constant maps and trajectories
         single, traj = rm.moebius_monodromy(base, c_pr, substeps, keep_trajectory=True)
-        assert np.array_equal(maps[j], single.m) and np.array_equal(trajectories[:, j], traj)
+        assert np.array_equal(maps[j], single.m) and np.array_equal(trajectories[j], traj)
     singles = []
     for c_pr in (5.0, 3.0):
         try:
@@ -499,6 +499,15 @@ def test_permutability_rejects_a_bad_match_tolerance_before_integrating(match_to
     monkeypatch.setattr(rm, "_rk4_transfer", lambda *a, **kw: legs.append(1))
     with pytest.raises(ValueError, match="match_tol must be a positive number"):
         bk.permutability_square(cc.make_circle(64), 4.0, 9.0, match_tol=match_tol)
+    assert legs == []
+
+
+@pytest.mark.parametrize("branches", [("minus",), ("minus", "minus", "plus")])
+def test_permutability_rejects_branches_that_are_not_a_pair_before_integrating(branches, monkeypatch):
+    legs = []
+    monkeypatch.setattr(rm, "_rk4_transfer", lambda *a, **kw: legs.append(1))
+    with pytest.raises(ValueError, match="branches must be a pair of labels"):
+        bk.permutability_square(cc.make_circle(64), 4.0, 9.0, branches=branches)
     assert legs == []
 
 

@@ -304,6 +304,17 @@ def test_bad_numbers_exit_2_naming_the_argument(tmp_path, capsys, argv, name):
     assert err.startswith("ERROR ValueError:") and name in err
 
 
+@pytest.mark.parametrize("argv", [("--s-end", "1e300"), ("--s-end", 0.02, "--samples", 10**12)])
+def test_kdv_refuses_a_flow_too_long_to_finish_before_writing(tmp_path, capsys, monkeypatch, argv):
+    trig = gen_trig(tmp_path)
+    monkeypatch.setattr(kf, "_advance_spectrum", lambda *a, **kw: pytest.fail("started the march"))
+    out = tmp_path / "trace.csv"
+    assert run("kdv", "--input", trig, *argv, "--output", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR ValueError: s_end = ") and "takes over 10000000 steps" in err
+    assert not out.exists()
+
+
 def test_selfcheck_passes(capsys):
     assert run("selfcheck", "--n", 128, "--seed", 7) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,34 @@ def test_flows_reject_a_non_finite_time_naming_the_argument(s_end, ds, name):
             flow()
 
 
+@pytest.mark.parametrize(
+    "s_end, ds, legs",
+    [(1e300, kf.DEFAULT_DS, 1), (-1e300, kf.DEFAULT_DS, 1), (1e-3, kf.DEFAULT_DS, 10**12), (2e3, kf.DEFAULT_DS, 1)],
+)
+def test_flows_refuse_a_pass_too_long_to_finish_before_any_transform(monkeypatch, s_end, ds, legs):
+    # a finite step count beyond MAX_FLOW_STEPS would run for hours or forever
+    monkeypatch.setattr(kf, "_advance_spectrum", lambda *a, **kw: pytest.fail("started the march"))
+    monkeypatch.setattr(kf, "curvature", lambda *a, **kw: pytest.fail("took a curvature"))
+    curve = cc.lift(cc.make_circle(64))
+    flows = [lambda: kf.flow_trace(curve, s_end, ds, samples=legs)]
+    if legs == 1:
+        flows += [lambda: kf.evolve_potential(wave_potential(), s_end, ds), lambda: kf.evolve_curve(curve, s_end, ds)]
+    message = f"s_end = {s_end!r} at ds = {ds!r} in {legs} legs takes over 10000000 steps"
+    for flow in flows:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            flow()
+
+
+def test_step_count_allows_max_flow_steps_over_all_legs():
+    # ds = 0.5 is exact, so the counts are too
+    top = 0.5 * kf.MAX_FLOW_STEPS
+    assert kf._step_count(top, 0.5) == kf.MAX_FLOW_STEPS
+    assert kf._step_count(top, 0.5, legs=10) == kf.MAX_FLOW_STEPS // 10
+    for legs in (1, 10):
+        with pytest.raises(ValueError, match=f"in {legs} legs takes over"):
+            kf._step_count(top + 0.5 * legs, 0.5, legs)
+
+
 def test_potential_flow_conserves_hamiltonians():
     p0 = wave_potential()
     h1a, h2a = iv.hamiltonians(p0)
@@ -184,8 +214,7 @@ def test_driving_rows_ride_the_gating_transform_bit_for_bit(monkeypatch):
     assert len(rows) == len(gated) == len(spectra) == 4
     for v, r, g in zip(spectra, rows, gated):
         assert r.shape == (2, 3, n)
-        # interpolate_modes takes the modes on axis 0 and returns (2, n, batch)
-        assert np.array_equal(r, pf.interpolate_modes(v[:, :cut].T, n, n).transpose(0, 2, 1))
+        assert np.array_equal(r, pf.interpolate_modes(v[:, :cut], n, n))
         assert np.array_equal(g, np.fft.irfft(v, n))
         assert not np.array_equal(r[0], g)
 
@@ -247,7 +276,7 @@ def plain_transport(curves, h, steps):
     v[cut:] = 0.0
 
     def driver(v):
-        return tuple(row[:, None] for row in pf.interpolate_modes(v[:cut], n, n))
+        return tuple(row.T[:, None] for row in pf.interpolate_modes(v[:cut].T, n, n))
 
     x = np.stack([np.stack([G.gamma1.samples, G.gamma2.samples], axis=1) for G in curves], axis=2)
     end = driver(v)

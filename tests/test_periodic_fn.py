@@ -51,12 +51,12 @@ def test_derivatives_exact_on_modes():
 def test_differentiate_samples_matches_columnwise(parity, order):
     rng = np.random.default_rng(11)
     cols = [pf.random_band_limited(rng, 64, max_mode=5, parity=parity) for _ in range(2)]
-    both = pf.differentiate_samples(np.stack([c.samples for c in cols], axis=1), parity, order)
-    assert both.shape == (64, 2)
+    both = pf.differentiate_samples(np.stack([c.samples for c in cols]), parity, order)
+    assert both.shape == (2, 64)
     for k, col in enumerate(cols):
         ref = pf.differentiate(col, order).samples
-        # same arithmetic per column; only the FFT batching may differ
-        assert np.max(np.abs(both[:, k] - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+        # same arithmetic per row; only the FFT batching may differ
+        assert np.max(np.abs(both[k] - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -227,6 +227,20 @@ def test_antiperiodic_interpolation_has_the_same_path(m):
 
 
 @pytest.mark.parametrize("parity", ["periodic", "antiperiodic"])
+def test_a_stack_of_rows_interpolates_and_differentiates_row_by_row(parity):
+    # leading axes are a batch for either parity: the periodic n-point rfft and
+    # the extension's transform both run along the last axis
+    rng = np.random.default_rng(13)
+    rows = [pf.random_band_limited(rng, 32, max_mode=15, parity=parity) for _ in range(3)]
+    both = pf.values_and_slopes_with_wrap(np.stack([f.samples for f in rows]), 96, parity)
+    assert both.shape == (2, 3, 97)
+    for k, f in enumerate(rows):
+        ref = pf.values_and_slopes_with_wrap(f.samples, 96, parity)
+        # same arithmetic per row; only the FFT batching may differ
+        assert np.max(np.abs(both[:, k] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("parity", ["periodic", "antiperiodic"])
 def test_derivatives_share_one_transform_bit_for_bit(parity):
     f = pf.random_band_limited(np.random.default_rng(7), 64, max_mode=20, parity=parity)
     for got, order in zip(pf.derivatives(f, 1, 2, 3), (1, 2, 3)):
@@ -262,7 +276,7 @@ def test_diff_matrix_cache_owns_its_real_array():
     n = 48
     d = pf._diff_matrix(n)
     assert d.base is None and d.dtype == np.float64 and not d.flags.writeable
-    assert np.array_equal(d, pf.differentiate_samples(np.eye(n), "periodic"))
+    assert np.array_equal(d, pf.differentiate_samples(np.eye(n), "periodic").T)
 
 
 def test_solve_linear_periodic_resonant():

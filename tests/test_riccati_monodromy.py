@@ -27,8 +27,8 @@ def sequential_rk4(b_half, h, stride=None, square=None):
 
     Takes what _rk4_transfer takes: one field of shape (2K+1, 2, 2) and a
     step size h, a scalar or a 1-d batch of them.  With a stride s it
-    returns every s-th step point of the trajectory, as _rk4_transfer
-    does, in a C-contiguous stack.  square is accepted and ignored, so this
+    returns every s-th step point of the trajectory, batch first, as
+    _rk4_transfer does.  square is accepted and ignored, so this
     can stand in for _rk4_transfer: the stages use B itself, not the closed
     form of B^2.
     """
@@ -44,7 +44,7 @@ def sequential_rk4(b_half, h, stride=None, square=None):
         k4 = b1 @ (m + h * k3)
         m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         traj.append(m)
-    return m if stride is None else np.stack(traj[::stride])
+    return m if stride is None else np.stack(traj[::stride], axis=-3)
 
 
 def smooth_coefficients(steps, seed):
@@ -94,10 +94,10 @@ def assert_matches_sequential_rk4(fields, steps, batch):
         assert np.max(np.abs(m - ref)) <= 1e-13 * np.max(np.abs(ref)), name
         traj = rm._rk4_transfer(b, h, 1, square=square)
         ref = sequential_rk4(b, h, 1)
-        assert traj.shape == (steps + 1,) + batch + (2, 2), name
-        assert np.array_equal(traj[0], np.broadcast_to(np.eye(2), batch + (2, 2))), name
+        assert traj.shape == batch + (steps + 1, 2, 2), name
+        assert np.array_equal(traj[..., 0, :, :], np.broadcast_to(np.eye(2), batch + (2, 2))), name
         assert np.max(np.abs(traj - ref)) <= 1e-13 * np.max(np.abs(ref)), name
-        assert np.max(np.abs(traj[-1] - m)) <= 1e-13 * np.max(np.abs(m)), name
+        assert np.max(np.abs(traj[..., -1, :, :] - m)) <= 1e-13 * np.max(np.abs(m)), name
 
 
 @pytest.mark.parametrize("batch", [(), (21,)])
@@ -155,8 +155,8 @@ def per_block_product(step_maps, steps, batch, stride):
 
     chunk = rm.TRANSFER_CHUNK if stride is None else stride * max(1, rm.TRANSFER_CHUNK // stride)
     running = (np.ones(batch), np.zeros(batch), np.zeros(batch), np.ones(batch))
-    traj = np.empty((steps // (stride or 1) + 1,) + batch + (2, 2))
-    traj[0] = np.eye(2)
+    traj = np.empty(batch + (steps // (stride or 1) + 1, 2, 2))
+    traj[..., 0, :, :] = np.eye(2)
     for lo in range(0, steps, chunk):
         hi = min(lo + chunk, steps)
         p = step_maps(lo, hi)
@@ -165,8 +165,8 @@ def per_block_product(step_maps, steps, batch, stride):
             continue
         runs = tree([x.reshape(batch + (-1, stride)) for x in p])
         chunk_traj = rm._mul(prefix(runs), tuple(x[..., None] for x in running))
-        for x, y in zip(rm._components(traj[lo // stride + 1 : hi // stride + 1]), chunk_traj):
-            x[...] = np.moveaxis(y, -1, 0)
+        for x, y in zip(rm._components(traj[..., lo // stride + 1 : hi // stride + 1, :, :]), chunk_traj):
+            x[...] = y
         running = tuple(x[..., -1] for x in chunk_traj)
     return np.stack(running, axis=-1).reshape(batch + (2, 2)) if stride is None else traj
 
@@ -203,8 +203,8 @@ def test_strided_rows_are_every_stride_th_row_of_the_full_trajectory_bit_for_bit
     step_maps = random_step_maps(steps, batch, stride)
     full = rm._chunked_product(step_maps, steps, batch, 1)
     strided = rm._chunked_product(step_maps, steps, batch, stride)
-    assert strided.shape == (steps // stride + 1,) + batch + (2, 2) and strided.flags.c_contiguous
-    assert strided.tobytes() == np.ascontiguousarray(full[::stride]).tobytes()
+    assert strided.shape == batch + (steps // stride + 1, 2, 2) and strided.flags.c_contiguous
+    assert strided.tobytes() == np.ascontiguousarray(full[..., ::stride, :, :]).tobytes()
 
 
 def test_callers_keep_their_transfer_shapes():
@@ -217,8 +217,7 @@ def test_callers_keep_their_transfer_shapes():
 
 
 def test_trajectories_are_c_contiguous_in_their_public_layout():
-    # traj @ v goes to BLAS on a contiguous stack and to numpy's own loop on a
-    # strided view, which differ at roundoff; the shots read their solutions that way
+    # batch first, steps last: every batch entry is a C-contiguous stack, off which the shots read their solutions
     gamma = cc.random_projective(np.random.default_rng(1), 128, strength=0.35)
     _, traj = rm.hill_fundamental(cc.curvature(cc.lift(gamma)), substeps=2, keep_trajectory=True)
     assert traj.shape == (2 * 128 + 1, 2, 2) and traj.flags.c_contiguous
@@ -227,7 +226,7 @@ def test_trajectories_are_c_contiguous_in_their_public_layout():
     steps = 2 * rm.TRANSFER_CHUNK + 3
     for name, b, h, square in traceless_fields(steps, (21,)):
         traj = rm._rk4_transfer(b, h, 1, square=square)
-        assert traj.shape == (steps + 1, 21, 2, 2) and traj.flags.c_contiguous, name
+        assert traj.shape == (21, steps + 1, 2, 2) and traj.flags.c_contiguous, name
 
 
 def test_angle_field_is_the_four_quotient_field_bit_for_bit():
