@@ -20,6 +20,8 @@ from .curve_core import (
     ProjectiveCurve,
     _from_angles,
     _gated,
+    _pair,
+    _reflect_curve,
     curvature,
     projective_distance,
     wrap_half_pi,
@@ -40,7 +42,6 @@ from .riccati_monodromy import (
     _check_branch,
     _dominant_solution,
     _fixing_matrix,
-    _reflect,
     conjugator,
     conjugator_affine,
     moebius_apply_angle,
@@ -100,10 +101,19 @@ class BacklundResult:
 
 
 def plane_map(Gamma: CentroAffineCurve, potential: pf.PeriodicFn, w: pf.PeriodicFn, c_aff: float):
-    """Ungated build step: components w Gamma_i + c Gamma_i' and image potential p + 2 w'/c."""
-    g1 = w * Gamma.gamma1 + c_aff * pf.differentiate(Gamma.gamma1)
-    g2 = w * Gamma.gamma2 + c_aff * pf.differentiate(Gamma.gamma2)
-    return g1, g2, potential + (2.0 / c_aff) * pf.differentiate(w)
+    """Ungated build step: components w Gamma_i + c Gamma_i' and image potential p + 2 w'/c.
+
+    Transform budget: one rfft and one irfft for both components'
+    derivatives, and one of each for w'.
+    """
+    if w.parity != "periodic":
+        raise ValueError("cannot add functions of different parity")
+    if w.n != Gamma.n:
+        raise ValueError("sample counts differ")
+    G = _pair(Gamma.gamma1, Gamma.gamma2)
+    g1, g2 = w.samples * G + pf.differentiate_samples(G, "antiperiodic") * float(c_aff)
+    image_potential = potential + (2.0 / c_aff) * pf.differentiate(w)
+    return pf.PeriodicFn(g1, "antiperiodic"), pf.PeriodicFn(g2, "antiperiodic"), image_potential
 
 
 def apply_tc(Gamma: CentroAffineCurve, c_aff: float, branch: str = "minus") -> BacklundResult:
@@ -120,11 +130,6 @@ def apply_tc(Gamma: CentroAffineCurve, c_aff: float, branch: str = "minus") -> B
     sol = riccati_branch(pot, c_aff, branch)
     g1, g2, image_curvature = plane_map(Gamma, pot, sol.solution, c_aff)
     return BacklundResult(_gated(g1, g2, OffUnity, "image"), sol, image_curvature, param)
-
-
-def _reflect_curve(gamma: ProjectiveCurve) -> ProjectiveCurve:
-    """The curve with angle pi - phi(pi - t), i.e. psi(t) -> -psi(pi - t); an involution."""
-    return ProjectiveCurve(pf.PeriodicFn(-_reflect(gamma.psi.samples), "periodic"))
 
 
 def _shots(gamma: ProjectiveCurve, c_prs: tuple, branch: str, substeps: int) -> list:
@@ -169,6 +174,9 @@ def apply_tc_projective(
     involution psi(t) -> -psi(pi - t) that leaves the angle equation
     invariant.  An image that does not advance by exactly pi over one
     period, or whose angle stalls (it meets gamma), raises BranchSingular.
+    Transform budget at either label: one rfft and one irfft to interpolate
+    the shot curve, and one of each for the image's monotonicity check; the
+    reflections make none (curve_core._reflect_curve).
     """
     param_convert(c_pr, "projective")
     _check_branch(branch)  # a bad label fails before the integration

@@ -79,7 +79,6 @@ def _cmd_backlund(args) -> int:
     param = bk.param_convert(args.c, args.c_kind)  # a bad constant is refused before the curve is lifted
     G = _load_plane(args.input)
     res = bk.apply_tc(G, param.c_aff, args.branch)
-    cc.save_curve(res.image, args.output)
     report = {
         "c_aff": param.c_aff,
         "c_pr": param.c_pr,
@@ -87,7 +86,10 @@ def _cmd_backlund(args) -> int:
         "before": iv.invariant_report(G),
         "after": iv.invariant_report(res.image),
     }
+    # the whole report is computed before any write, and written before the image,
+    # so a failure or an unwritable --report leaves no image behind
     _print_json(report, args.report)
+    cc.save_curve(res.image, args.output)
     return 0
 
 

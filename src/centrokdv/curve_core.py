@@ -42,12 +42,26 @@ __all__ = [
 WRONSKIAN_TOL = 1e-9
 
 
+def _pair(g1: pf.PeriodicFn, g2: pf.PeriodicFn) -> np.ndarray:
+    """The (2, n) stack of two components of one parity, so that one transform serves both."""
+    if g1.n != g2.n:
+        raise ValueError("sample counts differ")
+    if g1.parity != g2.parity:
+        raise ValueError("components differ in parity")
+    return np.stack([g1.samples, g2.samples])
+
+
 def _wronskian(g1: pf.PeriodicFn, g2: pf.PeriodicFn) -> pf.PeriodicFn:
-    return g1 * pf.differentiate(g2) - g2 * pf.differentiate(g1)
+    """[Gamma, Gamma'] = g1 g2' - g2 g1', both derivatives from one rfft and one irfft."""
+    d1, d2 = pf.differentiate_samples(_pair(g1, g2), g1.parity)
+    return pf.PeriodicFn(g1.samples * d2 - g2.samples * d1, "periodic")
 
 
 def wronskian_defect(g1: pf.PeriodicFn, g2: pf.PeriodicFn) -> float:
-    """max |[Gamma, Gamma'] - 1| of components g1, g2; every gate compares it to WRONSKIAN_TOL."""
+    """max |[Gamma, Gamma'] - 1| of components g1, g2; every gate compares it to WRONSKIAN_TOL.
+
+    Transform budget: one rfft and one irfft (_wronskian).
+    """
     return float(np.max(np.abs(_wronskian(g1, g2).samples - 1.0)))
 
 
@@ -65,8 +79,9 @@ class ProjectiveCurve:
     def __post_init__(self):
         if self.psi.parity != "periodic":
             raise ValueError("psi must be periodic")
-        # phi' > 0 is the diffeomorphism condition; check on an 8x finer grid
-        low = 1.0 + pf.values_and_slopes_with_wrap(self.psi.samples, 8 * self.psi.n)[1].min()
+        # phi' > 0 is the diffeomorphism condition; check on an 8x finer grid, from the slope row
+        # alone (one rfft and one irfft).  Only _reflect_curve builds a curve without this check.
+        low = 1.0 + pf.periodic_slopes(self.psi.samples, 8 * self.psi.n).min()
         if low <= 0.0:
             raise NonMonotone(f"min phi' = {float(low)!r} <= 0")
 
@@ -95,7 +110,10 @@ class ProjectiveCurve:
 
 @dataclass(frozen=True)
 class CentroAffineCurve:
-    """Antiperiodic plane curve with unit Wronskian [Gamma, Gamma'] = 1; a miss raises ValueError."""
+    """Antiperiodic plane curve with unit Wronskian [Gamma, Gamma'] = 1; a miss raises ValueError.
+
+    Transform budget of the gate: one rfft and one irfft (wronskian_defect).
+    """
 
     gamma1: pf.PeriodicFn
     gamma2: pf.PeriodicFn
@@ -135,6 +153,27 @@ def lift(gamma: ProjectiveCurve) -> CentroAffineCurve:
     return _gated(g1, g2, OffUnity, "lifted curve")
 
 
+def _reflect(samples: np.ndarray) -> np.ndarray:
+    """Samples of f(pi - t) from the samples of a pi-periodic f on the same grid."""
+    return np.concatenate([samples[:1], samples[:0:-1]])
+
+
+def _reflect_curve(gamma: ProjectiveCurve) -> ProjectiveCurve:
+    """The curve with angle pi - phi(pi - t), i.e. psi(t) -> -psi(pi - t); an involution bit for bit.
+
+    The one construction that does not re-run ProjectiveCurve's check, as
+    gamma has passed it.  R maps the 8n-point check grid onto itself and
+    gives phi'_R(t) = phi'(pi - t), so the reflected curve is monotone with
+    the same min phi'.  The check computed on the reflected samples would
+    agree with gamma's only up to roundoff (3.7e-14 relative on the
+    benchmark pools), so a curve whose min phi' lies within roundoff of 0
+    may pass the one and fail the other.
+    """
+    curve = object.__new__(ProjectiveCurve)
+    object.__setattr__(curve, "psi", pf.PeriodicFn(-_reflect(gamma.psi.samples), "periodic"))
+    return curve
+
+
 def _from_angles(theta: np.ndarray, steps: int) -> ProjectiveCurve:
     """Curve through raw angles theta at the n + 1 grid points k*pi/n of [0, pi].
 
@@ -169,27 +208,34 @@ def hill_potential(g1: pf.PeriodicFn, g2: pf.PeriodicFn) -> pf.PeriodicFn:
     The products of derivatives alias roundoff into the unresolved Nyquist
     mode cos(nt), (-1)^k on the grid, which the Riccati solve would carry
     into w and the image; the potential is projected off it (Boyd,
-    Chebyshev and Fourier Spectral Methods, 2001, section 11).
+    Chebyshev and Fourier Spectral Methods, 2001, section 11).  Transform
+    budget: one rfft of both components and one irfft per order.
     """
-    (d1_1, d1_2), (d2_1, d2_2) = pf.derivatives(g1, 1, 2), pf.derivatives(g2, 1, 2)
-    p = d1_2 * d2_1 - d2_2 * d1_1
-    nyquist = pf.nyquist_mode(p.n)
-    return pf.PeriodicFn(p.samples - np.mean(p.samples * nyquist) * nyquist, "periodic")
+    first, second = pf.derivatives_of_samples(_pair(g1, g2), g1.parity, 1, 2)
+    p = second[0] * first[1] - second[1] * first[0]
+    nyquist = pf.nyquist_mode(g1.n)
+    return pf.PeriodicFn(p - np.mean(p * nyquist) * nyquist, "periodic")
 
 
 def curvature(Gamma: CentroAffineCurve) -> pf.PeriodicFn:
-    """Hill potential p = [Gamma'', Gamma'] (so that Gamma'' = p Gamma)."""
+    """Hill potential p = [Gamma'', Gamma'] (so that Gamma'' = p Gamma); one rfft and two irffts."""
     return hill_potential(Gamma.gamma1, Gamma.gamma2)
 
 
 def tangent_field(Gamma: CentroAffineCurve, f: pf.PeriodicFn):
-    """Wronskian-preserving deformation U_f = -1/2 f' Gamma + f Gamma'."""
+    """Wronskian-preserving deformation U_f = -1/2 f' Gamma + f Gamma'.
+
+    Transform budget: one rfft and one irfft for f', and one of each for
+    both components' derivatives.
+    """
     if f.parity != "periodic":
         raise ValueError("profile must be periodic")
-    half = (-0.5) * pf.differentiate(f)
-    u1 = half * Gamma.gamma1 + f * pf.differentiate(Gamma.gamma1)
-    u2 = half * Gamma.gamma2 + f * pf.differentiate(Gamma.gamma2)
-    return u1, u2
+    if f.n != Gamma.n:
+        raise ValueError("sample counts differ")
+    half = pf.differentiate_samples(f.samples, "periodic") * -0.5
+    G = _pair(Gamma.gamma1, Gamma.gamma2)
+    u1, u2 = half * G + f.samples * pf.differentiate_samples(G, "antiperiodic")
+    return pf.PeriodicFn(u1, "antiperiodic"), pf.PeriodicFn(u2, "antiperiodic")
 
 
 def make_circle(n: int) -> ProjectiveCurve:

@@ -210,6 +210,18 @@ def _derivative_from_modes(modes: np.ndarray, order: int) -> np.ndarray:
     return np.fft.irfft(_derivative_factor(n, order) * modes, 2 * n)[..., :n]
 
 
+def derivatives_of_samples(samples: np.ndarray, parity: str, *orders: int) -> tuple:
+    """differentiate_samples(samples, parity, order) for each of the orders, from one forward transform.
+
+    Each row of a batch is transformed alone, so a stacked batch gives each
+    row's derivatives bit for bit.
+    """
+    for order in orders:
+        _check_derivative(order, parity)
+    modes = _extension_modes(samples, parity)
+    return tuple(_derivative_from_modes(modes, order) for order in orders)
+
+
 def differentiate_samples(samples: np.ndarray, parity: str, order: int = 1) -> np.ndarray:
     """Spectral derivative of raw samples along the last axis (leading axes are a batch); order 1, 2 or 3."""
     _check_derivative(order, parity)
@@ -223,10 +235,7 @@ def differentiate(f: PeriodicFn, order: int = 1) -> PeriodicFn:
 
 def derivatives(f: PeriodicFn, *orders: int) -> tuple:
     """differentiate(f, order) for each of the orders, from one forward transform."""
-    for order in orders:
-        _check_derivative(order, f.parity)
-    modes = _extension_modes(f.samples, f.parity)
-    return tuple(PeriodicFn(_derivative_from_modes(modes, order), f.parity) for order in orders)
+    return tuple(PeriodicFn(d, f.parity) for d in derivatives_of_samples(f.samples, f.parity, *orders))
 
 
 def integrate_period(f: PeriodicFn) -> float:
@@ -306,6 +315,16 @@ def values_and_slopes_with_wrap(samples: np.ndarray, m: int, parity: str = "peri
     """
     vals = interpolate_modes(_resampling_modes(samples, m, parity), samples.shape[-1], m, parity)
     return np.concatenate([vals, _WRAP_SIGN[parity] * vals[..., :1]], axis=-1)
+
+
+def periodic_slopes(samples: np.ndarray, m: int) -> np.ndarray:
+    """The slope row of values_and_slopes_with_wrap(samples, m), periodic, without its wrap point.
+
+    The same modes times the n-point factor, whose Nyquist entry is zero,
+    so the same m slopes bit for bit, from one irfft of the slope row alone.
+    """
+    factor = rfft_derivative_factor(samples.shape[-1], 1)
+    return np.fft.irfft(factor * _resampling_modes(samples, m, "periodic"), m)
 
 
 def shift(f: PeriodicFn, s: float) -> PeriodicFn:

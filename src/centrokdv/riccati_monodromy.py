@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import periodic_fn as pf
-from .curve_core import ProjectiveCurve, wrap_half_pi
+from .curve_core import ProjectiveCurve, _reflect, wrap_half_pi
 from .errors import BranchSingular, Degenerate, NoRealFixedPoints, StepUnstable, ZeroParam
 
 __all__ = [
@@ -474,11 +474,6 @@ def _check_branch(branch: str) -> None:
     """Raise ValueError unless branch is "plus" or "minus"."""
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-
-
-def _reflect(samples: np.ndarray) -> np.ndarray:
-    """Samples of f(pi - t) from the samples of a pi-periodic f on the same grid."""
-    return np.concatenate([samples[:1], samples[:0:-1]])
 
 
 def _integrate_along(factor: _FloquetFactor, rhs: np.ndarray) -> np.ndarray:

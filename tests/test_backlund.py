@@ -105,6 +105,24 @@ def test_plane_map_builds_apply_tc_image():
     assert np.array_equal(pot.samples, res.image_curvature.samples)
 
 
+def test_plane_map_is_the_per_component_formula_bit_for_bit():
+    rng = np.random.default_rng(5)
+    Gamma = cc.lift(cc.random_projective(rng, 128, strength=0.35))
+    pot, w = cc.curvature(Gamma), pf.random_band_limited(rng, 128, max_mode=4)
+    g1, g2, image_pot = bk.plane_map(Gamma, pot, w, 0.5)
+    for got, g in zip((g1, g2), (Gamma.gamma1, Gamma.gamma2)):
+        want = w * g + 0.5 * pf.differentiate(g)
+        assert got.parity == "antiperiodic" and np.array_equal(got.samples, want.samples)
+    assert np.array_equal(image_pot.samples, (pot + 4.0 * pf.differentiate(w)).samples)
+
+
+def test_plane_map_refuses_a_w_on_another_grid():
+    # the package's own message, not numpy's broadcast error
+    Gamma = cc.lift(cc.make_circle(64))
+    with pytest.raises(ValueError, match="^sample counts differ$"):
+        bk.plane_map(Gamma, cc.curvature(Gamma), pf.constant(1.0, 128), 0.5)
+
+
 def test_pair_wronskian_and_potential_relations():
     gamma = bump_curve(128)
     Gamma = cc.lift(gamma)
@@ -590,3 +608,41 @@ def test_default_shot_moves_apply_tc_images_only_at_roundoff(monkeypatch, subste
             a, b = (np.stack([x.gamma1.samples, x.gamma2.samples]) for x in (a, b))
             worst = max(worst, np.max(np.abs(a - b)) / np.max(np.abs(b)))
     assert worst <= 1e-13  # measured 8.0e-15 at 1 substep, 7.8e-15 at 8 and 1.5e-14 at 16
+
+
+def transform_pool():
+    """Curves drawn as the transform benchmark draws them, at n = 128 and 512, with their minus images."""
+    pool = []
+    for i in range(6):
+        for n in (128, 512):
+            gamma = cc.random_projective(np.random.default_rng([3, i]), n, strength=(0.35, 0.6, 0.9)[i % 3])
+            pool.append(gamma)
+            try:
+                pool.append(bk.apply_tc_projective(gamma, 4.0, "minus"))
+            except NumericalFailure:
+                pass
+    return pool
+
+
+def test_unchecked_reflection_is_an_involution_that_passes_the_full_check(fft_counts):
+    pool = transform_pool()
+    assert len(pool) > 18
+    for gamma in pool:
+        fft_counts.update(rfft=0, irfft=0)
+        reflected = cc._reflect_curve(gamma)
+        again = cc._reflect_curve(reflected)
+        assert fft_counts == {"rfft": 0, "irfft": 0}  # no check re-run
+        assert np.array_equal(again.psi.samples, gamma.psi.samples)
+        # the public constructor, which re-runs the check, accepts the reflection at the same min phi'
+        checked = cc.ProjectiveCurve(pf.PeriodicFn(reflected.psi.samples, "periodic"))
+        low, low_r = (1.0 + pf.values_and_slopes_with_wrap(c.psi.samples, 8 * c.n)[1].min() for c in (gamma, checked))
+        assert low > 0.0 and abs(low_r - low) <= 1e-12 * low
+
+
+def test_projective_minus_branch_makes_two_transform_pairs(fft_counts):
+    # one interpolation of the reflected curve for the shot and one check of the image;
+    # neither reflection re-runs the check
+    gamma = cc.random_projective(np.random.default_rng(1), 128, 0.35)
+    fft_counts.update(rfft=0, irfft=0)
+    bk.apply_tc_projective(gamma, 4, "minus")
+    assert fft_counts == {"rfft": 2, "irfft": 2}

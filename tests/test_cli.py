@@ -134,6 +134,16 @@ def test_backlund_writes_image_and_report(tmp_path, capsys):
     assert isinstance(image, cc.CentroAffineCurve)
 
 
+def test_backlund_unwritable_report_exits_2_and_leaves_no_image(tmp_path, capsys):
+    # the report is written before the image, so a report path that cannot be opened leaves neither
+    circle = gen_circle(tmp_path)
+    out = tmp_path / "image.json"
+    report = tmp_path / "no-such-dir" / "report.json"
+    assert run("backlund", "--input", circle, "--c", 0.5, "--output", out, "--report", report) == 2
+    assert capsys.readouterr().err.startswith("ERROR FileNotFoundError:")
+    assert not out.exists() and not report.exists()
+
+
 def test_backlund_elliptic_parameter_exits_3(tmp_path, capsys):
     circle = gen_circle(tmp_path)
     rc = run("backlund", "--input", circle, "--c", 2, "--c-kind", "affine",

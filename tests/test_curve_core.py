@@ -197,6 +197,51 @@ def test_tangent_field_preserves_wronskian_to_second_order():
     assert 3.5 < errs[0] / errs[1] < 4.5
 
 
+@pytest.mark.parametrize("n", [64, 512])
+def test_stacked_pair_derivatives_match_the_per_component_formulas_bit_for_bit(n):
+    # one transform of the (2, n) pair gives each component's derivative as its own call did
+    rng = np.random.default_rng(3)
+    G = cc.lift(cc.random_projective(rng, n, strength=0.35))
+    d1, d2 = pf.differentiate(G.gamma1), pf.differentiate(G.gamma2)
+    assert np.array_equal(G.wronskian().samples, (G.gamma1 * d2 - G.gamma2 * d1).samples)
+    f = pf.random_band_limited(rng, n, max_mode=4)
+    half = (-0.5) * pf.differentiate(f)
+    for u, g, d in zip(cc.tangent_field(G, f), (G.gamma1, G.gamma2), (d1, d2)):
+        assert u.parity == "antiperiodic" and np.array_equal(u.samples, (half * g + f * d).samples)
+
+
+def test_tangent_field_refuses_a_profile_on_another_grid():
+    # the package's own message, not numpy's broadcast error
+    G = cc.lift(cc.make_circle(64))
+    with pytest.raises(ValueError, match="^sample counts differ$"):
+        cc.tangent_field(G, pf.constant(1.0, 128))
+
+
+def test_unit_wronskian_gate_makes_one_transform_pair(fft_counts):
+    G = cc.lift(cc.random_projective(np.random.default_rng(1), 128, 0.35))
+    fft_counts.update(rfft=0, irfft=0)
+    cc.CentroAffineCurve(G.gamma1, G.gamma2)
+    assert fft_counts == {"rfft": 1, "irfft": 1}
+
+
+def test_curvature_makes_one_forward_and_two_inverse_transforms(fft_counts):
+    G = cc.lift(cc.random_projective(np.random.default_rng(1), 128, 0.35))
+    fft_counts.update(rfft=0, irfft=0)
+    cc.curvature(G)
+    assert fft_counts == {"rfft": 1, "irfft": 2}
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_monotonicity_check_sees_between_the_grid_points(n):
+    # phi' = 1 - a sin(nu t + pi/n), nu = n - 2: on the n-point grid it stays at or above
+    # 1 - a cos(pi/n) > 0, and its minimum 1 - a < 0 lies on the 8n-point check grid
+    nu, a = n - 2, 1.0 / np.sqrt(np.cos(np.pi / n))
+    psi = pf.from_callable(lambda t: (a / nu) * np.cos(nu * t + np.pi / n), n)
+    assert (1.0 + pf.differentiate(psi).samples).min() > 0.0
+    with pytest.raises(NonMonotone):
+        cc.ProjectiveCurve(psi)
+
+
 def test_random_projective_margin_and_reproducibility():
     g64 = cc.random_projective(np.random.default_rng(3), 64, strength=0.6)
     g128 = cc.random_projective(np.random.default_rng(3), 128, strength=0.6)

@@ -157,30 +157,16 @@ def test_potential_flow_detects_blowup():
         kf.evolve_potential(steep, 0.1, ds=0.01)
 
 
-def count_ffts(monkeypatch):
-    """Route np.fft.rfft and irfft through counters; returns the live counts."""
-    counts = {"rfft": 0, "irfft": 0}
-    for name in counts:
-        fft = getattr(np.fft, name)
-
-        def counted(*args, _fft=fft, _name=name, **kw):
-            counts[_name] += 1
-            return _fft(*args, **kw)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return counts
-
-
-def test_potential_march_makes_eight_ffts_per_step(monkeypatch):
-    counts = count_ffts(monkeypatch)
+def test_potential_march_makes_eight_ffts_per_step(fft_counts):
+    counts = fft_counts
     kf.evolve_potential(wave_potential(), 0.001, ds=1e-4)
     # ten steps of four stage pairs, plus the transforms in and out and the first gate
     assert counts == {"rfft": 1 + 40, "irfft": 40 + 2}
 
 
-def test_curve_transport_makes_24_ffts_per_step(monkeypatch):
+def test_curve_transport_makes_24_ffts_per_step(fft_counts):
     G = gentle_curve()
-    counts = count_ffts(monkeypatch)
+    counts = fft_counts
     # one curve or two: each transform serves the whole batch
     for curves in ((G,), (G, seeded_curve(5))):
         made = []
