@@ -192,14 +192,24 @@ def _from_angles(theta: np.ndarray, steps: int) -> ProjectiveCurve:
     return ProjectiveCurve(pf.PeriodicFn(psi, "periodic"))
 
 
+def _angles(Gamma: CentroAffineCurve) -> tuple[np.ndarray, int]:
+    """Unwrapped angles of Gamma at the n + 1 grid points k*pi/n of [0, pi], and its rotation number.
+
+    The last point is the antiperiodic wrap Gamma(pi) = -Gamma(0), so the
+    angle advances by pi times the rotation number, an odd integer.  The
+    angles are as read, not normalized, so Gamma = |Gamma| (cos phi, sin phi).
+    """
+    v1, v2 = (np.append(g.samples, -g.samples[0]) for g in (Gamma.gamma1, Gamma.gamma2))
+    theta = np.unwrap(np.arctan2(v2, v1))
+    return theta, round((theta[-1] - theta[0]) / np.pi)
+
+
 def project(Gamma: CentroAffineCurve) -> ProjectiveCurve:
     """Angle data of a plane curve, the inverse of ``lift`` up to the sign of Gamma.
 
     Requires rotation number one; psi(0) is normalized into (-pi/2, pi/2].
     """
-    # the samples at k*pi/n and the antiperiodic wrap Gamma(pi) = -Gamma(0)
-    v1, v2 = (np.append(g.samples, -g.samples[0]) for g in (Gamma.gamma1, Gamma.gamma2))
-    return _from_angles(np.arctan2(v2, v1), Gamma.n)
+    return _from_angles(_angles(Gamma)[0], Gamma.n)
 
 
 def hill_potential(g1: pf.PeriodicFn, g2: pf.PeriodicFn) -> pf.PeriodicFn:

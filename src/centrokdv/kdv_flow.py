@@ -1,38 +1,34 @@
 """KdV motion of Hill potentials and the induced motion of their curves.
 
 The potential evolves by p_s = -1/2 p''' + 3 p' p.  A unit-Wronskian curve
-whose Hill potential is p is carried along by Gamma_s = p Gamma' - 1/2 p' Gamma,
-which keeps [Gamma, Gamma'] = 1 and transports curvature by the potential
-flow.  Re-deriving p from the moving curve at each step would make the
-curve equation third order and explicitly unstable (mode factors nu^3),
-so the integration is split: the potential moves spectrally with an
-exponential integrator, and the curve samples are then carried by the
-first-order transport field of the externally evolved potential, which is
-non-stiff and needs only p and p'.  The curve stepper takes the potential
-march's nodes as they are made, so one pass serves a whole trace, and it
-carries a batch of curves, each driven by its own potential, so one pass
-also serves several curves.
+is the lift Gamma = (cos phi, sin phi)/sqrt(phi') of its angle phi, which
+advances by k pi over the period, k odd.  The transport Gamma_s = p Gamma'
+- 1/2 p' Gamma, which carries the curvature by the potential flow, moves
+the angle by the Schwarzian KdV phi_s = p phi' (Pinkall, Results Math. 27,
+1995).  For v = ln phi', p = -1/2 v'' + 1/4 v'^2 - e^{2v} and
 
-Transform budget per step, each call over the whole batch: a potential
-step makes 8 FFT calls, one rfft and one irfft per ETDRK4 stage, the last
-irfft gating the step; a curve step makes 24, 12 of each: two half-step
-potential steps (16), whose gating irffts also carry the driving p and
-p', and four field evaluations of one rfft/irfft pair each (8).
+    v_s = -1/2 v''' + 1/4 v'^3 - 3 v' e^{2v},
 
-Both steppers write every stage into work buffers allocated once per pass,
-the transforms through np.fft's out= (numpy 2.0 or later).  At n = 128 a
-step is bound by per-call overhead, not arithmetic, so the buffers save
-the allocations without changing the transform budget above, and each
-product keeps the operand order of the allocating formulas, so the
-results are the same bit for bit.  Every array puts the batch first and
-the grid last, and every transform runs along the last axis, so numpy's
-elementwise loops run along the n grid points, not along a batch of one
-to three.
+while the mean m of phi - k t moves by mean(3/4 v'^2 e^v - e^{3v}).  The
+linear part is the potential's, so one exponential integrator (ETDRK4;
+Kassam and Trefethen, SIAM J. Sci. Comput. 26, 2005) marches both.  The
+moved curve is the lift of phi = k t + m + the integral of e^v - k, with
+unit Wronskian up to the drift of mean(e^v) from k, which its gate checks.
+
+Transform budget per step, each call over the whole batch: 8 FFT calls,
+one irfft and one rfft per ETDRK4 stage, the last irfft gating the step;
+the angle's irfft gives v and v' from one call.  Rebuilding a curve takes
+three more.  The stepper writes every stage into work buffers allocated
+once per pass, the transforms through np.fft's out= (numpy 2.0 or later),
+and each product keeps the operand order of the allocating formulas, so
+the results are the same bit for bit.  Every array puts the batch first
+and the grid last, and every transform runs along the last axis.
 """
 
 import csv
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import ceil, isfinite
 
 import numpy as np
@@ -40,10 +36,9 @@ import numpy as np
 from . import curve_core as cc
 from . import invariants as iv
 from . import periodic_fn as pf
-from .backlund import apply_tc, plane_map
+from .backlund import apply_tc
 from .curve_core import CentroAffineCurve, curvature, tangent_field
 from .errors import StepUnstable
-from .riccati_monodromy import riccati_branch
 
 __all__ = [
     "FLOW_TRACE_HEADER",
@@ -53,7 +48,6 @@ __all__ = [
     "evolve_potential",
     "flow_trace",
     "flow_trace_to_csv",
-    "kdv_rhs",
     "recursion_check",
 ]
 
@@ -61,17 +55,9 @@ FLOW_TRACE_HEADER = ("s", "H1", "H2", "I", "J", "K")
 
 DEFAULT_DS = 1e-4  # target flow step of evolve_potential, evolve_curve and flow_trace
 # most steps of one pass over all its legs: a curve step at n = 128 takes about
-# 0.4 ms (one thread, 2-CPU x86-64 host), so 10^7 of them run for over an hour
+# 0.1 ms (one thread, 2-CPU x86-64 host), so 10^7 of them run for about 20 minutes
 MAX_FLOW_STEPS = 10**7
 CONTOUR_POINTS = 32
-
-
-def kdv_rhs(potential: pf.PeriodicFn) -> pf.PeriodicFn:
-    """Right-hand side -1/2 p''' + 3 p' p, computed spectrally."""
-    if potential.parity != "periodic":
-        raise ValueError("potential must be periodic")
-    d1, d3 = pf.derivatives(potential, 1, 3)
-    return (-0.5) * d3 + 3.0 * d1 * potential
 
 
 @lru_cache(maxsize=16)
@@ -117,73 +103,102 @@ def _checked_sup(sup: np.ndarray, vals: np.ndarray, h: float, what: str, work: n
     return new_sup
 
 
-def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int, cut: int | None = None):
-    """Yield the rfft spectra of the potentials at s = 0, h, ..., nsteps * h.
+def _potential_terms(batch: tuple, n: int):
+    """The potential's nonlinear part 3/2 (p^2)' as (what, grid, nonlinear) for _advance_spectrum.
 
-    v is (B, n//2+1), one potential's spectrum per row, and every transform
-    runs along the last axis.  Given a cut, yield instead the driving rows,
-    shape (2, B, n): each potential's p and p' on the grid from its modes
-    below cut, the band above zero-filled.  They ride the inverse transform
-    that gates the step, stacked behind its samples, so they cost no
-    transform of their own.  Every yield is a fresh array; the stages write
-    into buffers allocated once per pass.
+    grid(w) returns the samples p of the spectra w, which gate the step;
+    nonlinear(out) writes into out the spectrum of 3/2 (p^2)' for the
+    samples grid made last.
     """
-    # p_s = -1/2 p''' + 3/2 (p^2)': linear part -1/2 D^3, nonlinear part 3/2 D
-    # coefficient rows stay 2-d, (1, modes), so that one potential takes
+    mult = 1.5 * pf.rfft_derivative_factor(n, 1)[None]
+    vals, sq = np.empty((2,) + batch + (n,))
+
+    def grid(w):
+        return np.fft.irfft(w, n, out=vals)
+
+    def nonlinear(out):
+        np.fft.rfft(np.multiply(vals, vals, out=sq), out=out)
+        np.multiply(mult, out, out=out)
+
+    return "sup norm", grid, nonlinear
+
+
+def _angle_terms(batch: tuple, n: int):
+    """The angle's nonlinear part 1/4 v'^3 - 3 v' e^{2v}, v = ln phi', as _potential_terms gives the potential's.
+
+    The Nyquist slot of v's spectrum carries the mean m of phi - k t in
+    place of v's unresolved Nyquist mode: the linear part is zero there, as
+    at mode 0, so the stepper advances the slot with the z = 0 weights by
+    what nonlinear writes into it, mean(3/4 v'^2 e^v - e^{3v}).  grid(w)
+    leaves the slot out of v and returns phi' = e^v, a quantity of order
+    one even where v is at roundoff, so that it can gate the step.
+    """
+    slope = pf.rfft_derivative_factor(n, 1)
+    pair = np.empty(batch + (2, n // 2 + 1), complex)  # the modes of v and v'
+    rows = np.empty(batch + (2, n))
+    slopes = rows[..., 1, :]
+    e = np.empty(batch + (n,))
+
+    def grid(w):
+        pair[..., 0, :] = w
+        pair[..., 0, -1] = 0.0
+        np.multiply(slope, w, out=pair[..., 1, :])
+        np.fft.irfft(pair, n, out=rows)
+        return np.exp(rows[..., 0, :], out=e)
+
+    def nonlinear(out):
+        sq, e2 = slopes * slopes, e * e
+        np.fft.rfft(slopes * (0.25 * sq - 3.0 * e2), out=out)
+        out[..., -1] = np.mean(e * (0.75 * sq - e2), axis=-1)
+
+    return "sup phi'", grid, nonlinear
+
+
+def _advance_spectrum(v: np.ndarray, n: int, h: float, nsteps: int, terms=_potential_terms):
+    """Yield the rfft spectra at s = 0, h, ..., nsteps * h of u_s = -1/2 u''' + N(u).
+
+    v is (B, n//2+1), one member's spectrum per row, and every transform
+    runs along the last axis.  terms(batch, n) gives N, the potential's by
+    default or the angle's (_angle_terms), and the samples that gate each
+    step: a step raises StepUnstable if a member's sup norm of them more
+    than doubles.  Every yield after the first is a fresh array; the stages
+    write into buffers allocated once per pass.
+    """
+    # coefficient rows stay 2-d, (1, modes), so that one member takes
     # numpy's same-shape loop rather than a broadcast
     e_full, e_half, q, f1, f2x2, f3 = (c[None] for c in _etdrk4_coeffs(n, h))
-    nonlin_mult = 1.5 * pf.rfft_derivative_factor(n, 1)[None]
-    # stage samples, their squares, |samples| for the gate; the four nonlinear
-    # spectra, the three stage inputs, e_half v and a scratch spectrum.  Every
-    # product keeps the operand order of the plain formulas: numpy's complex
-    # multiply is not operand-symmetric, so a swap moves the march at roundoff.
-    stage, sq, mag = np.empty((3,) + v.shape[:-1] + (n,))
+    what, grid, nonlinear = terms(v.shape[:-1], n)
+    # the four nonlinear spectra, the three stage inputs, e_half v and a
+    # scratch spectrum; |samples| for the gate.  Every product keeps the
+    # operand order of the plain formulas: numpy's complex multiply is not
+    # operand-symmetric, so a swap moves the march at roundoff.
     nv, na, nb, nc, a, b, c, ev, work = np.empty((9,) + v.shape, complex)
-
-    def nonlin(vals, spectrum):
-        np.fft.rfft(np.multiply(vals, vals, out=sq), out=spectrum)
-        np.multiply(nonlin_mult, spectrum, out=spectrum)
-
-    def samples(w):
-        return np.fft.irfft(w, n, out=stage)
-
-    if cut is not None:
-        stacked = np.zeros((3,) + v.shape, complex)  # [v, v below cut, (i nu) v below cut]
-        slope = pf.rfft_derivative_factor(n, 1)[:cut]
-
-    def gate(w):
-        """The samples that gate a step, and what the step yields."""
-        if cut is None:
-            return samples(w), w
-        stacked[0] = w
-        stacked[1, :, :cut] = w[:, :cut]
-        np.multiply(slope, w[:, :cut], out=stacked[2, :, :cut])
-        rows = np.fft.irfft(stacked, n)  # fresh: the caller holds three nodes at once
-        return rows[0], rows[1:]
+    mag = np.empty(v.shape[:-1] + (n,))
 
     # the samples that gate a step are the first stage's input to the next
-    vals, out = gate(v)
-    sup = np.max(np.abs(vals, out=mag), axis=-1)
-    yield out
+    sup = np.max(np.abs(grid(v), out=mag), axis=-1)
+    yield v
     for _ in range(nsteps):
-        nonlin(vals, nv)
+        nonlinear(nv)
         np.multiply(e_half, v, out=ev)
         np.add(ev, np.multiply(q, nv, out=a), out=a)  # a = e_half v + q nv
-        nonlin(samples(a), na)
+        grid(a)
+        nonlinear(na)
         np.add(ev, np.multiply(q, na, out=b), out=b)  # b = e_half v + q na
-        nonlin(samples(b), nb)
+        grid(b)
+        nonlinear(nb)
         np.subtract(np.multiply(2.0, nb, out=work), nv, out=work)
         np.multiply(q, work, out=work)
         np.add(np.multiply(e_half, a, out=c), work, out=c)  # c = e_half a + q (2 nb - nv)
-        nonlin(samples(c), nc)
+        grid(c)
+        nonlinear(nc)
         # v = e_full v + f1 nv + f2x2 (na + nb) + f3 nc, fresh since it is yielded
         v = e_full * v
         v += np.multiply(f1, nv, out=work)
         v += np.multiply(f2x2, np.add(na, nb, out=work), out=work)
         v += np.multiply(f3, nc, out=work)
-        vals, out = gate(v)
-        sup = _checked_sup(sup, vals, h, "sup norm", mag)
-        yield out
+        sup = _checked_sup(sup, grid(v), h, what, mag)
+        yield v
 
 
 def _step_count(s_end: float, ds: float, legs: int = 1) -> int:
@@ -225,80 +240,40 @@ def evolve_potential(potential: pf.PeriodicFn, s_end: float, ds: float = DEFAULT
     return pf.PeriodicFn(np.fft.irfft(v[0], n), "periodic")
 
 
-def _transport(curves: tuple, s_end: float, ds: float, legs: int):
-    """Yield the curves carried to s_end * k / legs for k = 1..legs, all from one pass.
+def _angle_march(curves: tuple, s_end: float, ds: float, legs: int):
+    """Yield the curves carried to s_end * k / legs for k = 1..legs, all from one march of their angles.
 
-    The curves share a grid and each is driven by its own potential; every
-    array holds the batch first and the grid last.  Each leg takes
-    _step_count(s_end, ds, legs) steps of evolve_curve's scheme, and every
+    The curves share a grid; every array holds the batch first and the grid
+    last.  Each leg takes _step_count(s_end, ds, legs) steps, and every
     yielded curve has passed its own Wronskian gate; a miss raises StepUnstable.
     """
-    if len({G.gamma1.n for G in curves}) != 1:
+    if len({G.n for G in curves}) != 1:
         raise ValueError("need one or more curves on one grid")
     per_leg = _step_count(s_end, ds, legs)
     h = s_end / legs / per_leg
-    p0 = np.stack([curvature(G).samples for G in curves])
-    n = p0.shape[-1]
-
-    # curvature holds two spectral derivatives of the input samples, which
-    # lift their roundoff floor by n^2 in the unresolved band; that junk
-    # would sit statically in the driving potential and force matching
-    # grid-scale modes on the curve.  Inputs are band-limited at the working
-    # grid, so the top quarter of the driver band carries no signal: drop it.
-    cut = 3 * (n // 2 + 1) // 4
-    v0 = np.fft.rfft(p0)
-    v0[:, cut:] = 0.0
-
-    # work buffers of the pass: the antiperiodic extension [y, p y, -y, -p y]
-    # of the field's two products, its spectrum and derivative; the four RK4
-    # slopes, the stage input, a product scratch and |x| for the gate
-    B = len(curves)
-    ext, deriv = np.empty((2, B, 4, 2 * n))
-    spec = np.empty((B, 4, n + 1), complex)
-    k1, k2, k3, k4, stage, work, mag = np.empty((7, B, 2, n))
-    slope = pf._derivative_factor(n, 1)
-
-    def field(y, p, dp, k):
-        """Write the field at y into k."""
-        # skew-symmetric split of p y' - 1/2 p' y: the advection part
-        # 1/2 (p D + D p) cannot pump grid modes, so aliasing stays inert
-        ext[:, :2, :n] = y
-        np.multiply(p, y, out=ext[:, 2:, :n])
-        np.negative(ext[..., :n], out=ext[..., n:])
-        np.fft.rfft(ext, out=spec)
-        np.multiply(slope, spec, out=spec)
-        d = np.fft.irfft(spec, 2 * n, out=deriv)[..., :n]
-        # k = 0.5 (p d_y + d_py) - dp y
-        np.add(np.multiply(p, d[:, :2], out=k), d[:, 2:], out=k)
-        np.multiply(0.5, k, out=k)
-        np.subtract(k, np.multiply(dp, y, out=work), out=k)
-
-    def shifted(c, k):
-        """The stage input x + c k, in the stage buffer."""
-        return np.add(x, np.multiply(c, k, out=stage), out=stage)
-
-    # each node is the driver's p and p' on the grid, (B, 1, n) each, the dropped band zero-filled
-    nodes = (rows[:, :, None] for rows in _advance_spectrum(v0, n, 0.5 * h, 2 * legs * per_leg, cut))
-    end = next(nodes)
-    x = np.stack([np.stack([G.gamma1.samples, G.gamma2.samples]) for G in curves])
-    sup = np.max(np.abs(x, out=mag), axis=(1, 2))
-    miss = "transported curve misses unit Wronskian; reduce ds or refine the grid"
-    for _ in range(legs):
-        for _ in range(per_leg):
-            start, mid, end = end, next(nodes), next(nodes)
-            field(x, *start, k1)
-            field(shifted(0.5 * h, k1), *mid, k2)
-            field(shifted(0.5 * h, k2), *mid, k3)
-            field(shifted(h, k3), *end, k4)
-            # x += (h / 6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in k1
-            k1 += np.multiply(2.0, k2, out=k2)
-            k1 += np.multiply(2.0, k3, out=k3)
-            k1 += k4
-            x += np.multiply(h / 6.0, k1, out=k1)
-            sup = _checked_sup(sup, x, h, "curve sup norm", mag)
+    n = curves[0].n
+    t, slope = pf.grid(n), pf.rfft_derivative_factor(n, 1)
+    # phi as read, so that its lift is the curve itself, sign and all
+    angles, turns = zip(*map(cc._angles, curves))
+    k = np.array(turns, float)[:, None]
+    psi = np.stack(angles)[:, :-1] - k * t
+    spectra = np.fft.rfft(np.log(k + pf.differentiate_samples(psi, "periodic")))
+    spectra[:, -1] = psi.mean(axis=-1)  # m rides in the Nyquist slot (_angle_terms)
+    miss = f"flowed curve at ds = {h!r}, n = {n}"
+    for w in islice(_advance_spectrum(spectra, n, h, legs * per_leg, _angle_terms), per_leg, None, per_leg):
+        modes = w.copy()  # the march goes on from w
+        modes[:, -1] = 0.0
+        v = np.fft.irfft(modes, n)
+        # phi - k t - m integrates e^v - k: the spectrum of e^v over i nu, without
+        # its mode 0 (mean(e^v), k up to the march's drift) and its Nyquist mode
+        spectrum = np.fft.rfft(np.exp(v))
+        spectrum[:, 1:-1] /= slope[1:-1]
+        spectrum[:, [0, -1]] = 0.0
+        phi = k * t + w[:, -1:].real + np.fft.irfft(spectrum, n)
+        root = np.exp(-0.5 * v)
         yield tuple(
             cc._gated(pf.PeriodicFn(y1, "antiperiodic"), pf.PeriodicFn(y2, "antiperiodic"), StepUnstable, miss)
-            for y1, y2 in x
+            for y1, y2 in zip(np.cos(phi) * root, np.sin(phi) * root)
         )
 
 
@@ -307,26 +282,25 @@ def evolve_curve(
 ) -> CentroAffineCurve | tuple[CentroAffineCurve, ...]:
     """Carry a unit-Wronskian curve, or a tuple of curves, along the flow to time s_end.
 
-    Marches the potential at half the curve step, alongside the curve, to
-    supply stage values, and moves the curve samples with classical
-    Runge-Kutta through the transport field p Gamma' - 1/2 p' Gamma of that
-    externally evolved potential.  With p supplied from outside, the field
-    is first order in t, so the step restriction is ds * n * sup|p|, and at
-    the working grid sizes the default step keeps two orders of margin to
-    that stability limit.  That is no accuracy margin: the dispersive phase
-    of the potential's high modes is what limits the curve's time error.
+    Marches v = ln phi' of the curve's angle phi with evolve_potential's
+    exponential integrator, and the mean of phi with the same stages'
+    weights.  The moved curve is the lift of the moved angle, read from the
+    input as it is, so that any odd rotation number flows and the input's
+    sign is kept.  Its unit Wronskian holds by construction up to the
+    march's drift of mean(phi'); a gate miss raises StepUnstable naming
+    the defect, the step and n.
 
-    A tuple of curves on one grid, each driven by its own potential, moves
-    through one batched pass and comes back as a tuple of the moved curves,
-    each equal bit for bit to the curve moved alone; a gate miss by any of
-    them raises.  At s_end == 0 the input is returned as it is.
+    A tuple of curves on one grid moves through one batched pass and comes
+    back as a tuple of the moved curves, each equal bit for bit to the
+    curve moved alone; a gate miss by any of them raises.  At s_end == 0
+    the input is returned as it is.
     """
     if s_end == 0.0:
         return Gamma
     if isinstance(Gamma, tuple):
-        (moved,) = _transport(Gamma, s_end, ds, legs=1)
+        (moved,) = _angle_march(Gamma, s_end, ds, legs=1)
         return moved
-    ((moved,),) = _transport((Gamma,), s_end, ds, legs=1)
+    ((moved,),) = _angle_march((Gamma,), s_end, ds, legs=1)
     return moved
 
 
@@ -347,12 +321,13 @@ def flow_trace(
 ) -> list[FlowState]:
     """Snapshots at evenly spaced flow times from 0 to s_end inclusive.
 
-    One transport pass yields them all, each gated like evolve_curve; a
-    pass too long to finish (_step_count) raises ValueError before any transform.
+    One march of the angle yields them all, each gated like evolve_curve;
+    a pass too long to finish (_step_count) raises ValueError before any
+    transform.  Each snapshot's p is its curve's curvature.
     """
     if samples < 1:
         raise ValueError("need at least one sample interval")
-    legs = _transport((Gamma,), s_end, ds, samples)
+    legs = _angle_march((Gamma,), s_end, ds, samples)
     moved = [FlowState(G, curvature(G), s_end * k / samples) for k, (G,) in enumerate(legs, start=1)]
     return [FlowState(Gamma, curvature(Gamma), 0.0)] + moved
 
@@ -418,19 +393,9 @@ def commutation_check(
 
     The KdV flow is isospectral for the Hill operator, so the Floquet
     multipliers that label the two Riccati branches do not move along it:
-    the flowed curve takes the branch with the same label.  Both transforms
-    shoot with riccati_branch's step rule and the flow steps by DEFAULT_DS.
+    the flowed curve takes the branch with the same label.  Both images are
+    apply_tc's, gated, and the flow steps by DEFAULT_DS.
     """
     first = apply_tc(Gamma, c_aff, branch)
     transformed_then_flowed, flowed = evolve_curve((first.image, Gamma), s)
-    pot = curvature(flowed)
-    w = riccati_branch(pot, c_aff, branch).solution
-    # build the second image with the ungated plane map: the flowed curve
-    # satisfies the unit-Wronskian constraint only to the flow's own
-    # truncation error, and the distance measured here does not need the
-    # strict construction gate that apply_tc enforces on its output
-    second1, second2, _ = plane_map(flowed, pot, w, c_aff)
-    return max(
-        float(np.max(np.abs(transformed_then_flowed.gamma1.samples - second1.samples))),
-        float(np.max(np.abs(transformed_then_flowed.gamma2.samples - second2.samples))),
-    )
+    return cc.curve_distance(transformed_then_flowed, apply_tc(flowed, c_aff, branch).image)
