@@ -15,14 +15,19 @@ Kassam and Trefethen, SIAM J. Sci. Comput. 26, 2005) marches both.  The
 moved curve is the lift of phi = k t + m + the integral of e^v - k, with
 unit Wronskian up to the drift of mean(e^v) from k, which its gate checks.
 
-Transform budget per step, each call over the whole batch: 8 FFT calls,
-one irfft and one rfft per ETDRK4 stage, the last irfft gating the step;
-the angle's irfft gives v and v' from one call.  Rebuilding a curve takes
-three more.  The stepper writes every stage into work buffers allocated
-once per pass, the transforms through np.fft's out= (numpy 2.0 or later),
-and each product keeps the operand order of the allocating formulas, so
-the results are the same bit for bit.  Every array puts the batch first
-and the grid last, and every transform runs along the last axis.
+Transform budget per step, each call over the whole batch and on the
+march grid: 8 FFT calls, one irfft and one rfft per ETDRK4 stage, the last
+irfft gating the step; the angle's irfft gives v and v' from one call.
+Each pass adds one gating irfft before its first step.  The angle marches
+on the curve's grid, and rebuilding a curve takes three more.  The
+potential marches on the coarsest grid n / 2^k whose band meets the 2/3
+rule (evolve_potential); a step rejected there costs the same 8 calls,
+and the entry rfft and exit irfft run on n.  The stepper writes every
+stage into work buffers allocated once per pass, the transforms through
+np.fft's out= (numpy 2.0 or later), and each product keeps the operand
+order of the allocating formulas, so the results are the same bit for
+bit.  Every array puts the batch first and the grid last, and every
+transform runs along the last axis.
 """
 
 import csv
@@ -137,7 +142,7 @@ def _angle_terms(batch: tuple, n: int):
     pair = np.empty(batch + (2, n // 2 + 1), complex)  # the modes of v and v'
     rows = np.empty(batch + (2, n))
     slopes = rows[..., 1, :]
-    e = np.empty(batch + (n,))
+    e, sq, e2, work = np.empty((4,) + batch + (n,))
 
     def grid(w):
         pair[..., 0, :] = w
@@ -147,9 +152,14 @@ def _angle_terms(batch: tuple, n: int):
         return np.exp(rows[..., 0, :], out=e)
 
     def nonlinear(out):
-        sq, e2 = slopes * slopes, e * e
-        np.fft.rfft(slopes * (0.25 * sq - 3.0 * e2), out=out)
-        out[..., -1] = np.mean(e * (0.75 * sq - e2), axis=-1)
+        np.multiply(slopes, slopes, out=sq)
+        np.multiply(e, e, out=e2)
+        # the slot's mean first, while e2 holds e^{2v}: np.mean's own pairwise sum and division
+        np.subtract(np.multiply(0.75, sq, out=work), e2, out=work)
+        mean = np.add.reduce(np.multiply(e, work, out=work), axis=-1) / n
+        np.subtract(np.multiply(0.25, sq, out=work), np.multiply(3.0, e2, out=e2), out=work)
+        np.fft.rfft(np.multiply(slopes, work, out=work), out=out)
+        out[..., -1] = mean
 
     return "sup phi'", grid, nonlinear
 
@@ -221,6 +231,31 @@ def _step_count(s_end: float, ds: float, legs: int = 1) -> int:
     return per_leg
 
 
+def _march_grid(n: int, band: int) -> int:
+    """The coarsest grid m = n / 2^k on which a spectrum of band band meets the 2/3 rule, 3 band < m.
+
+    Halving stops before an odd grid or one below pf.MIN_SAMPLES.
+    """
+    m = n
+    while m % 4 == 0 and m // 2 >= pf.MIN_SAMPLES and 3 * band < m // 2:
+        m //= 2
+    return m
+
+
+def _regrid(v: np.ndarray, m: int, size: int) -> np.ndarray:
+    """The rfft spectra v of m samples as spectra of size samples: cut or zero-padded, scaled by size / m.
+
+    The march regrids only spectra that meet the 2/3 rule, whose Nyquist
+    entries lie below the band floor, so they need no split.
+    """
+    if size == m:
+        return v
+    out = np.zeros(v.shape[:-1] + (size // 2 + 1,), complex)
+    kept = min(m, size) // 2 + 1
+    out[..., :kept] = v[..., :kept] * (size / m)
+    return out
+
+
 def evolve_potential(potential: pf.PeriodicFn, s_end: float, ds: float = DEFAULT_DS) -> pf.PeriodicFn:
     """Evolve the potential to flow time s_end with target step ds.
 
@@ -228,6 +263,20 @@ def evolve_potential(potential: pf.PeriodicFn, s_end: float, ds: float = DEFAULT
     nonlinear part by the fourth-order exponential stage combination; the
     mean mode has no dynamics in either piece, so the first Hamiltonian is
     conserved exactly.
+
+    The march runs on the coarsest grid m = n / 2^k whose spectrum meets
+    Orszag's 2/3 rule (J. Atmos. Sci. 28, 1971), 3 J < m for the band J
+    that pf.resolved_band reads from the input's rfft; halving stops before
+    an odd grid or one below pf.MIN_SAMPLES.  It starts from the first
+    m / 2 + 1 modes scaled by m / n.  A step on a grid m < n whose result
+    breaks the rule, or whose sup gate raises StepUnstable, is discarded
+    and redone on the grid 2 m from the last accepted state, zero-padded
+    (the input itself while no step is accepted); the result is
+    zero-padded back to n by one irfft.  On the caller's grid the march
+    is the full-grid march, and only there does StepUnstable escape.  The
+    samples therefore move at roundoff against the full-grid march (under
+    3e-15 of the sup norm on smooth potentials at n = 128 to 2048), and
+    are the same bit for bit wherever the band fills the grid.
     """
     if potential.parity != "periodic":
         raise ValueError("potential must be periodic")
@@ -235,9 +284,23 @@ def evolve_potential(potential: pf.PeriodicFn, s_end: float, ds: float = DEFAULT
         return potential
     n = potential.n
     nsteps = _step_count(s_end, ds)
-    for v in _advance_spectrum(np.fft.rfft(potential.samples)[None], n, s_end / nsteps, nsteps):
-        pass
-    return pf.PeriodicFn(np.fft.irfft(v[0], n), "periodic")
+    h = s_end / nsteps
+    # the last accepted state, on the grid it was computed on, and its step count
+    v, on, done = np.fft.rfft(potential.samples)[None], n, 0
+    m = _march_grid(n, int(pf.resolved_band(v)[0]))
+    while True:
+        try:
+            for w in islice(_advance_spectrum(_regrid(v, on, m), m, h, nsteps - done), 1, None):
+                if m < n and 3 * int(pf.resolved_band(w)[0]) >= m:
+                    break
+                v, on, done = w, m, done + 1
+            else:
+                break
+        except StepUnstable:
+            if m == n:
+                raise
+        m *= 2
+    return pf.PeriodicFn(np.fft.irfft(_regrid(v, on, n)[0], n), "periodic")
 
 
 def _angle_march(curves: tuple, s_end: float, ds: float, legs: int):

@@ -18,6 +18,16 @@ def wave_potential(n=128):
     return pf.PeriodicFn(-1.0 + 0.1 * np.cos(2 * t), "periodic")
 
 
+def steep_potential(n=128):
+    """Sup 21, which one step of 0.01 more than doubles."""
+    return pf.PeriodicFn(-1.0 + 20.0 * np.cos(2 * pf.grid(n)), "periodic")
+
+
+def six_mode_potential(n):
+    """A flow-workload potential: 6 modes, unit sup norm."""
+    return pf.random_band_limited(np.random.default_rng([3, 0, 1]), n, max_mode=6)
+
+
 def gentle_curve(n=128, amp=0.1):
     t = pf.grid(n)
     return cc.lift(cc.ProjectiveCurve(pf.PeriodicFn(amp * np.sin(2 * t), "periodic")))
@@ -170,11 +180,150 @@ def test_potential_flow_detects_blowup():
         kf.evolve_potential(steep, 0.1, ds=0.01)
 
 
+def full_grid_march(p, s_end, ds=kf.DEFAULT_DS):
+    """The samples of p marched to s_end on every mode of its own grid."""
+    nsteps = kf._step_count(s_end, ds)
+    for v in kf._advance_spectrum(np.fft.rfft(p.samples)[None], p.n, s_end / nsteps, nsteps):
+        pass
+    return np.fft.irfft(v[0], p.n)
+
+
+def recorded_passes(monkeypatch):
+    """Patch evolve_potential's stepper to log each pass as [grid, steps run, raised StepUnstable]."""
+    passes, advance = [], kf._advance_spectrum
+
+    def recording(v, m, h, nsteps, terms=kf._potential_terms):
+        entry = [m, 0, False]
+        passes.append(entry)
+        march = advance(v, m, h, nsteps, terms)
+        yield next(march)
+        try:
+            for w in march:
+                entry[1] += 1
+                yield w
+        except StepUnstable:
+            entry[1:] = entry[1] + 1, True
+            raise
+
+    monkeypatch.setattr(kf, "_advance_spectrum", recording)
+    return passes
+
+
+# the worst relative move measured against the full-grid march: 2.3e-15 on the
+# 128 flow-workload potentials of each of seeds 3 and 101 (n = 2048), 1.3e-15 here
+FULL_GRID_BOUND = 5e-15
+
+
+@pytest.mark.parametrize("n", [128, 512, 2048])
+def test_potential_march_agrees_with_the_full_grid_march(monkeypatch, n):
+    passes = recorded_passes(monkeypatch)
+    identical = 0
+    for seed in range(6):
+        for amp in (1.0, 3.0):
+            p = amp * pf.random_band_limited(np.random.default_rng([n, seed]), n, max_mode=6) - 1.0
+            full = full_grid_march(p, 0.02)
+            passes.clear()
+            moved = kf.evolve_potential(p, 0.02).samples
+            assert np.max(np.abs(moved - full)) <= FULL_GRID_BOUND * np.max(np.abs(full))
+            # where each coarse pass had its one step rejected, the band fills the
+            # grid before any step is accepted, and the march is the full-grid one
+            if all(steps == 1 for m, steps, _ in passes[:-1]) and passes[-1][0] == n:
+                assert np.array_equal(moved, full)
+                identical += 1
+    assert identical == (11 if n == 128 else 0)
+
+
+def test_unresolved_potential_marches_on_the_callers_grid_bit_for_bit(monkeypatch):
+    p = pf.PeriodicFn(0.01 * np.random.default_rng(5).normal(size=128))
+    assert pf.resolved_band(np.fft.rfft(p.samples)) == 64
+    passes = recorded_passes(monkeypatch)
+    moved = kf.evolve_potential(p, 0.02)
+    assert passes == [[128, 200, False]]
+    monkeypatch.undo()
+    assert np.array_equal(moved.samples, full_grid_march(p, 0.02))
+
+
+def test_six_mode_potential_refines_past_its_start_grid(monkeypatch):
+    p = six_mode_potential(2048)
+    passes = recorded_passes(monkeypatch)
+    moved = kf.evolve_potential(p, 0.02).samples
+    # 3 * 6 < 32; the flow fills modes past a third of 32 and of 64 within one step
+    assert [m for m, _, _ in passes] == [32, 64, 128]
+    assert passes[-1] == [128, 200, False]
+    monkeypatch.undo()
+    full = full_grid_march(p, 0.02)
+    assert np.max(np.abs(moved - full)) <= FULL_GRID_BOUND * np.max(np.abs(full))
+
+
+def test_step_unstable_escapes_only_from_the_callers_grid(monkeypatch):
+    passes = recorded_passes(monkeypatch)
+    with pytest.raises(StepUnstable):
+        kf.evolve_potential(steep_potential(), 0.1, ds=0.01)
+    # the step on 16 breaks the 2/3 rule; the sup gate raises on 32 and 64 and
+    # the march refines, and only the raise on the caller's grid escapes
+    assert passes == [[16, 1, False], [32, 1, True], [64, 1, True], [128, 1, True]]
+
+
+def test_coarse_step_unstable_refines_to_the_full_grid_march(monkeypatch):
+    # a coarse gate that raises on every step leaves the input as the last
+    # accepted state, so the march on the caller's grid starts from it
+    advance = kf._advance_spectrum
+
+    def coarse_unstable(v, m, h, nsteps, terms=kf._potential_terms):
+        march = advance(v, m, h, nsteps, terms)
+        yield next(march)
+        if m < 2048:
+            raise StepUnstable("coarse")
+        yield from march
+
+    p = six_mode_potential(2048)
+    monkeypatch.setattr(kf, "_advance_spectrum", coarse_unstable)
+    moved = kf.evolve_potential(p, 0.005).samples
+    monkeypatch.undo()
+    assert np.array_equal(moved, full_grid_march(p, 0.005))
+
+
+@pytest.mark.parametrize("n", [16, 36, 2048])
+@pytest.mark.parametrize("value", [0.0, -1.0, 2.5])
+def test_constant_potentials_flow_to_their_own_samples(n, value):
+    p = pf.constant(value, n)
+    assert np.array_equal(kf.evolve_potential(p, 0.02).samples, p.samples)
+
+
+@pytest.mark.parametrize(
+    "n, band, m", [(16, 0, 16), (2048, 0, 16), (36, 0, 18), (36, 5, 18), (36, 6, 36), (2048, 6, 32), (2048, 1024, 2048)]
+)
+def test_march_grid_halves_to_the_coarsest_grid_of_the_two_thirds_rule(n, band, m):
+    # halving stops before an odd grid (36 -> 18 -> 9) or one below MIN_SAMPLES
+    assert kf._march_grid(n, band) == m
+
+
+def march_calls(n, passes, finished=True):
+    """The transforms of evolve_potential on n samples, (name, length) in call order.
+
+    passes holds (m, steps) for each pass: one gating irfft on its grid m,
+    then four stage pairs per step run, accepted or rejected.  The entry
+    rfft and, if the march finished, the exit irfft run on n.
+    """
+    calls = [("rfft", n)]
+    for m, steps in passes:
+        calls += [("irfft", m)] + steps * 4 * [("rfft", m), ("irfft", m)]
+    return calls + [("irfft", n)] * finished
+
+
 def test_potential_march_makes_eight_ffts_per_step(fft_counts):
-    counts = fft_counts
+    # band 1 starts on the smallest grid, and ten steps stay within its third
     kf.evolve_potential(wave_potential(), 0.001, ds=1e-4)
-    # ten steps of four stage pairs, plus the transforms in and out and the first gate
-    assert counts == {"rfft": 1 + 40, "irfft": 40 + 2}
+    assert fft_counts.calls == march_calls(128, [(16, 10)])
+    # band 6 starts on 32; one step fills the band past a third of 32, then of 64
+    fft_counts.calls.clear()
+    kf.evolve_potential(six_mode_potential(2048), 0.001, ds=1e-4)
+    assert fft_counts.calls == march_calls(2048, [(32, 1), (64, 1), (128, 10)])
+    # a step rejected by its sup gate costs the same eight; on the caller's grid the gate raises
+    fft_counts.calls.clear()
+    with pytest.raises(StepUnstable):
+        kf.evolve_potential(steep_potential(), 0.1, ds=0.01)
+    assert fft_counts.calls == march_calls(128, [(16, 1), (32, 1), (64, 1), (128, 1)], finished=False)
 
 
 def test_angle_march_makes_eight_ffts_per_step(fft_counts):
@@ -258,11 +407,10 @@ def test_steppers_match_plain_allocating_steps_bit_for_bit(batch):
     assert np.array_equal(marched, v.T)
     pots = [pf.random_band_limited(np.random.default_rng([3, i]), 256, max_mode=6) for i in range(batch)]
     v = np.fft.rfft(np.stack([p.samples for p in pots], axis=1), axis=0)
+    marched = list(kf._advance_spectrum(np.ascontiguousarray(v.T), 256, h, steps))[-1]
     for _ in range(steps):
         v = plain_march_step(v, 256, h)
-    plain = np.fft.irfft(v, 256, axis=0)
-    for b, p in enumerate(pots):
-        assert np.array_equal(kf.evolve_potential(p, s_end, ds).samples, plain[:, b])
+    assert np.array_equal(marched, v.T)
 
 
 def test_potential_march_gates_each_column_on_its_own():

@@ -250,6 +250,29 @@ def test_derivatives_share_one_transform_bit_for_bit(parity):
         pf.derivatives(f, 1, 4)
 
 
+def test_resolved_band_is_the_last_mode_above_the_floor():
+    row = np.zeros(9, complex)
+    row[[0, 2, 5]] = [2.0, -1.0j, 0.1]
+    floor = pf.BAND_TOL * 2.0
+    row[7] = floor  # at the floor, not above it
+    assert pf.resolved_band(row) == 5
+    row[7] = 1.01 * floor
+    assert pf.resolved_band(row) == 7
+    # each row of a batch against its own largest; an all-zero row resolves band 0
+    rows = np.stack([row, np.zeros(9), np.eye(9)[3] * 1e-300])
+    assert np.array_equal(pf.resolved_band(rows), [7, 0, 3])
+
+
+@pytest.mark.parametrize("parity, top", [("periodic", 12), ("antiperiodic", 7)])
+def test_resolved_band_reads_rfft_and_extension_modes(parity, top):
+    # 6 periodic modes e^{i nu t}, nu <= 12, are rfft modes 0..6 of n samples and
+    # extension modes 0..12; 4 antiperiodic ones reach extension mode 7
+    f = pf.random_band_limited(np.random.default_rng(2), 256, max_mode=6 if parity == "periodic" else 4, parity=parity)
+    assert pf.resolved_band(pf._extension_modes(f.samples, parity)) == top
+    if parity == "periodic":
+        assert pf.resolved_band(np.fft.rfft(f.samples)) == top // 2
+
+
 def test_solve_linear_periodic_constant_case():
     n = 32
     kappa = pf.constant(1.0, n)
