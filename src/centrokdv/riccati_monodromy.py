@@ -9,7 +9,7 @@ each RK4 step is a fixed 2x2 step map, and the maps are multiplied in
 pairing blocks of TRANSFER_CHUNK = 256 steps (_chunked_product), with no
 loop over steps: a pairwise tree reduces each run of steps and an
 inclusive prefix product the runs, where a period map's block is one run.
-As many whole blocks as fit TRANSFER_ELEMENTS step-map elements are built
+As many whole blocks as fit TRANSFER_ELEMENTS map elements are built
 and reduced together, and one running matrix folds over the blocks in
 order, so the result is bit for bit that of reducing one block at a
 time.  Both generators, Hill's [[0, 1], [p, 0]] and the projective field,
@@ -17,7 +17,11 @@ are traceless, so each squares to a scalar, B^2 = q I (q = p for Hill, 0 for
 the projective field), and one rule builds every step map
 (_rk4_transfer): the RK4 step polynomial in h, whose coefficients are then
 closed forms built once per field, before any step size is applied; each
-step size, so each lambda of a scan, costs one Horner evaluation per step.
+step size costs one Horner evaluation per step.  Where q = 0 and no
+trajectory is kept, the step map is a quadratic in h and two steps
+multiply to a quartic whose coefficients are built once per field too
+(_paired): each lambda of a scan then costs one Horner evaluation per
+pair, and a block of TRANSFER_CHUNK steps is TRANSFER_CHUNK / 2 pairs.
 
 The transfer takes one field, and its batch is the step sizes alone (a
 scan's lambdas scale the step).  So the projective period map has one
@@ -104,7 +108,7 @@ PARABOLIC_TOL = 1e-9
 MEET_TOL = 1e-12  # |sin(chi_g - chi_d)| below which two points of RP^1 meet: no conjugator separates them
 _BRANCHES = ("plus", "minus")
 TRANSFER_CHUNK = 256  # RK4 steps per pairing block of the tree and prefix products
-TRANSFER_ELEMENTS = 2**14  # budget of step-map elements (blocks x TRANSFER_CHUNK x batch) reduced at once; at least one block
+TRANSFER_ELEMENTS = 2**14  # budget of map elements (blocks x maps per block x batch) reduced at once; at least one block
 # largest period-map entry whose squared sums (tr2, the eigenvector rows' norms) stay finite
 _LARGEST_ENTRY = math.sqrt(np.finfo(float).max) / 8.0
 _SOLVE_PASSES = 8  # cap on RiccatiBranch.solve_linear's defect-correction passes
@@ -180,21 +184,22 @@ def _shot_substeps(n: int) -> int:
     return min(DEFAULT_SUBSTEPS, max(SHOT_MIN_SUBSTEPS, -(-SHOT_STEPS // n)))
 
 
-def _chunked_product(step_maps, steps: int, batch: tuple, stride: int | None):
-    """X(t_k) = P_{k-1} ... P_0 from step maps reduced in blocks of TRANSFER_CHUNK steps.
+def _chunked_product(step_maps, steps: int, batch: tuple, stride: int | None, block: int | None = None):
+    """X(t_k) = P_{k-1} ... P_0 from step maps reduced in blocks of ``block`` maps.
 
     step_maps(lo, hi) returns fresh C-contiguous arrays, the component stack
     of P_lo, ..., P_{hi-1}, each component of shape batch + (hi - lo,): batch
-    first, steps last.  Each block is cut into runs: each run of step maps
-    is reduced by a pairwise tree product and the run products by an
-    inclusive prefix product.  With a stride s the trajectory keeps every
-    s-th step point: runs of s steps, in blocks of s * (TRANSFER_CHUNK // s)
-    steps (one run if s > TRANSFER_CHUNK); steps must be a multiple of s.
-    With stride None only the final matrix is kept: a block of
-    TRANSFER_CHUNK steps is one run, so its prefix pass does nothing and
-    the block is reduced by the tree alone.  A group of as many whole
-    blocks as fit TRANSFER_ELEMENTS elements (at least one) is built and
-    reduced in one set of calls, as components of shape
+    first, steps last.  ``block`` is the pairing block, TRANSFER_CHUNK
+    unless given; _rk4_transfer's pair maps, each two steps, take half of
+    it.  Each block is cut into runs: each run of step maps is reduced by a
+    pairwise tree product and the run products by an inclusive prefix
+    product.  With a stride s the trajectory keeps every s-th step point:
+    runs of s steps, in blocks of s * (block // s) steps (one run if
+    s > block); steps must be a multiple of s.  With stride None only the
+    final matrix is kept: a block is one run, so its prefix pass does
+    nothing and the block is reduced by the tree alone.  A group of as many
+    whole blocks as fit TRANSFER_ELEMENTS map elements (at least one) is
+    built and reduced in one set of calls, as components of shape
     batch + (blocks, runs, run steps); the ragged tail is a last group of
     one short block.  The running matrix folds over the blocks in order, so
     every product is the one a block-at-a-time reduction takes and the
@@ -203,8 +208,10 @@ def _chunked_product(step_maps, steps: int, batch: tuple, stride: int | None):
     trajectory at every s-th step point, so at every grid point for
     s = substeps, of shape batch + (steps // s + 1, 2, 2).
     """
+    if block is None:
+        block = TRANSFER_CHUNK
     running = (np.ones(batch), np.zeros(batch), np.zeros(batch), np.ones(batch))
-    chunk = TRANSFER_CHUNK if stride is None else stride * max(1, TRANSFER_CHUNK // stride)
+    chunk = block if stride is None else stride * max(1, block // stride)
     if stride is not None:
         traj = np.empty(batch + (steps // stride + 1, 2, 2))
         traj[..., 0, :, :] = np.eye(2)
@@ -256,8 +263,15 @@ def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, stride: int | None 
     they are built once, over all K steps, and each batch entry's step
     size costs one Horner evaluation per step.  Where q is identically
     zero, C3 and C4 vanish and the polynomial is the quadratic
-    I + h (C1 + h C2).  _chunked_product multiplies the step maps, held
-    batch first, step last.
+    I + h (C1 + h C2).  Then, unless a trajectory is kept, the steps are
+    multiplied in pairs before any step size is applied (_paired): the
+    product of two quadratics is a quartic in h with h-free coefficients,
+    so each batch entry costs one Horner evaluation per pair, and
+    _chunked_product reduces the K/2 pair maps in blocks of
+    TRANSFER_CHUNK // 2 pairs, the steps' own pairing blocks with the
+    tree's first level done in closed form.  A trajectory keeps its step
+    maps: its rows are the step points.  _chunked_product multiplies the
+    maps, held batch first, step last.
     """
     b0, bm, b1 = _components(b_half[:-1:2]), _components(b_half[1::2]), _components(b_half[2::2])
     q = np.asarray(square, dtype=float)
@@ -265,9 +279,13 @@ def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, stride: int | None 
         tuple((x0 + 4.0 * xm + x1) / 6.0 for x0, xm, x1 in zip(b0, bm, b1)),
         tuple((x + y + z) / 6.0 for x, y, z in zip(_mul(bm, b0), _mul(b1, bm), (q, 0.0, 0.0, q))),
     ]
+    block = TRANSFER_CHUNK
     if np.any(q):  # else C3 and C4 vanish
         coeffs.append(tuple(q * (x0 + x1) / 12.0 for x0, x1 in zip(b0, b1)))
         coeffs.append(tuple(q * x / 24.0 for x in _mul(b1, b0)))
+    elif stride is None:
+        coeffs = _paired(*coeffs)
+        block //= 2
     batch = np.shape(h)
     if batch:  # one step size per batch entry, broadcast along the steps
         h = np.reshape(h, batch + (1,))
@@ -282,7 +300,30 @@ def _rk4_transfer(b_half: np.ndarray, h: float | np.ndarray, stride: int | None 
         p[3] += 1.0
         return p
 
-    return _chunked_product(step_maps, coeffs[0][0].shape[-1], batch, stride)
+    return _chunked_product(step_maps, coeffs[0][0].shape[-1], batch, stride, block)
+
+
+def _paired(c1, c2):
+    """Coefficients D1, ..., D4 of the pair maps P_{2j+1} P_{2j} = I + h D1 + h^2 D2 + h^3 D3 + h^4 D4.
+
+    c1 and c2 are the component stacks of the quadratic step maps
+    I + h C1 + h^2 C2 along the steps; with a = 2j and b = 2j + 1,
+    D1 = C1a + C1b, D2 = C2a + C2b + C1b C1a, D3 = C1b C2a + C2b C1a and
+    D4 = C2b C2a.  An odd step count is padded with one zero step at the
+    end, so the last pair's D3 and D4 are exact zeros, its D1 and D2 are
+    C1 and C2 of the last step, and Horner builds that step's map bit for
+    bit.
+    """
+    if c1[0].shape[-1] % 2:
+        c1, c2 = ([np.append(x, 0.0) for x in c] for c in (c1, c2))
+    a1, b1 = [x[0::2] for x in c1], [x[1::2] for x in c1]
+    a2, b2 = [x[0::2] for x in c2], [x[1::2] for x in c2]
+    return [
+        tuple(x + y for x, y in zip(a1, b1)),
+        tuple(x + y + z for x, y, z in zip(a2, b2, _mul(b1, a1))),
+        tuple(x + y for x, y in zip(_mul(b1, a2), _mul(b2, a1))),
+        _mul(b2, a2),
+    ]
 
 
 def _ranged_transfer(b_half: np.ndarray, h, stride: int | None = None, *, square, what):

@@ -123,6 +123,64 @@ def test_transfer_across_groups_matches_sequential_rk4(monkeypatch, batch):
     assert_matches_sequential_rk4(traceless_fields(steps, batch), steps, batch)
 
 
+def handed_to_product(monkeypatch):
+    """Spy on _chunked_product: the list of (step_maps, count, block) it is handed, call by call."""
+    handed = []
+    product = rm._chunked_product
+
+    def spy(step_maps, steps, batch, stride, block=None):
+        handed.append((step_maps, steps, block))
+        return product(step_maps, steps, batch, stride, block)
+
+    monkeypatch.setattr(rm, "_chunked_product", spy)
+    return handed
+
+
+@pytest.mark.parametrize("batch", [(), (21,)])
+def test_pair_maps_are_products_of_their_two_step_maps(monkeypatch, batch):
+    # with no trajectory the projective field's steps are paired: pair j is the quartic in h with the
+    # h-free D coefficients, P_{2j+1} P_{2j} up to a few roundings in each D and in each of Horner's
+    # multiply-adds, 8 eps of |P_{2j+1}| |P_{2j}| entrywise (measured: at most 2.4 eps)
+    steps = 2 * rm.TRANSFER_CHUNK + 2
+    _, b, h, square = traceless_fields(steps, batch)[1]
+    handed = handed_to_product(monkeypatch)
+    rm._rk4_transfer(b, h, square=square)
+    rm._rk4_transfer(b, h, 1, square=square)
+    (pair_maps, pairs, block), (step_maps, count, _) = handed
+    assert (pairs, block, count) == (steps // 2, rm.TRANSFER_CHUNK // 2, steps)
+    s = step_maps(0, steps)
+    even, odd = [x[..., 0::2] for x in s], [x[..., 1::2] for x in s]
+    bound = 8.0 * np.finfo(float).eps * np.stack(rm._mul([abs(x) for x in odd], [abs(x) for x in even]))
+    assert np.all(np.abs(np.stack(pair_maps(0, pairs)) - np.stack(rm._mul(odd, even))) <= bound)
+
+
+@pytest.mark.parametrize("batch", [(), (21,)])
+@pytest.mark.parametrize("steps", [1, 3, 2 * rm.TRANSFER_CHUNK + 3])
+def test_an_odd_step_count_ends_in_the_last_step_map_bit_for_bit(monkeypatch, steps, batch):
+    # the zero step that pads an odd count makes the last pair's D3 and D4 exact zeros and its
+    # D1 and D2 the last step's C1 and C2, so Horner multiplies in the step's own order
+    _, b, h, square = traceless_fields(steps, batch)[1]
+    handed = handed_to_product(monkeypatch)
+    rm._rk4_transfer(b, h, square=square)
+    rm._rk4_transfer(b, h, 1, square=square)
+    (pair_maps, pairs, _), (step_maps, _, _) = handed
+    assert pairs == (steps + 1) // 2
+    assert np.stack(pair_maps(pairs - 1, pairs)).tobytes() == np.stack(step_maps(steps - 1, steps)).tobytes()
+
+
+def test_maps_reduce_pairs_and_trajectories_and_hill_maps_reduce_steps(monkeypatch):
+    # K = 4 * 128 steps: a scan and a scalar projective map hand the product K/2 pair maps in blocks of
+    # TRANSFER_CHUNK // 2; a projective trajectory and Hill's quartic step map hand it K step maps
+    gamma = cc.random_projective(np.random.default_rng(2), 128)
+    handed = handed_to_product(monkeypatch)
+    rm.spectral_scan(gamma, np.linspace(-1.0, 1.5, 21), substeps=4)
+    rm.moebius_monodromy(gamma, 4.0, substeps=4)
+    rm.moebius_monodromy(gamma, np.array([4.0, 9.0]), substeps=4, keep_trajectory=True)
+    rm.hill_fundamental(cc.curvature(cc.lift(gamma)), substeps=4)
+    pairs, steps = (256, rm.TRANSFER_CHUNK // 2), (512, rm.TRANSFER_CHUNK)
+    assert [(count, block) for _, count, block in handed] == [pairs, pairs, steps, steps]
+
+
 def per_block_product(step_maps, steps, batch, stride):
     """Reference for _chunked_product: one block per iteration, reduced along the last axis.
 
